@@ -11,17 +11,14 @@ from .channel import (
     ChannelConfig,
     ChannelRealization,
     SensingConfig,
-    apply_channel,
     noise_std,
-    normalize_power,
-    sensing_reflect,
 )
 from .dataset import (
     Dataset,
     Split,
     batch_indices,
     load_cifar10,
-    relabel_binary,
+    relabel_binary_array,
     synthetic_dataset,
     verify_checksums,
 )
@@ -35,18 +32,17 @@ from .errors import (
 from .harness import (
     ExperimentConfig,
     Metrics,
+    SWEEPS,
     SweepResult,
     emit_report,
     evaluate,
     run_experiment,
-    sweep_comm_snr,
+    run_sweep,
     sweep_output_size,
-    sweep_sensing_snr,
 )
 from .models import (
     ModelConfig,
     Pipeline,
-    TrainConfig,
     load_checkpoint,
     save_checkpoint,
     train,

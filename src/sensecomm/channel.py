@@ -11,7 +11,7 @@ h = sqrt(a^2 + b^2) / sqrt(2) with a, b standard normal, so E[h^2] = 1 and
 the configured SNR holds on average. No equalization is applied at the
 receiver; robustness to fading is left to the learned decoder.
 
-Signal power is pinned to 1 per element by :func:`normalize_power` before
+Signal power is pinned to 1 per element by :class:`PowerNormalize` before
 every transmission, which makes sigma = 10^(-snr_db / 20) the correct noise
 scale for a given SNR. Backward through a transmission treats the sampled
 realization (h, n) as a constant, so the input gradient is just h times the
@@ -42,8 +42,8 @@ CHANNEL_KINDS = ("awgn", "rayleigh")
 class ChannelConfig:
     """Channel family and SNR for one link. The same kind is used for the
     communication and sensing links of an experiment."""
-    kind: str = "awgn"
-    snr_db: float = 3.0
+    kind: str
+    snr_db: float
 
     def __post_init__(self):
         if self.kind not in CHANNEL_KINDS:
@@ -54,8 +54,8 @@ class ChannelConfig:
 class SensingConfig:
     """Reflection SNRs per class: vehicles at ``vehicle_snr_db``, animals
     ``animal_offset_db`` below it."""
-    vehicle_snr_db: float = -3.0
-    animal_offset_db: float = 6.0
+    vehicle_snr_db: float
+    animal_offset_db: float
 
     def snr_for_labels(self, label2: np.ndarray) -> np.ndarray:
         label2 = np.asarray(label2)
@@ -102,13 +102,6 @@ class PowerNormalize:
         return root_n * (grad_out / d - s * (dot / (d * d * np.maximum(r, NORM_EPS))))
 
 
-def normalize_power(s: np.ndarray) -> np.ndarray:
-    """Functional form of :class:`PowerNormalize` for single vectors or batches."""
-    s2 = np.atleast_2d(s)
-    out = PowerNormalize().forward(s2)
-    return out.reshape(s.shape)
-
-
 def sample_realization(kind: str, snr_db, n_samples: int, n_c: int,
                        rng: Rng, dtype=np.float32) -> ChannelRealization:
     """Draw one (gain, noise) realization per transmission in the batch.
@@ -142,27 +135,3 @@ class Transmission:
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         return self.realization.gain[:, None] * grad_out
 
-
-def apply_channel(s: np.ndarray, cfg: ChannelConfig, rng: Rng
-                  ) -> tuple[np.ndarray, ChannelRealization]:
-    """Send a power-normalized batch through the communication channel."""
-    s2 = np.atleast_2d(s)
-    real = sample_realization(cfg.kind, cfg.snr_db, s2.shape[0], s2.shape[1],
-                              rng, dtype=s2.dtype)
-    out = Transmission(real).forward(s2)
-    return out.reshape(s.shape), real
-
-
-def sensing_reflect(s: np.ndarray, label2: np.ndarray, sensing: SensingConfig,
-                    kind: str, rng: Rng) -> tuple[np.ndarray, ChannelRealization]:
-    """Reflect the probe signal off the target.
-
-    Identical mechanics to :func:`apply_channel`, but the SNR is picked per
-    sample from the true class label.
-    """
-    s2 = np.atleast_2d(s)
-    snr = sensing.snr_for_labels(np.atleast_1d(label2))
-    real = sample_realization(kind, snr, s2.shape[0], s2.shape[1], rng,
-                              dtype=s2.dtype)
-    out = Transmission(real).forward(s2)
-    return out.reshape(s.shape), real

@@ -3,6 +3,13 @@
 Subcommands: train, eval, sweep-comm-snr, sweep-sensing-snr,
 sweep-output-size, gradcheck. Exit codes: 0 success, 2 usage or data
 errors, 1 runtime failures.
+
+The experiment flags are generated from the fields of
+:class:`~sensecomm.models.ExperimentConfig`. A config file (``--config``,
+JSON or ``key=value`` lines) sets the same options, keyed by flag name with
+``_`` for ``-``; its values go through the same casters and choices as the
+flags, and flags on the command line win. Bad input exits 2 before the
+corpus loads.
 """
 
 from __future__ import annotations
@@ -12,47 +19,69 @@ import json
 import os
 import sys
 import time
+from dataclasses import fields
 
 from . import harness
 from .dataset import load_cifar10
-from .errors import ConfigError, CorruptDatasetError
+from .errors import ConfigError, CorruptDatasetError, DivergenceError
 from .harness import (
-    DEFAULT_COMM_SNR_POINTS,
-    DEFAULT_OUTPUT_SIZES,
-    DEFAULT_SENSING_SNR_POINTS,
-    ExperimentConfig,
+    SWEEPS,
     emit_report,
     evaluate,
     run_experiment,
+    run_sweep,
     summary_line,
 )
-from .models import load_checkpoint, save_checkpoint
+from .models import ExperimentConfig, load_checkpoint, save_checkpoint
 from .selfcheck import run_gradient_checks
 
+# the non-string types a caster takes as they are; anything else must be a
+# string to parse, so a float is never truncated to an int
+_NUMERIC = {int: (int,), float: (int, float), str: ()}
 
-def _add_common_flags(p: argparse.ArgumentParser, data: bool = True):
-    if data:
-        p.add_argument("--data-dir", required=True,
-                       help="directory with the CIFAR-10 binary batch files")
-    p.add_argument("--channel", choices=["awgn", "rayleigh"], default="awgn")
-    p.add_argument("--comm-snr-db", type=float, default=3.0)
-    p.add_argument("--sensing-snr-db", type=float, default=-3.0,
-                   help="vehicle-class sensing SNR in dB")
-    p.add_argument("--offset-db", type=float, default=6.0,
-                   help="how many dB below vehicles animals reflect")
-    p.add_argument("--output-size", type=int, default=20,
-                   help="encoder output size n_c for both encoders")
-    p.add_argument("--mode", choices=["joint", "sensing-only"], default="joint")
-    p.add_argument("--epochs", type=int, default=5)
-    p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--eval-seed", type=int, default=1234)
-    p.add_argument("--out", default="runs", help="output directory")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
+
+def _cast(kind: type, minimum=None):
+    """Strict caster for one flag or config-file value of type ``kind``."""
+    def cast(raw):
+        try:
+            if not (isinstance(raw, str) or type(raw) in _NUMERIC[kind]):
+                raise ValueError
+            value = kind(raw)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {kind.__name__} value: {raw!r}") from None
+        if minimum is not None and value < minimum:
+            raise argparse.ArgumentTypeError(f"{value} is below {minimum}")
+        return value
+    return cast
+
+
+def _choice(raw) -> str:
+    """Caster for a field with choices; ``sensing-only`` spells
+    ``sensing_only``. Membership is checked against the choices."""
+    if not isinstance(raw, str):
+        raise argparse.ArgumentTypeError(f"invalid choice: {raw!r}")
+    return raw.replace("-", "_")
+
+
+def _add_common_flags(p: argparse.ArgumentParser):
+    p.add_argument("--data-dir", type=_cast(str),
+                   help="directory with the CIFAR-10 binary batch files")
+    for f in fields(ExperimentConfig):
+        flag, choices = f.metadata["flag"], f.metadata["choices"]
+        p.add_argument(flag, dest=f.name, default=f.default,
+                       type=_choice if choices else _cast(type(f.default)),
+                       choices=choices,
+                       metavar=None if choices else flag[2:].replace("-", "_").upper(),
+                       help=f"{f.metadata['help']} (default: %(default)s)")
+    p.add_argument("--out", type=_cast(str), default="runs",
+                   help="output directory")
+    p.add_argument("--format", type=_cast(str), choices=["json", "csv"],
+                   default="json")
     p.add_argument("--config", help="JSON or key=value file; flags override it")
-    p.add_argument("--limit-train", type=int, default=None,
+    p.add_argument("--limit-train", type=_cast(int, minimum=1),
                    help="truncate the training split (smoke runs)")
-    p.add_argument("--limit-test", type=int, default=None,
+    p.add_argument("--limit-test", type=_cast(int, minimum=1),
                    help="truncate the test split (smoke runs)")
 
 
@@ -64,120 +93,120 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="train one model and report metrics")
     _add_common_flags(p_train)
+    p_train.set_defaults(run=_cmd_train, parser=p_train)
 
     p_eval = sub.add_parser("eval", help="evaluate a saved checkpoint")
     _add_common_flags(p_eval)
-    p_eval.add_argument("--checkpoint", required=True)
+    p_eval.add_argument("--checkpoint", type=_cast(str),
+                        help="checkpoint file written by train (required)")
+    p_eval.set_defaults(run=_cmd_eval, parser=p_eval)
 
-    for name, flag in [("sweep-comm-snr", "communication SNR points (dB)"),
-                       ("sweep-sensing-snr", "vehicle sensing SNR points (dB)"),
-                       ("sweep-output-size", "encoder output sizes")]:
-        p_sweep = sub.add_parser(name, help=f"sweep over {flag}")
+    for name, sweep in SWEEPS.items():
+        p_sweep = sub.add_parser(f"sweep-{name.replace('_', '-')}",
+                                 help=f"sweep {sweep.param_name} over --points")
         _add_common_flags(p_sweep)
-        p_sweep.add_argument("--points", help=f"comma-separated {flag}")
+        p_sweep.add_argument(
+            "--points", type=_cast(str),
+            help=f"comma-separated {sweep.point_type.__name__} points "
+                 f"(default: {','.join(map(str, sweep.points))})")
+        p_sweep.set_defaults(run=_cmd_sweep, parser=p_sweep, sweep=name)
 
     p_check = sub.add_parser("gradcheck",
                              help="finite-difference checks per layer and end to end")
     p_check.add_argument("--tolerance", type=float, default=None,
                          help="override the per-check pass thresholds")
+    p_check.set_defaults(run=_cmd_gradcheck, parser=p_check)
 
     return parser
 
 
-# config-file keys map onto flag destinations; a file sets new parser
-# defaults, so explicit flags always win
-CONFIG_KEYS = {
-    "channel": ("channel", str),
-    "comm_snr_db": ("comm_snr_db", float),
-    "sensing_snr_db": ("sensing_snr_db", float),
-    "offset_db": ("offset_db", float),
-    "output_size": ("output_size", int),
-    "mode": ("mode", str),
-    "epochs": ("epochs", int),
-    "batch_size": ("batch_size", int),
-    "seed": ("seed", int),
-    "eval_seed": ("eval_seed", int),
-    "out": ("out", str),
-    "format": ("format", str),
-    "data_dir": ("data_dir", str),
-}
-
-
-def _load_config_file(path: str) -> dict:
+def _read_config(path: str, parser: argparse.ArgumentParser) -> dict:
+    """A config file's values, cast and checked like the flags of
+    ``parser`` and keyed by their destination."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
-        return json.loads(text)
+        raw = json.loads(text)
     except json.JSONDecodeError:
-        out = {}
+        raw = {}
         for line in text.splitlines():
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             key, _, value = line.partition("=")
-            out[key.strip()] = value.strip()
-        return out
+            raw[key.strip()] = value.strip()
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: expected a JSON object or key=value lines")
+    actions = {a.option_strings[0][2:].replace("-", "_"): a
+               for a in parser._actions
+               if a.option_strings and a.dest not in ("help", "config")}
+    values = {}
+    for key, value in raw.items():
+        action = actions.get(key)
+        if action is None:
+            raise ConfigError(f"unknown config key {key!r}")
+        try:
+            value = action.type(value)
+        except argparse.ArgumentTypeError as exc:
+            raise ConfigError(f"config key {key!r}: {exc}") from None
+        if action.choices is not None and value not in action.choices:
+            raise ConfigError(f"config key {key!r}: {value!r} is not one of "
+                              f"{', '.join(action.choices)}")
+        values[action.dest] = value
+    return values
 
 
-def _apply_config_file(parser: argparse.ArgumentParser, argv) -> None:
-    probe = argparse.ArgumentParser(add_help=False)
-    probe.add_argument("--config")
-    found, _ = probe.parse_known_args(argv)
-    if not found.config:
-        return
-    values = _load_config_file(found.config)
-    defaults = {}
-    for key, raw in values.items():
-        if key not in CONFIG_KEYS:
-            parser.error(f"unknown config key {key!r}")
-        dest, cast = CONFIG_KEYS[key]
-        defaults[dest] = cast(raw)
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for sub in action.choices.values():
-                known = {a.dest for a in sub._actions}
-                sub.set_defaults(**{k: v for k, v in defaults.items() if k in known})
+def parse_args(argv=None) -> argparse.Namespace:
+    """Parse the command line over the config file's values and validate
+    both. An experiment subcommand gets its config as ``args.cfg``. Bad
+    input exits 2 before any data is read; a bad config file or config
+    value is reported in one ``error:`` line."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "gradcheck":
+        return args
+    try:
+        if args.config:
+            args.parser.set_defaults(**_read_config(args.config, args.parser))
+            args = parser.parse_args(argv)
+        args.cfg = ExperimentConfig(
+            **{f.name: getattr(args, f.name) for f in fields(ExperimentConfig)})
+    except (ConfigError, OSError, UnicodeDecodeError) as exc:
+        args.parser.exit(2, f"error: {exc}\n")
+    return args
 
 
-def _experiment_config(args) -> ExperimentConfig:
-    return ExperimentConfig(
-        channel_kind=args.channel,
-        comm_snr_db=args.comm_snr_db,
-        vehicle_sensing_snr_db=args.sensing_snr_db,
-        animal_offset_db=args.offset_db,
-        n_c=args.output_size,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        seed=args.seed,
-        eval_seed=args.eval_seed,
-        mode=args.mode.replace("-", "_"),
-    )
+def _require(args, name: str):
+    if getattr(args, name) is None:
+        args.parser.error(f"--{name.replace('_', '-')} (or config key {name}) "
+                          "is required")
 
 
-def _load_data(args, parser):
+def _load_data(args):
+    _require(args, "data_dir")
     if not os.path.isdir(args.data_dir):
-        parser.error(f"data directory not found: {args.data_dir}")
+        args.parser.error(f"data directory not found: {args.data_dir}")
     try:
         dataset = load_cifar10(args.data_dir)
     except CorruptDatasetError as exc:
-        parser.error(str(exc))
+        args.parser.error(str(exc))
     dataset.train = dataset.train.subset(args.limit_train)
     dataset.test = dataset.test.subset(args.limit_test)
     return dataset
 
 
-def _parse_points(raw: str | None, default, cast):
+def _parse_points(raw: str | None, sweep: harness.Sweep) -> list:
     if raw is None:
-        return list(default)
+        return list(sweep.points)
     try:
-        return [cast(tok) for tok in raw.split(",") if tok.strip()]
+        return [sweep.point_type(tok) for tok in raw.split(",") if tok.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad --points value: {exc}") from None
 
 
-def _cmd_train(args, parser) -> int:
-    cfg = _experiment_config(args)
-    dataset = _load_data(args, parser)
+def _cmd_train(args) -> int:
+    cfg = args.cfg
+    dataset = _load_data(args)
     os.makedirs(args.out, exist_ok=True)
     started = time.monotonic()
     pipeline, result = run_experiment(cfg, dataset, log_fn=print)
@@ -192,9 +221,10 @@ def _cmd_train(args, parser) -> int:
     return 0
 
 
-def _cmd_eval(args, parser) -> int:
-    cfg = _experiment_config(args)
-    dataset = _load_data(args, parser)
+def _cmd_eval(args) -> int:
+    cfg = args.cfg
+    _require(args, "checkpoint")
+    dataset = _load_data(args)
     started = time.monotonic()
     pipeline, header = load_checkpoint(args.checkpoint)
     cfg.n_c = pipeline.cfg.n_c1
@@ -211,26 +241,19 @@ def _cmd_eval(args, parser) -> int:
     return 0
 
 
-def _cmd_sweep(args, parser, which: str) -> int:
-    cfg = _experiment_config(args)
-    dataset = _load_data(args, parser)
+def _cmd_sweep(args) -> int:
+    sweep = SWEEPS[args.sweep]
+    points = _parse_points(args.points, sweep)
+    dataset = _load_data(args)
     os.makedirs(args.out, exist_ok=True)
     started = time.monotonic()
-    if which == "comm":
-        points = _parse_points(args.points, DEFAULT_COMM_SNR_POINTS, float)
-        sweep = harness.sweep_comm_snr(points, cfg, dataset, log_fn=print)
-    elif which == "sensing":
-        points = _parse_points(args.points, DEFAULT_SENSING_SNR_POINTS, float)
-        sweep = harness.sweep_sensing_snr(points, cfg, dataset, log_fn=print)
-    else:
-        points = _parse_points(args.points, DEFAULT_OUTPUT_SIZES, int)
-        sweep = harness.sweep_output_size(points, cfg, dataset, log_fn=print)
+    result = run_sweep(args.sweep, points, args.cfg, dataset, log_fn=print)
     runtime = time.monotonic() - started
-    base = os.path.join(args.out, f"sweep_{which}")
-    emit_report(sweep, base + ".json", "json")
-    emit_report(sweep, base + ".csv", "csv")
-    print(f"{len(points)} points  joint={['%.4f' % a for a in sweep.joint_accuracy]}  "
-          f"sensing={['%.4f' % a for a in sweep.sensing_accuracy]}  "
+    base = os.path.join(args.out, f"sweep_{sweep.stem}")
+    emit_report(result, base + ".json", "json")
+    emit_report(result, base + ".csv", "csv")
+    print(f"{len(points)} points  joint={['%.4f' % a for a in result.joint_accuracy]}  "
+          f"sensing={['%.4f' % a for a in result.sensing_accuracy]}  "
           f"runtime={runtime:.1f}s")
     print(f"wrote {base}.json and {base}.csv")
     return 0
@@ -247,27 +270,15 @@ def _cmd_gradcheck(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    _apply_config_file(parser, sys.argv[1:] if argv is None else argv)
-    args = parser.parse_args(argv)
+    args = parse_args(argv)
     try:
-        if args.command == "train":
-            return _cmd_train(args, parser)
-        if args.command == "eval":
-            return _cmd_eval(args, parser)
-        if args.command == "sweep-comm-snr":
-            return _cmd_sweep(args, parser, "comm")
-        if args.command == "sweep-sensing-snr":
-            return _cmd_sweep(args, parser, "sensing")
-        if args.command == "sweep-output-size":
-            return _cmd_sweep(args, parser, "size")
-        if args.command == "gradcheck":
-            return _cmd_gradcheck(args)
+        return args.run(args)
     except (ConfigError, CorruptDatasetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    parser.error(f"unknown command {args.command}")
-    return 2
+    except DivergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -32,17 +32,6 @@ SOURCE_DIM = 32 * 32 * 3
 VEHICLE_CLASSES = frozenset({0, 1, 8, 9})  # airplane, automobile, ship, truck
 ANIMAL, VEHICLE = 0, 1
 
-CLASS_NAMES = ["airplane", "automobile", "bird", "cat", "deer",
-               "dog", "frog", "horse", "ship", "truck"]
-
-
-def relabel_binary(label10: int) -> int:
-    """Map an original class id to vehicle (1) or animal (0)."""
-    if not 0 <= int(label10) <= 9:
-        raise LabelError(f"class id {label10} outside 0..9")
-    return VEHICLE if int(label10) in VEHICLE_CLASSES else ANIMAL
-
-
 def relabel_binary_array(label10: np.ndarray) -> np.ndarray:
     label10 = np.asarray(label10)
     if label10.size and (label10.min() < 0 or label10.max() > 9):

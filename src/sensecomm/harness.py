@@ -12,62 +12,13 @@ import csv
 import io
 import json
 from dataclasses import asdict, dataclass, field, replace
+from typing import Any, Callable
 
 import numpy as np
 
-from .channel import ChannelConfig, SensingConfig
 from .dataset import Dataset, SOURCE_DIM, Split
 from .errors import ConfigError
-from .models import (
-    ModelConfig,
-    Pipeline,
-    TrainConfig,
-    predict_split,
-    train,
-)
-
-ANIMAL_NAME, VEHICLE_NAME = "animal", "vehicle"
-
-# Default sweep grids, overridable from the CLI; they span the ranges the
-# accuracy curves are reported over.
-DEFAULT_COMM_SNR_POINTS = [-5.0, 0.0, 5.0, 10.0]
-DEFAULT_SENSING_SNR_POINTS = [-9.0, -6.0, -3.0, 0.0]
-DEFAULT_OUTPUT_SIZES = [4, 8, 16, 20]
-
-
-@dataclass
-class ExperimentConfig:
-    """One experiment's knobs. Defaults are the reference operating point:
-    3 dB communication SNR, -3 dB vehicle sensing SNR with animals 6 dB
-    lower, encoder outputs of 20, 5 epochs of batches of 64."""
-    channel_kind: str = "awgn"
-    comm_snr_db: float = 3.0
-    vehicle_sensing_snr_db: float = -3.0
-    animal_offset_db: float = 6.0
-    n_c: int = 20
-    epochs: int = 5
-    batch_size: int = 64
-    seed: int = 0
-    eval_seed: int = 1234
-    mode: str = "joint"
-    dtype: str = "float32"
-
-    def channel(self) -> ChannelConfig:
-        return ChannelConfig(kind=self.channel_kind, snr_db=self.comm_snr_db)
-
-    def sensing(self) -> SensingConfig:
-        return SensingConfig(vehicle_snr_db=self.vehicle_sensing_snr_db,
-                             animal_offset_db=self.animal_offset_db)
-
-    def model(self, mode: str | None = None) -> ModelConfig:
-        return ModelConfig(n_c1=self.n_c, n_c2=self.n_c,
-                           mode=self.mode if mode is None else mode)
-
-    def trainer(self) -> TrainConfig:
-        return TrainConfig(channel=self.channel(), sensing=self.sensing(),
-                           epochs=self.epochs, batch_size=self.batch_size,
-                           seed=self.seed, eval_seed=self.eval_seed,
-                           dtype=self.dtype)
+from .models import ExperimentConfig, Pipeline, predict_split, train
 
 
 @dataclass
@@ -121,7 +72,7 @@ def run_experiment(cfg: ExperimentConfig, dataset: Dataset, log_fn=None
                    ) -> tuple[Pipeline, dict]:
     """Train one model per ``cfg`` and package config, metrics, history and
     seeds into a JSON-ready result dict."""
-    pipeline, history = train(dataset, cfg.model(), cfg.trainer(), log_fn=log_fn)
+    pipeline, history = train(dataset, cfg, log_fn=log_fn)
     metrics = evaluate(pipeline, dataset.test, cfg)
     result = {
         "config": asdict(cfg),
@@ -152,52 +103,65 @@ class SweepResult:
         }
 
 
-def _run_sweep(param_name: str, configs: list[ExperimentConfig], points: list,
-               dataset: Dataset, log_fn=None) -> SweepResult:
-    """Train joint and sensing-only models per point; same test set and
-    eval-seed policy everywhere."""
-    out = SweepResult(param_name=param_name, points=list(points))
-    for value, cfg in zip(points, configs):
-        point = {"value": value, "seed": cfg.seed}
+@dataclass(frozen=True)
+class Sweep:
+    """One sweep axis: the swept parameter, its default grid, the type of a
+    point, how a point moves the base config, and the report file stem."""
+    param_name: str
+    points: tuple
+    point_type: type
+    transform: Callable[[ExperimentConfig, Any], ExperimentConfig]
+    stem: str
+
+
+# The default grids span the ranges the accuracy curves are reported over.
+SWEEPS = {
+    # the vehicle sensing SNR tracks 6 dB below the communication SNR
+    # (animals a further offset lower)
+    "comm_snr": Sweep(
+        "comm_snr_db", (-5.0, 0.0, 5.0, 10.0), float,
+        lambda cfg, p: replace(cfg, comm_snr_db=p, vehicle_sensing_snr_db=p - 6.0),
+        "comm"),
+    # the vehicle sensing SNR at fixed communication SNR
+    "sensing_snr": Sweep(
+        "vehicle_sensing_snr_db", (-9.0, -6.0, -3.0, 0.0), float,
+        lambda cfg, p: replace(cfg, vehicle_sensing_snr_db=p), "sensing"),
+    # both encoder output sizes together; the metrics carry the
+    # compression rate per point
+    "output_size": Sweep(
+        "n_c", (4, 8, 16, 20), int, lambda cfg, p: replace(cfg, n_c=p), "size"),
+}
+
+
+def run_sweep(name: str, points: list, cfg: ExperimentConfig, dataset: Dataset,
+              log_fn=None) -> SweepResult:
+    """Train joint and sensing-only models per point of the ``SWEEPS[name]``
+    axis; same test set and eval-seed policy everywhere. Every point's
+    config is built, and so validated, before the first training."""
+    sweep = SWEEPS[name]
+    points = [sweep.point_type(p) for p in points]
+    configs = [sweep.transform(cfg, p) for p in points]
+    out = SweepResult(param_name=sweep.param_name, points=points)
+    for value, point_cfg in zip(points, configs):
+        point = {"value": value, "seed": point_cfg.seed}
         for mode in ("joint", "sensing_only"):
-            mode_cfg = replace(cfg, mode=mode)
             if log_fn is not None:
-                log_fn(f"[{param_name}={value}] training {mode}")
-            _, result = run_experiment(mode_cfg, dataset, log_fn=log_fn)
+                log_fn(f"[{sweep.param_name}={value}] training {mode}")
+            _, result = run_experiment(replace(point_cfg, mode=mode), dataset,
+                                       log_fn=log_fn)
             point[mode] = {"metrics": result["metrics"],
                            "history": result["history"]}
         out.joint_accuracy.append(point["joint"]["metrics"]["accuracy"])
         out.sensing_accuracy.append(point["sensing_only"]["metrics"]["accuracy"])
-        out.seeds.append(cfg.seed)
+        out.seeds.append(point_cfg.seed)
         out.per_point.append(point)
     return out
 
 
-def sweep_comm_snr(points: list[float], cfg: ExperimentConfig, dataset: Dataset,
-                   log_fn=None) -> SweepResult:
-    """Vary communication SNR; the vehicle sensing SNR tracks 6 dB below it
-    (animals a further offset lower)."""
-    configs = [replace(cfg, comm_snr_db=p, vehicle_sensing_snr_db=p - 6.0)
-               for p in points]
-    return _run_sweep("comm_snr_db", configs, points, dataset, log_fn)
-
-
-def sweep_sensing_snr(points: list[float], cfg: ExperimentConfig,
-                      dataset: Dataset, log_fn=None) -> SweepResult:
-    """Vary the vehicle sensing SNR at fixed communication SNR."""
-    configs = [replace(cfg, vehicle_sensing_snr_db=p) for p in points]
-    return _run_sweep("vehicle_sensing_snr_db", configs, points, dataset, log_fn)
-
-
 def sweep_output_size(sizes: list[int], cfg: ExperimentConfig, dataset: Dataset,
                       log_fn=None) -> SweepResult:
-    """Vary both encoder output sizes together; reports the compression rate
-    per point via the metrics."""
-    for s in sizes:
-        if s < 1:
-            raise ConfigError(f"output size {s} must be >= 1")
-    configs = [replace(cfg, n_c=int(s)) for s in sizes]
-    return _run_sweep("n_c", configs, [int(s) for s in sizes], dataset, log_fn)
+    """The encoder output size sweep, kept by name for external callers."""
+    return run_sweep("output_size", sizes, cfg, dataset, log_fn)
 
 
 def to_json(obj) -> str:

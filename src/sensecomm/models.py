@@ -20,6 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .channel import (
+    CHANNEL_KINDS,
     ChannelConfig,
     ChannelRealization,
     PowerNormalize,
@@ -47,15 +48,16 @@ from .nn import (
 from .rng import Rng
 
 MODES = ("joint", "sensing_only")
+DTYPES = ("float32", "float64")
 
 EVAL_BATCH = 256  # fixed so the eval-seed noise stream is reproducible
 
 
 @dataclass
 class ModelConfig:
-    n_c1: int = 20
-    n_c2: int = 20
-    mode: str = "joint"
+    n_c1: int
+    n_c2: int
+    mode: str
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -68,25 +70,64 @@ class ModelConfig:
         return self.n_c1 + self.n_c2 if self.mode == "joint" else self.n_c2
 
 
+def _flag(flag: str, help: str, choices: tuple | None = None) -> dict:
+    return {"flag": flag, "help": help, "choices": choices}
+
+
 @dataclass
-class TrainConfig:
-    channel: ChannelConfig = field(default_factory=ChannelConfig)
-    sensing: SensingConfig = field(default_factory=SensingConfig)
-    epochs: int = 5
-    batch_size: int = 64
-    seed: int = 0
-    eval_seed: int = 1234
-    dtype: str = "float32"
+class ExperimentConfig:
+    """One experiment's knobs. Defaults are the reference operating point:
+    3 dB communication SNR, -3 dB vehicle sensing SNR with animals 6 dB
+    lower, encoder outputs of 20, 5 epochs of batches of 64.
+
+    Each field's metadata gives its command-line flag, help and choices;
+    the config-file key is the flag name with ``_`` for ``-``.
+    """
+    channel_kind: str = field(default="awgn", metadata=_flag(
+        "--channel", "channel family of every link", CHANNEL_KINDS))
+    comm_snr_db: float = field(default=3.0, metadata=_flag(
+        "--comm-snr-db", "communication SNR in dB"))
+    vehicle_sensing_snr_db: float = field(default=-3.0, metadata=_flag(
+        "--sensing-snr-db", "vehicle-class sensing SNR in dB"))
+    animal_offset_db: float = field(default=6.0, metadata=_flag(
+        "--offset-db", "how many dB below vehicles animals reflect"))
+    n_c: int = field(default=20, metadata=_flag(
+        "--output-size", "encoder output size n_c for both encoders"))
+    epochs: int = field(default=5, metadata=_flag("--epochs", "training epochs"))
+    batch_size: int = field(default=64, metadata=_flag(
+        "--batch-size", "training batch size"))
+    seed: int = field(default=0, metadata=_flag(
+        "--seed", "seed of weight init, shuffling, dropout and training noise"))
+    eval_seed: int = field(default=1234, metadata=_flag(
+        "--eval-seed", "seed of the evaluation channel draws"))
+    mode: str = field(default="joint", metadata=_flag(
+        "--mode", "joint or sensing-only decoding", MODES))
+    dtype: str = field(default="float32", metadata=_flag(
+        "--dtype", "floating-point type of weights and activations", DTYPES))
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ConfigError("epochs and batch_size must be positive")
-        if self.dtype not in ("float32", "float64"):
-            raise ConfigError(f"unknown dtype {self.dtype!r}")
+        for name, allowed in (("channel_kind", CHANNEL_KINDS), ("mode", MODES),
+                              ("dtype", DTYPES)):
+            if getattr(self, name) not in allowed:
+                raise ConfigError(f"unknown {name} {getattr(self, name)!r}")
+        for name in ("n_c", "epochs", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
 
     @property
     def np_dtype(self):
-        return np.float32 if self.dtype == "float32" else np.float64
+        return np.dtype(self.dtype).type
+
+    def channel(self) -> ChannelConfig:
+        return ChannelConfig(kind=self.channel_kind, snr_db=self.comm_snr_db)
+
+    def sensing(self) -> SensingConfig:
+        return SensingConfig(vehicle_snr_db=self.vehicle_sensing_snr_db,
+                             animal_offset_db=self.animal_offset_db)
+
+    def model(self, mode: str | None = None) -> ModelConfig:
+        return ModelConfig(n_c1=self.n_c, n_c2=self.n_c,
+                           mode=self.mode if mode is None else mode)
 
 
 def build_image_encoder(n_c1: int, rng: Rng, dtype=np.float32) -> Sequential:
@@ -276,7 +317,7 @@ def accuracy_on(pipeline: Pipeline, split: Split, channel_cfg: ChannelConfig,
     return float((preds == split.label2).mean())
 
 
-def train(dataset: Dataset, model_cfg: ModelConfig, train_cfg: TrainConfig,
+def train(dataset: Dataset, cfg: ExperimentConfig,
           log_fn=None) -> tuple[Pipeline, list[dict]]:
     """Train all three networks jointly.
 
@@ -284,21 +325,21 @@ def train(dataset: Dataset, model_cfg: ModelConfig, train_cfg: TrainConfig,
     forward pass, and applies one Adam step to every parameter. History
     records per-epoch mean training loss and test accuracy.
     """
-    init_rng, shuffle_rng, noise_rng = Rng(train_cfg.seed).split(3)
-    dtype = train_cfg.np_dtype
-    pipeline = Pipeline(model_cfg, init_rng, dtype)
+    init_rng, shuffle_rng, noise_rng = Rng(cfg.seed).split(3)
+    dtype = cfg.np_dtype
+    channel_cfg, sensing_cfg = cfg.channel(), cfg.sensing()
+    pipeline = Pipeline(cfg.model(), init_rng, dtype)
     adam = Adam(pipeline.params())
 
     history: list[dict] = []
-    for epoch in range(1, train_cfg.epochs + 1):
+    for epoch in range(1, cfg.epochs + 1):
         losses = []
-        for idx in batch_indices(dataset.train.n, train_cfg.batch_size,
+        for idx in batch_indices(dataset.train.n, cfg.batch_size,
                                  shuffle=True, rng=shuffle_rng):
             x = dataset.train.pixels[idx]
             y = dataset.train.label2[idx]
-            probs, _ = pipeline.forward(x, y, train_cfg.channel,
-                                        train_cfg.sensing, rng=noise_rng,
-                                        training=True)
+            probs, _ = pipeline.forward(x, y, channel_cfg, sensing_cfg,
+                                        rng=noise_rng, training=True)
             onehot = one_hot(y, 2, dtype=dtype)
             loss = cross_entropy(probs, onehot)
             if not np.isfinite(loss):
@@ -307,14 +348,14 @@ def train(dataset: Dataset, model_cfg: ModelConfig, train_cfg: TrainConfig,
             pipeline.backward(cross_entropy_logit_grad(probs, onehot).astype(dtype))
             adam.step()
             losses.append(loss)
-        test_acc = accuracy_on(pipeline, dataset.test, train_cfg.channel,
-                               train_cfg.sensing, train_cfg.eval_seed)
+        test_acc = accuracy_on(pipeline, dataset.test, channel_cfg, sensing_cfg,
+                               cfg.eval_seed)
         record = {"epoch": epoch,
                   "train_loss": float(np.mean(losses)),
                   "test_accuracy": test_acc}
         history.append(record)
         if log_fn is not None:
-            log_fn(f"epoch {epoch}/{train_cfg.epochs}  "
+            log_fn(f"epoch {epoch}/{cfg.epochs}  "
                    f"loss={record['train_loss']:.4f}  test_acc={test_acc:.4f}")
     return pipeline, history
 

@@ -19,10 +19,9 @@ from sensecomm.harness import (
     ExperimentConfig,
     metrics_from_predictions,
     run_experiment,
+    run_sweep,
     summary_line,
-    sweep_comm_snr,
     sweep_output_size,
-    sweep_sensing_snr,
     to_json,
 )
 from sensecomm.nn import Adam, Conv2D, Dense, Param
@@ -67,9 +66,11 @@ def cached_sweep(name: str):
         cfg = ExperimentConfig(channel_kind="awgn", seed=0, eval_seed=EVAL_SEED)
         ds = real_dataset()
         if name == "comm":
-            _cache[name] = sweep_comm_snr([-5.0, 0.0, 5.0, 10.0], cfg, ds, log_fn=print)
+            _cache[name] = run_sweep("comm_snr", [-5.0, 0.0, 5.0, 10.0], cfg, ds,
+                                     log_fn=print)
         elif name == "sensing":
-            _cache[name] = sweep_sensing_snr([-9.0, -6.0, -3.0, 0.0], cfg, ds, log_fn=print)
+            _cache[name] = run_sweep("sensing_snr", [-9.0, -6.0, -3.0, 0.0], cfg, ds,
+                                     log_fn=print)
         else:
             _cache[name] = sweep_output_size([4, 8, 16, 20], cfg, ds, log_fn=print)
     return _cache[name]

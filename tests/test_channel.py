@@ -6,11 +6,8 @@ from sensecomm.channel import (
     PowerNormalize,
     SensingConfig,
     Transmission,
-    apply_channel,
     noise_std,
-    normalize_power,
     sample_realization,
-    sensing_reflect,
 )
 from sensecomm.errors import ConfigError
 from sensecomm.rng import Rng
@@ -18,18 +15,19 @@ from sensecomm.rng import Rng
 
 class TestNormalizePower:
     def test_three_four_case(self):
-        out = normalize_power(np.array([3.0, 4.0]))
+        out = PowerNormalize().forward(np.array([[3.0, 4.0]]))[0]
         assert out == pytest.approx([3.0 * np.sqrt(2) / 5.0, 4.0 * np.sqrt(2) / 5.0], abs=1e-9)
         assert np.mean(out ** 2) == pytest.approx(1.0, abs=1e-9)
 
     def test_idempotent_on_unit_power(self):
-        s = normalize_power(Rng(1).standard_normal(16))
-        again = normalize_power(s)
+        s = PowerNormalize().forward(Rng(1).standard_normal((1, 16)))
+        again = PowerNormalize().forward(s)
         assert np.allclose(again, s, atol=1e-9)
 
     def test_scale_invariance(self):
-        s = Rng(2).standard_normal(8)
-        assert np.allclose(normalize_power(s), normalize_power(3.7 * s), atol=1e-9)
+        s = Rng(2).standard_normal((1, 8))
+        assert np.allclose(PowerNormalize().forward(s),
+                           PowerNormalize().forward(3.7 * s), atol=1e-9)
 
     def test_batch_rows_independent(self):
         x = Rng(3).standard_normal((5, 12))
@@ -37,7 +35,7 @@ class TestNormalizePower:
         assert np.max(np.abs((out ** 2).mean(axis=1) - 1.0)) < 1e-9
 
     def test_zero_vector_stays_finite(self):
-        out = normalize_power(np.zeros(4))
+        out = PowerNormalize().forward(np.zeros((1, 4)))
         assert np.all(np.isfinite(out))
 
     def test_backward_matches_finite_differences(self):
@@ -79,15 +77,17 @@ class TestNoiseStd:
 
 class TestApplyChannel:
     def test_infinite_snr_is_identity(self):
-        s = normalize_power(Rng(5).standard_normal(20))
-        out, real = apply_channel(s, ChannelConfig("awgn", np.inf), Rng(6))
+        s = PowerNormalize().forward(Rng(5).standard_normal((1, 20)))
+        real = sample_realization("awgn", np.inf, 1, 20, Rng(6), s.dtype)
+        out = Transmission(real).forward(s)
         assert np.array_equal(out, s)
         assert np.all(real.gain == 1.0)
 
     def test_awgn_noise_power(self):
         n, nc = 2000, 50  # 1e5 noise elements
         s = PowerNormalize().forward(Rng(7).standard_normal((n, nc)))
-        out, real = apply_channel(s, ChannelConfig("awgn", 0.0), Rng(8))
+        real = sample_realization("awgn", 0.0, n, nc, Rng(8), s.dtype)
+        out = Transmission(real).forward(s)
         assert np.mean(real.noise ** 2) == pytest.approx(1.0, abs=0.02)
         assert np.allclose(out, s + real.noise)
 
@@ -98,22 +98,23 @@ class TestApplyChannel:
     def test_empirical_snr_awgn(self):
         n, nc = 5000, 20
         s = PowerNormalize().forward(Rng(10).standard_normal((n, nc)))
-        _, real = apply_channel(s, ChannelConfig("awgn", 3.0), Rng(11))
+        real = sample_realization("awgn", 3.0, n, nc, Rng(11), s.dtype)
         measured = 10 * np.log10(np.mean(s ** 2) / np.mean(real.noise ** 2))
         assert abs(measured - 3.0) < 0.2
 
     def test_empirical_snr_rayleigh_average(self):
         n, nc = 5000, 20
         s = PowerNormalize().forward(Rng(12).standard_normal((n, nc)))
-        _, real = apply_channel(s, ChannelConfig("rayleigh", -3.0), Rng(13))
+        real = sample_realization("rayleigh", -3.0, n, nc, Rng(13), s.dtype)
         signal_power = np.mean((real.gain[:, None] * s) ** 2)
         measured = 10 * np.log10(signal_power / np.mean(real.noise ** 2))
         assert abs(measured - (-3.0)) < 0.2
 
     def test_reproducible_bit_for_bit(self):
         s = PowerNormalize().forward(Rng(14).standard_normal((8, 10)))
-        out1, r1 = apply_channel(s, ChannelConfig("rayleigh", 3.0), Rng(15))
-        out2, r2 = apply_channel(s, ChannelConfig("rayleigh", 3.0), Rng(15))
+        r1 = sample_realization("rayleigh", 3.0, 8, 10, Rng(15), s.dtype)
+        r2 = sample_realization("rayleigh", 3.0, 8, 10, Rng(15), s.dtype)
+        out1, out2 = Transmission(r1).forward(s), Transmission(r2).forward(s)
         assert np.array_equal(out1, out2)
         assert np.array_equal(r1.gain, r2.gain)
         assert np.array_equal(r1.noise, r2.noise)
@@ -143,7 +144,8 @@ class TestSensingReflect:
         s = PowerNormalize().forward(Rng(18).standard_normal((n, nc)))
         labels = (Rng(19).uniform(size=n) < 0.5).astype(int)
         sc = SensingConfig(vehicle_snr_db=-3.0, animal_offset_db=6.0)
-        _, real = sensing_reflect(s, labels, sc, "awgn", Rng(20))
+        real = sample_realization("awgn", sc.snr_for_labels(labels), n, nc,
+                                  Rng(20), s.dtype)
         veh = np.mean(real.noise[labels == 1] ** 2)
         ani = np.mean(real.noise[labels == 0] ** 2)
         assert veh == pytest.approx(noise_std(-3.0) ** 2, rel=0.05)

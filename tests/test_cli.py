@@ -1,15 +1,38 @@
 import json
-import os
+from dataclasses import fields, replace
 
-import numpy as np
 import pytest
 
-from sensecomm.cli import main
-from sensecomm.models import load_checkpoint
+from sensecomm import cli, models
+from sensecomm.cli import main, parse_args
+from sensecomm.models import ExperimentConfig, load_checkpoint
 
 
 def run_cli(argv):
     return main(argv)
+
+
+def exit_code(argv):
+    """The process exit status of ``argv``, whether returned or raised."""
+    try:
+        return run_cli(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.fixture
+def corpus_loads(monkeypatch):
+    """Records every corpus load the CLI makes."""
+    loads = []
+    real = cli.load_cifar10
+    monkeypatch.setattr(cli, "load_cifar10",
+                        lambda path: loads.append(path) or real(path))
+    return loads
+
+
+def assert_one_error_line(capsys):
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
 
 
 class TestUsageErrors:
@@ -114,6 +137,25 @@ class TestConfigFile:
         payload = json.loads((out / "metrics.json").read_text())
         assert payload["config"]["n_c"] == 4
 
+    @pytest.mark.parametrize("name, text", [
+        ("run.json", '{"format": "xml"}'),
+        ("run.cfg", "epochs=abc\n"),
+        ("run.json", '{"epochs": 1.7}'),
+        ("run.json", '{"mode": "bogus"}'),
+    ], ids=["format-xml", "epochs-abc", "epochs-float", "mode-bogus"])
+    def test_bad_value_fails_before_load(self, name, text, fake_cifar_dir,
+                                         tmp_path, capsys, corpus_loads):
+        cfg = tmp_path / name
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        code = exit_code(["train", "--data-dir", str(fake_cifar_dir),
+                          "--config", str(cfg), "--out", str(out),
+                          "--limit-train", "256", "--limit-test", "128"])
+        assert code == 2
+        assert_one_error_line(capsys)
+        assert corpus_loads == []
+        assert not out.exists()
+
     def test_unknown_config_key(self, fake_cifar_dir, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("wibble=1\n")
@@ -139,3 +181,58 @@ class TestSweepCommand:
         code = run_cli(["sweep-comm-snr", "--data-dir", str(fake_cifar_dir),
                         "--points", "a,b", "--out", str(tmp_path)])
         assert code == 2
+
+
+class TestLimitsAndDivergence:
+    @pytest.mark.parametrize("flag, value", [("--limit-test", "0"),
+                                             ("--limit-train", "-5")])
+    def test_nonpositive_limit_exits_2(self, flag, value, fake_cifar_dir,
+                                       tmp_path, corpus_loads):
+        out = tmp_path / "out"
+        argv = ["train", "--data-dir", str(fake_cifar_dir), "--out", str(out),
+                "--output-size", "4", "--epochs", "1",
+                "--limit-train", "256", "--limit-test", "128"]
+        assert exit_code(argv + [flag, value]) == 2
+        assert corpus_loads == []
+        assert not out.exists()
+
+    def test_divergence_exits_1_with_one_line(self, fake_cifar_dir, tmp_path,
+                                              capsys, monkeypatch):
+        monkeypatch.setattr(models, "cross_entropy",
+                            lambda probs, onehot: float("nan"))
+        code = exit_code(["train", "--data-dir", str(fake_cifar_dir),
+                          "--out", str(tmp_path)] + SMOKE)
+        assert code == 1
+        assert_one_error_line(capsys)
+
+
+def other_value(f):
+    """A legal value of an ExperimentConfig field other than its default."""
+    choices = f.metadata["choices"]
+    if choices:
+        return next(c for c in choices if c != f.default)
+    return f.default + 1
+
+
+class TestConfigDrift:
+    """Every ExperimentConfig field is reachable by flag and by config-file
+    key, lands in the parsed config unchanged, and a flag beats the file."""
+
+    @pytest.mark.parametrize("f", fields(ExperimentConfig), ids=lambda f: f.name)
+    def test_flag_and_file_key_set_the_field(self, f, tmp_path):
+        flag = f.metadata["flag"]
+        key = flag[2:].replace("-", "_")
+        value = other_value(f)
+        expected = replace(ExperimentConfig(), **{f.name: value})
+        base = ["train", "--data-dir", str(tmp_path)]
+
+        assert parse_args(base + [flag, str(value)]).cfg == expected
+        files = {"run.json": json.dumps({key: value}),
+                 "run.cfg": f"{key}={value}\n"}
+        for name, text in files.items():
+            path = tmp_path / name
+            path.write_text(text)
+            assert parse_args(base + ["--config", str(path)]).cfg == expected
+            flagged = parse_args(base + ["--config", str(path),
+                                         flag, str(f.default)])
+            assert flagged.cfg == ExperimentConfig()

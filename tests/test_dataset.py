@@ -10,7 +10,6 @@ from sensecomm.dataset import (
     VEHICLE_CLASSES,
     batch_indices,
     load_cifar10,
-    relabel_binary,
     relabel_binary_array,
     synthetic_dataset,
     verify_checksums,
@@ -91,10 +90,10 @@ class TestChecksums:
 
 class TestRelabel:
     def test_automobile_is_vehicle(self):
-        assert relabel_binary(1) == 1
+        assert relabel_binary_array(np.array([1])).tolist() == [1]
 
     def test_cat_is_animal(self):
-        assert relabel_binary(3) == 0
+        assert relabel_binary_array(np.array([3])).tolist() == [0]
 
     def test_map_is_total_and_4_to_6(self):
         labels = np.arange(10)
@@ -112,7 +111,7 @@ class TestRelabel:
 
     def test_out_of_range(self):
         with pytest.raises(LabelError):
-            relabel_binary(10)
+            relabel_binary_array(np.array([10]))
         with pytest.raises(LabelError):
             relabel_binary_array(np.array([0, 11]))
 

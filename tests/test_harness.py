@@ -146,4 +146,12 @@ class TestExperimentConfig:
         assert cfg.sensing().vehicle_snr_db == -3.0
         assert cfg.model().decoder_in == 20
         assert cfg.model("joint").decoder_in == 40
-        assert cfg.trainer().epochs == 5
+        assert cfg.np_dtype is np.float32
+
+    @pytest.mark.parametrize("bad", [
+        {"channel_kind": "foo"}, {"mode": "both"}, {"dtype": "float16"},
+        {"n_c": 0}, {"epochs": 0}, {"batch_size": 0},
+    ], ids=lambda bad: next(iter(bad)))
+    def test_rejects_bad_values(self, bad):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(**bad)

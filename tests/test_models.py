@@ -7,9 +7,9 @@ from sensecomm.channel import ChannelConfig, SensingConfig
 from sensecomm.dataset import synthetic_dataset
 from sensecomm.errors import ConfigError
 from sensecomm.models import (
+    ExperimentConfig,
     ModelConfig,
     Pipeline,
-    TrainConfig,
     build_decoder,
     build_echo_encoder,
     build_image_encoder,
@@ -88,7 +88,7 @@ class TestBuilders:
         with pytest.raises(ConfigError):
             ModelConfig(4, 4, "both")
         with pytest.raises(ConfigError):
-            TrainConfig(epochs=0)
+            ExperimentConfig(epochs=0)
 
 
 class TestPipelineForward:
@@ -158,19 +158,19 @@ class TestPipelineForward:
 class TestTraining:
     def test_bitwise_identical_trajectories(self):
         ds = synthetic_dataset(192, 64, seed=30)
-        cfg = TrainConfig(channel=AWGN, sensing=SENSING, epochs=1,
-                          batch_size=64, seed=9, eval_seed=99)
-        pipe_a, hist_a = train(ds, ModelConfig(4, 4, "joint"), cfg)
-        pipe_b, hist_b = train(ds, ModelConfig(4, 4, "joint"), cfg)
+        cfg = ExperimentConfig("awgn", 3.0, -3.0, 6.0, n_c=4, epochs=1,
+                               batch_size=64, seed=9, eval_seed=99, mode="joint")
+        pipe_a, hist_a = train(ds, cfg)
+        pipe_b, hist_b = train(ds, cfg)
         for pa, pb in zip(pipe_a.params(), pipe_b.params()):
             assert np.array_equal(pa.value, pb.value), pa.name
         assert hist_a == hist_b
 
     def test_adam_step_count(self):
         ds = synthetic_dataset(130, 32, seed=31)  # 3 batches of 64 -> 2+ partial
-        cfg = TrainConfig(channel=AWGN, sensing=SENSING, epochs=2,
-                          batch_size=64, seed=1, eval_seed=2)
-        pipe, hist = train(ds, ModelConfig(4, 4, "joint"), cfg)
+        cfg = ExperimentConfig("awgn", 3.0, -3.0, 6.0, n_c=4, epochs=2,
+                               batch_size=64, seed=1, eval_seed=2, mode="joint")
+        pipe, hist = train(ds, cfg)
         assert len(hist) == 2
         # epochs * ceil(130/64) batches each
         assert [h["epoch"] for h in hist] == [1, 2]

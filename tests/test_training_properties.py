@@ -9,16 +9,14 @@ carries no information.
 import numpy as np
 import pytest
 
-from sensecomm.channel import ChannelConfig, SensingConfig
 from sensecomm.dataset import synthetic_dataset
 from sensecomm.harness import (
     ExperimentConfig,
     metrics_from_predictions,
-    sweep_comm_snr,
+    run_sweep,
     sweep_output_size,
-    sweep_sensing_snr,
 )
-from sensecomm.models import ModelConfig, TrainConfig, predict_split, train
+from sensecomm.models import predict_split, train
 
 pytestmark = pytest.mark.slow
 
@@ -32,12 +30,11 @@ def corpus():
 
 def run_once(ds, mode, kind="awgn", comm=3.0, veh=-3.0, off=6.0, seed=3,
              nc=20, epochs=2):
-    cfg = TrainConfig(channel=ChannelConfig(kind, comm),
-                      sensing=SensingConfig(veh, off),
-                      epochs=epochs, batch_size=64, seed=seed,
-                      eval_seed=EVAL_SEED)
-    pipeline, history = train(ds, ModelConfig(nc, nc, mode), cfg)
-    preds = predict_split(pipeline, ds.test, cfg.channel, cfg.sensing, EVAL_SEED)
+    cfg = ExperimentConfig(kind, comm, veh, off, n_c=nc, mode=mode,
+                           epochs=epochs, batch_size=64, seed=seed,
+                           eval_seed=EVAL_SEED)
+    pipeline, history = train(ds, cfg)
+    preds = predict_split(pipeline, ds.test, cfg.channel(), cfg.sensing(), EVAL_SEED)
     return metrics_from_predictions(ds.test.label2, preds, nc), history
 
 
@@ -71,7 +68,7 @@ class TestSweeps:
     def test_comm_snr_sweep_dominance_and_trend(self, corpus):
         cfg = ExperimentConfig(channel_kind="awgn", epochs=2, seed=3,
                                eval_seed=EVAL_SEED)
-        sweep = sweep_comm_snr([-10.0, 3.0], cfg, corpus)
+        sweep = run_sweep("comm_snr", [-10.0, 3.0], cfg, corpus)
         for j, s in zip(sweep.joint_accuracy, sweep.sensing_accuracy):
             assert j >= s - 0.01
         assert sweep.joint_accuracy[1] >= sweep.joint_accuracy[0] - 0.02
@@ -80,7 +77,7 @@ class TestSweeps:
     def test_sensing_snr_sweep_ranges_and_gap(self, corpus):
         cfg = ExperimentConfig(channel_kind="awgn", epochs=2, seed=3,
                                eval_seed=EVAL_SEED)
-        sweep = sweep_sensing_snr([-20.0, 10.0], cfg, corpus)
+        sweep = run_sweep("sensing_snr", [-20.0, 10.0], cfg, corpus)
         for j, s in zip(sweep.joint_accuracy, sweep.sensing_accuracy):
             assert j >= s - 0.01
         joint_range = max(sweep.joint_accuracy) - min(sweep.joint_accuracy)
