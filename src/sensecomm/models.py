@@ -267,9 +267,13 @@ class Pipeline:
         probs = softmax(logits)
         return probs, PipelineRealizations(comm1=comm1, sensing=sense, comm2=comm2)
 
-    def backward(self, grad_logits: np.ndarray) -> np.ndarray:
-        """Backpropagate from decoder logits to the input image, filling
-        parameter gradients along the way. Returns the input gradient."""
+    def backward(self, grad_logits: np.ndarray,
+                 input_grad: bool = True) -> np.ndarray | None:
+        """Backpropagate from decoder logits through all three networks,
+        filling every parameter gradient. Returns the gradient with respect
+        to the input image, or None when ``input_grad`` is false: training
+        has no use for it, and skipping it spares the image encoder's first
+        convolution its input-gradient pass."""
         g_fused = self.decoder.backward(grad_logits)
         if self.cfg.mode == "joint":
             n1 = self.cfg.n_c1
@@ -285,7 +289,7 @@ class Pipeline:
         if g_yr1 is not None:
             g_s1 = g_s1 + self._tx_comm1.backward(g_yr1)
         g_feat1 = self._norm1.backward(g_s1)
-        return self.image_encoder.backward(g_feat1)
+        return self.image_encoder.backward(g_feat1, input_grad=input_grad)
 
     def predict(self, x: np.ndarray, label2: np.ndarray,
                 channel_cfg: ChannelConfig, sensing_cfg: SensingConfig,
@@ -345,7 +349,8 @@ def train(dataset: Dataset, cfg: ExperimentConfig,
             if not np.isfinite(loss):
                 raise DivergenceError(
                     f"non-finite loss at epoch {epoch}, step {adam.t}")
-            pipeline.backward(cross_entropy_logit_grad(probs, onehot).astype(dtype))
+            pipeline.backward(cross_entropy_logit_grad(probs, onehot).astype(dtype),
+                              input_grad=False)
             adam.step()
             losses.append(loss)
         test_acc = accuracy_on(pipeline, dataset.test, channel_cfg, sensing_cfg,
@@ -395,13 +400,21 @@ def load_checkpoint(path: str, dtype=np.float32) -> tuple[Pipeline, dict]:
         header = json.loads(fh.read(hlen).decode("utf-8"))
         cfg = ModelConfig(**header["model"])
         pipeline = Pipeline(cfg, Rng(0), dtype)
-        for p, meta in zip(pipeline.params(), header["tensors"]):
+        params, tensors = pipeline.params(), header["tensors"]
+        if len(tensors) != len(params):
+            raise ConfigError(f"{path}: {len(tensors)} tensors, "
+                              f"the model has {len(params)}")
+        for p, meta in zip(params, tensors):
+            if meta["name"] != p.name:
+                raise ConfigError(
+                    f"{path}: tensor {meta['name']!r} where {p.name!r} belongs")
             if list(p.value.shape) != meta["shape"]:
                 raise ConfigError(
                     f"{path}: tensor {meta['name']} shape mismatch")
-            n = int(np.prod(meta["shape"])) if meta["shape"] else 1
-            buf = fh.read(4 * n)
-            if len(buf) != 4 * n:
+            buf = fh.read(4 * p.value.size)
+            if len(buf) != 4 * p.value.size:
                 raise ConfigError(f"{path}: truncated tensor data")
-            p.value = np.frombuffer(buf, dtype="<f4").reshape(meta["shape"]).astype(dtype)
+            p.value = np.frombuffer(buf, dtype="<f4").reshape(p.value.shape).astype(dtype)
+        if fh.read(1):
+            raise ConfigError(f"{path}: trailing bytes after the last tensor")
     return pipeline, header

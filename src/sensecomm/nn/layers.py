@@ -83,22 +83,35 @@ class Dense(Layer):
         self._x = x
         return x @ self.w.value + self.b.value
 
-    def backward(self, grad_out):
+    def backward(self, grad_out, input_grad=True):
         x = self._x
         self.w.grad = x.T @ grad_out
         self.b.grad = grad_out.sum(axis=0)
-        return grad_out @ self.w.value.T
+        return grad_out @ self.w.value.T if input_grad else None
 
     def params(self):
         return [self.w, self.b]
+
+
+def _im2col(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """Valid-correlation windows of a channels-last batch as rows:
+    (N, H, W, C) -> (N*Ho*Wo, kh*kw*C), each row in the (kh, kw, C) order of
+    a flattened kernel."""
+    n, h, w, c = x.shape
+    win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(1, 2))
+    return np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3)).reshape(
+        n * (h - kh + 1) * (w - kw + 1), kh * kw * c)
 
 
 class Conv2D(Layer):
     """2-D cross-correlation, stride 1, no padding ("valid").
 
     Kernel shape is (kh, kw, in_channels, filters); output spatial dims
-    shrink by kernel-1. Implemented as im2col + matmul; the column matrix
-    is cached for the weight-gradient matmul in backward.
+    shrink by kernel-1. Forward is im2col + matmul, and the column matrix is
+    cached for the weight-gradient matmul in backward. The input gradient is
+    the "full" convolution of the output gradient: pad it by kernel-1 on
+    every spatial side and correlate it, through the same im2col, with the
+    kernel flipped in (kh, kw) and its channel axes swapped.
     """
 
     def __init__(self, in_channels: int, filters: int, kernel: tuple[int, int] = (3, 3),
@@ -116,31 +129,22 @@ class Conv2D(Layer):
         n, h, w_in, _ = x.shape
         if h < kh or w_in < kw:
             raise ShapeError(f"kernel ({kh},{kw}) larger than input ({h},{w_in})")
-        ho, wo = h - kh + 1, w_in - kw + 1
-        # windows: (N, Ho, Wo, C, kh, kw) -> (N*Ho*Wo, kh*kw*C) matching
-        # the (kh, kw, C) ordering of the flattened kernel
-        win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(1, 2))
-        cols = np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3)).reshape(n * ho * wo, kh * kw * cin)
-        self._cols = cols
+        self._cols = _im2col(x, kh, kw)
         self._x_shape = x.shape
-        out = cols @ self.w.value.reshape(kh * kw * cin, filters) + self.b.value
-        return out.reshape(n, ho, wo, filters)
+        out = self._cols @ self.w.value.reshape(kh * kw * cin, filters) + self.b.value
+        return out.reshape(n, h - kh + 1, w_in - kw + 1, filters)
 
-    def backward(self, grad_out):
+    def backward(self, grad_out, input_grad=True):
         kh, kw, cin, filters = self.w.value.shape
         n, h, w_in, _ = self._x_shape
-        ho, wo = h - kh + 1, w_in - kw + 1
-        g = grad_out.reshape(n * ho * wo, filters)
+        g = grad_out.reshape(-1, filters)
         self.w.grad = (self._cols.T @ g).reshape(kh, kw, cin, filters)
         self.b.grad = g.sum(axis=0)
-        # scatter column gradients back onto the input: one shifted
-        # accumulation per kernel offset
-        gcols = (g @ self.w.value.reshape(kh * kw * cin, filters).T).reshape(n, ho, wo, kh, kw, cin)
-        grad_x = np.zeros(self._x_shape, dtype=grad_out.dtype)
-        for i in range(kh):
-            for j in range(kw):
-                grad_x[:, i:i + ho, j:j + wo, :] += gcols[:, :, :, i, j, :]
-        return grad_x
+        if not input_grad:
+            return None
+        padded = np.pad(grad_out, ((0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1), (0, 0)))
+        flipped = self.w.value[::-1, ::-1].transpose(0, 1, 3, 2).reshape(kh * kw * filters, cin)
+        return (_im2col(padded, kh, kw) @ flipped).reshape(n, h, w_in, cin)
 
     def params(self):
         return [self.w, self.b]
@@ -249,10 +253,15 @@ class Sequential:
             x = layer.forward(x, training=training, rng=rng)
         return x
 
-    def backward(self, grad_out):
-        for layer in reversed(self.layers):
+    def backward(self, grad_out, input_grad=True):
+        """Fill every parameter gradient and return the gradient with
+        respect to the stack's input, or None when ``input_grad`` is false.
+        The flag reaches the first layer only, which must be a Dense or
+        Conv2D; every later layer has to pass its input gradient on."""
+        first, *rest = self.layers
+        for layer in reversed(rest):
             grad_out = layer.backward(grad_out)
-        return grad_out
+        return first.backward(grad_out, input_grad=input_grad)
 
     def params(self) -> list[Param]:
         out = []

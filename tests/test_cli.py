@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 
@@ -110,6 +114,22 @@ class TestTrainEval:
         assert code == 0
         assert (tmp_path / "metrics.json").read_bytes() == \
             (out / "metrics.json").read_bytes()
+
+
+class TestThreadCount:
+    def test_blas_threads_leave_outputs_byte_identical(self, fake_cifar_dir,
+                                                        tmp_path):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            subprocess.run([sys.executable, "-m", "sensecomm", "train",
+                            "--data-dir", str(fake_cifar_dir), "--out", str(out)]
+                           + SMOKE, env=env, check=True, capture_output=True)
+            outputs.append([(out / name).read_bytes()
+                            for name in ("metrics.json", "checkpoint.bin")])
+        assert outputs[0] == outputs[1]
 
 
 class TestConfigFile:

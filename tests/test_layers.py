@@ -50,6 +50,26 @@ def conv_oracle(x, w, b):
     return out
 
 
+def conv_backward_oracle(x, w, g):
+    """Independent loops for the gradients of a valid cross-correlation:
+    (grad_x, grad_w, grad_b) given the output gradient ``g``."""
+    n, h, wd, cin = x.shape
+    kh, kw, _, f = w.shape
+    ho, wo = h - kh + 1, wd - kw + 1
+    gx, gw, gb = np.zeros(x.shape), np.zeros(w.shape), np.zeros(f)
+    for s in range(n):
+        for i in range(ho):
+            for j in range(wo):
+                for k in range(f):
+                    gb[k] += g[s, i, j, k]
+                    for di in range(kh):
+                        for dj in range(kw):
+                            for c in range(cin):
+                                gx[s, i + di, j + dj, c] += g[s, i, j, k] * w[di, dj, c, k]
+                                gw[di, dj, c, k] += x[s, i + di, j + dj, c] * g[s, i, j, k]
+    return gx, gw, gb
+
+
 class TestGlorot:
     def test_1x1_bound(self):
         vals = [glorot_uniform((1, 1), Rng(s), np.float64)[0, 0] for s in range(50)]
@@ -142,6 +162,29 @@ class TestConv2D:
         x = rng.standard_normal((2, 5, 5, 2))
         expected = conv_oracle(x, layer.w.value, layer.b.value)
         assert np.max(np.abs(layer.forward(x) - expected)) < 1e-12
+
+    def test_backward_matches_loop_oracle(self):
+        # non-square input and in_channels != filters, so a swapped axis or
+        # an unflipped kernel cannot cancel out
+        rng = Rng(6)
+        layer = Conv2D(2, 3, (3, 3), rng, np.float64)
+        x = rng.standard_normal((2, 6, 5, 2))
+        g = rng.standard_normal(layer.forward(x).shape)
+        gx, gw, gb = conv_backward_oracle(x, layer.w.value, g)
+        assert np.max(np.abs(layer.backward(g) - gx)) < 1e-12
+        assert np.max(np.abs(layer.w.grad - gw)) < 1e-12
+        assert np.max(np.abs(layer.b.grad - gb)) < 1e-12
+
+    def test_backward_without_input_grad(self):
+        rng = Rng(7)
+        layer = Conv2D(2, 3, (3, 3), rng, np.float64)
+        x = rng.standard_normal((2, 6, 5, 2))
+        g = rng.standard_normal(layer.forward(x).shape)
+        layer.backward(g)
+        w_grad, b_grad = layer.w.grad, layer.b.grad
+        assert layer.backward(g, input_grad=False) is None
+        assert np.array_equal(layer.w.grad, w_grad)
+        assert np.array_equal(layer.b.grad, b_grad)
 
     def test_kernel_larger_than_input(self):
         layer = Conv2D(1, 1, (3, 3), Rng(0))

@@ -1,4 +1,6 @@
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from sensecomm.models import (
     save_checkpoint,
     train,
 )
-from sensecomm.nn import cross_entropy, one_hot
+from sensecomm.nn import cross_entropy, cross_entropy_logit_grad, one_hot
 from sensecomm.nn.layers import Dense
 from sensecomm.rng import Rng
 
@@ -155,6 +157,23 @@ class TestPipelineForward:
         assert min(losses) < math.log(2.0) + 0.15
 
 
+class TestPipelineBackward:
+    @pytest.mark.parametrize("mode", ["joint", "sensing_only"])
+    def test_input_grad_flag_leaves_param_grads_bitwise(self, mode):
+        pipe = Pipeline(ModelConfig(6, 6, mode), Rng(15))
+        x = Rng(16).uniform(size=(4, 32, 32, 3)).astype(np.float32)
+        labels = np.array([0, 1, 1, 0])
+        probs, _ = pipe.forward(x, labels, AWGN, SENSING, rng=Rng(17))
+        grad = cross_entropy_logit_grad(probs, one_hot(labels, 2, np.float32))
+
+        grad_x = pipe.backward(grad)
+        assert grad_x.shape == x.shape
+        with_input = [p.grad for p in pipe.params()]
+        assert pipe.backward(grad, input_grad=False) is None
+        for p, expected in zip(pipe.params(), with_input):
+            assert np.array_equal(p.grad, expected), p.name
+
+
 class TestTraining:
     def test_bitwise_identical_trajectories(self):
         ds = synthetic_dataset(192, 64, seed=30)
@@ -174,6 +193,19 @@ class TestTraining:
         assert len(hist) == 2
         # epochs * ceil(130/64) batches each
         assert [h["epoch"] for h in hist] == [1, 2]
+
+
+def rewrite_checkpoint(path, edit_header=None, payload_end=None, extra=b""):
+    """Rewrite a saved checkpoint: edit its JSON header in place, cut the
+    payload to ``payload_end`` bytes and append ``extra``."""
+    blob = path.read_bytes()
+    (hlen,) = struct.unpack("<I", blob[4:8])
+    header = json.loads(blob[8:8 + hlen])
+    if edit_header is not None:
+        edit_header(header)
+    head = json.dumps(header, sort_keys=True).encode("utf-8")
+    payload = blob[8 + hlen:][:payload_end]
+    path.write_bytes(blob[:4] + struct.pack("<I", len(head)) + head + payload + extra)
 
 
 class TestCheckpoint:
@@ -207,3 +239,29 @@ class TestCheckpoint:
         path.write_bytes(blob[:-100])
         with pytest.raises(ConfigError, match="truncated"):
             load_checkpoint(path)
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        path = tmp_path / "model.bin"
+        save_checkpoint(Pipeline(ModelConfig(4, 4, "joint"), Rng(44)), path)
+        return path
+
+    def test_missing_tensor_rejected(self, saved):
+        # drop the last tensor from both header and payload: everything that
+        # is listed reads cleanly, and the last bias would stay at init
+        rewrite_checkpoint(saved, lambda h: h["tensors"].pop(),
+                           payload_end=-4 * 2)
+        with pytest.raises(ConfigError, match="tensors"):
+            load_checkpoint(saved)
+
+    def test_renamed_tensor_rejected(self, saved):
+        def rename(header):
+            header["tensors"][0]["name"] = "image_encoder.conv9.w"
+        rewrite_checkpoint(saved, rename)
+        with pytest.raises(ConfigError, match="conv9"):
+            load_checkpoint(saved)
+
+    def test_trailing_bytes_rejected(self, saved):
+        rewrite_checkpoint(saved, extra=b"\x00" * 4)
+        with pytest.raises(ConfigError, match="trailing"):
+            load_checkpoint(saved)
