@@ -19,7 +19,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import fields
+from dataclasses import asdict, fields, replace
 
 from . import harness
 from .dataset import load_cifar10
@@ -113,8 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("gradcheck",
                              help="finite-difference checks per layer and end to end")
-    p_check.add_argument("--tolerance", type=float, default=None,
-                         help="override the per-check pass thresholds")
     p_check.set_defaults(run=_cmd_gradcheck, parser=p_check)
 
     return parser
@@ -199,9 +197,12 @@ def _parse_points(raw: str | None, sweep: harness.Sweep) -> list:
     if raw is None:
         return list(sweep.points)
     try:
-        return [sweep.point_type(tok) for tok in raw.split(",") if tok.strip()]
+        points = [sweep.point_type(tok) for tok in raw.split(",") if tok.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad --points value: {exc}") from None
+    if not points:
+        raise ConfigError(f"--points {raw!r} lists no points")
+    return points
 
 
 def _cmd_train(args) -> int:
@@ -222,18 +223,16 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    cfg = args.cfg
     _require(args, "checkpoint")
+    pipeline, header = load_checkpoint(args.checkpoint, args.cfg.np_dtype)
+    cfg = replace(args.cfg, n_c=pipeline.cfg.n_c1, mode=pipeline.cfg.mode)
     dataset = _load_data(args)
     started = time.monotonic()
-    pipeline, header = load_checkpoint(args.checkpoint)
-    cfg.n_c = pipeline.cfg.n_c1
-    cfg.mode = pipeline.cfg.mode
     metrics = evaluate(pipeline, dataset.test, cfg)
     runtime = time.monotonic() - started
     os.makedirs(args.out, exist_ok=True)
     report = os.path.join(args.out, f"metrics.{args.format}")
-    result = {"config": cfg.__dict__, "metrics": metrics.to_dict(),
+    result = {"config": asdict(cfg), "metrics": metrics.to_dict(),
               "checkpoint": {"path": args.checkpoint, "seed": header.get("seed")},
               "seeds": {"eval": cfg.eval_seed}}
     emit_report(result, report, args.format)
@@ -260,7 +259,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    reports = run_gradient_checks(tolerance=args.tolerance)
+    reports = run_gradient_checks()
     failed = False
     for name, report in reports:
         status = "PASS" if report.passed else "FAIL"

@@ -15,14 +15,12 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
 from .channel import (
     CHANNEL_KINDS,
     ChannelConfig,
-    ChannelRealization,
     PowerNormalize,
     SensingConfig,
     Transmission,
@@ -106,13 +104,14 @@ class ExperimentConfig:
         "--dtype", "floating-point type of weights and activations", DTYPES))
 
     def __post_init__(self):
-        for name, allowed in (("channel_kind", CHANNEL_KINDS), ("mode", MODES),
-                              ("dtype", DTYPES)):
-            if getattr(self, name) not in allowed:
-                raise ConfigError(f"unknown {name} {getattr(self, name)!r}")
-        for name in ("n_c", "epochs", "batch_size"):
+        if self.dtype not in DTYPES:
+            raise ConfigError(f"unknown dtype {self.dtype!r}")
+        for name in ("epochs", "batch_size"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        # the channel kind, mode and n_c are checked where they are used
+        self.channel()
+        self.model()
 
     @property
     def np_dtype(self):
@@ -176,14 +175,6 @@ def build_decoder(d_in: int, rng: Rng, dtype=np.float32) -> Sequential:
     ], name="decoder")
 
 
-@dataclass
-class PipelineRealizations:
-    """Channel draws used by one forward pass, kept so a pass can be replayed."""
-    comm1: Optional[ChannelRealization]
-    sensing: ChannelRealization
-    comm2: ChannelRealization
-
-
 class Pipeline:
     """The full transmitter/receiver stack for one mode.
 
@@ -208,41 +199,29 @@ class Pipeline:
         return (self.image_encoder.params() + self.echo_encoder.params()
                 + self.decoder.params())
 
-    def param_count(self) -> int:
-        return sum(p.value.size for p in self.params())
-
     def forward(self, x: np.ndarray, label2: np.ndarray,
                 channel_cfg: ChannelConfig, sensing_cfg: SensingConfig,
-                rng: Rng | None = None, training: bool = False,
-                realizations: PipelineRealizations | None = None,
-                ) -> tuple[np.ndarray, PipelineRealizations]:
+                rng: Rng | None = None, training: bool = False) -> np.ndarray:
         """Run one batch through encode / transmit / reflect / re-encode /
         transmit / decode and return class probabilities.
 
         The true label feeds only the sensing reflection, where it selects
-        the class-dependent SNR; fresh realizations are drawn unless a
-        replay is supplied.
+        the class-dependent SNR. Channel realizations are drawn from ``rng``
+        in a fixed order: first-round link (joint mode only), sensing, then
+        second-round link.
         """
         x = np.asarray(x, dtype=self.dtype)
-        if x.ndim == 3:
-            x = x[None]
-        label2 = np.atleast_1d(label2)
         joint = self.cfg.mode == "joint"
 
         feat1 = self.image_encoder.forward(x, training=training, rng=rng)
         s1 = self._norm1.forward(feat1)
 
-        if realizations is None:
-            comm1 = sample_realization(channel_cfg.kind, channel_cfg.snr_db,
-                                       s1.shape[0], s1.shape[1], rng,
-                                       self.dtype) if joint else None
-            snr = sensing_cfg.snr_for_labels(label2)
-            sense = sample_realization(channel_cfg.kind, snr, s1.shape[0],
-                                       s1.shape[1], rng, self.dtype)
-        else:
-            comm1, sense = realizations.comm1, realizations.sensing
-            if joint and comm1 is None:
-                raise ConfigError("joint replay needs a first-round realization")
+        comm1 = sample_realization(channel_cfg.kind, channel_cfg.snr_db,
+                                   s1.shape[0], s1.shape[1], rng,
+                                   self.dtype) if joint else None
+        snr = sensing_cfg.snr_for_labels(label2)
+        sense = sample_realization(channel_cfg.kind, snr, s1.shape[0],
+                                   s1.shape[1], rng, self.dtype)
 
         y_r1 = None
         self._tx_comm1 = Transmission(comm1) if comm1 is not None else None
@@ -254,18 +233,14 @@ class Pipeline:
         feat2 = self.echo_encoder.forward(y_t1, training=training, rng=rng)
         s2 = self._norm2.forward(feat2)
 
-        if realizations is None:
-            comm2 = sample_realization(channel_cfg.kind, channel_cfg.snr_db,
-                                       s2.shape[0], s2.shape[1], rng, self.dtype)
-        else:
-            comm2 = realizations.comm2
+        comm2 = sample_realization(channel_cfg.kind, channel_cfg.snr_db,
+                                   s2.shape[0], s2.shape[1], rng, self.dtype)
         self._tx_comm2 = Transmission(comm2)
         y_r2 = self._tx_comm2.forward(s2)
 
         fused = np.concatenate([y_r1, y_r2], axis=1) if joint else y_r2
         logits = self.decoder.forward(fused, training=training, rng=rng)
-        probs = softmax(logits)
-        return probs, PipelineRealizations(comm1=comm1, sensing=sense, comm2=comm2)
+        return softmax(logits)
 
     def backward(self, grad_logits: np.ndarray,
                  input_grad: bool = True) -> np.ndarray | None:
@@ -296,19 +271,18 @@ class Pipeline:
                 rng: Rng) -> tuple[np.ndarray, np.ndarray]:
         """Inference pass: dropout disabled, one sampled realization per call.
         Returns (probs, predicted labels)."""
-        probs, _ = self.forward(x, label2, channel_cfg, sensing_cfg,
-                                rng=rng, training=False)
+        probs = self.forward(x, label2, channel_cfg, sensing_cfg,
+                             rng=rng, training=False)
         return probs, probs.argmax(axis=1)
 
 
 def predict_split(pipeline: Pipeline, split: Split, channel_cfg: ChannelConfig,
-                  sensing_cfg: SensingConfig, eval_seed: int,
-                  batch_size: int = EVAL_BATCH) -> np.ndarray:
+                  sensing_cfg: SensingConfig, eval_seed: int) -> np.ndarray:
     """Predicted labels for a whole split under a fixed evaluation seed,
     one fresh channel realization per sample."""
     rng = Rng(eval_seed)
     out = np.empty(split.n, dtype=np.int64)
-    for idx in batch_indices(split.n, batch_size, shuffle=False):
+    for idx in batch_indices(split.n, EVAL_BATCH, shuffle=False):
         _, labels_hat = pipeline.predict(split.pixels[idx], split.label2[idx],
                                          channel_cfg, sensing_cfg, rng)
         out[idx] = labels_hat
@@ -342,8 +316,8 @@ def train(dataset: Dataset, cfg: ExperimentConfig,
                                  shuffle=True, rng=shuffle_rng):
             x = dataset.train.pixels[idx]
             y = dataset.train.label2[idx]
-            probs, _ = pipeline.forward(x, y, channel_cfg, sensing_cfg,
-                                        rng=noise_rng, training=True)
+            probs = pipeline.forward(x, y, channel_cfg, sensing_cfg,
+                                     rng=noise_rng, training=True)
             onehot = one_hot(y, 2, dtype=dtype)
             loss = cross_entropy(probs, onehot)
             if not np.isfinite(loss):
@@ -392,25 +366,36 @@ def save_checkpoint(pipeline: Pipeline, path: str, seed: int | None = None):
 
 
 def load_checkpoint(path: str, dtype=np.float32) -> tuple[Pipeline, dict]:
-    with open(path, "rb") as fh:
+    """Read a checkpoint into a pipeline of ``dtype``. A file that cannot
+    be opened or does not hold exactly this model raises ConfigError."""
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise ConfigError(f"cannot read checkpoint: {exc}") from None
+    with fh:
         magic = fh.read(4)
         if magic != CHECKPOINT_MAGIC:
             raise ConfigError(f"{path}: not a checkpoint file")
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        cfg = ModelConfig(**header["model"])
+        try:
+            (hlen,) = struct.unpack("<I", fh.read(4))
+            header = json.loads(fh.read(hlen).decode("utf-8"))
+            cfg = ModelConfig(**header["model"])
+            tensors = [(meta["name"], meta["shape"]) for meta in header["tensors"]]
+        except (struct.error, UnicodeDecodeError, json.JSONDecodeError,
+                KeyError, TypeError) as exc:
+            raise ConfigError(f"{path}: malformed checkpoint header "
+                              f"({type(exc).__name__}: {exc})") from None
         pipeline = Pipeline(cfg, Rng(0), dtype)
-        params, tensors = pipeline.params(), header["tensors"]
+        params = pipeline.params()
         if len(tensors) != len(params):
             raise ConfigError(f"{path}: {len(tensors)} tensors, "
                               f"the model has {len(params)}")
-        for p, meta in zip(params, tensors):
-            if meta["name"] != p.name:
+        for p, (name, shape) in zip(params, tensors):
+            if name != p.name:
                 raise ConfigError(
-                    f"{path}: tensor {meta['name']!r} where {p.name!r} belongs")
-            if list(p.value.shape) != meta["shape"]:
-                raise ConfigError(
-                    f"{path}: tensor {meta['name']} shape mismatch")
+                    f"{path}: tensor {name!r} where {p.name!r} belongs")
+            if list(p.value.shape) != shape:
+                raise ConfigError(f"{path}: tensor {name} shape mismatch")
             buf = fh.read(4 * p.value.size)
             if len(buf) != 4 * p.value.size:
                 raise ConfigError(f"{path}: truncated tensor data")

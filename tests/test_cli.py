@@ -1,10 +1,12 @@
 import json
 import os
+import struct
 import subprocess
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sensecomm import cli, models
@@ -32,6 +34,11 @@ def corpus_loads(monkeypatch):
     monkeypatch.setattr(cli, "load_cifar10",
                         lambda path: loads.append(path) or real(path))
     return loads
+
+
+def checkpoint_head(header: bytes) -> bytes:
+    """The magic and length-prefixed ``header`` of a checkpoint file."""
+    return b"SCM1" + struct.pack("<I", len(header)) + header
 
 
 def assert_one_error_line(capsys):
@@ -105,6 +112,41 @@ class TestTrainEval:
         assert code == 0
         payload = json.loads((tmp_path / "metrics.json").read_text())
         assert payload["checkpoint"]["seed"] == 5
+
+    def test_eval_honours_dtype(self, train_run, fake_cifar_dir, tmp_path,
+                                monkeypatch):
+        _, out = train_run
+        dtypes = []
+        real = cli.evaluate
+        monkeypatch.setattr(cli, "evaluate", lambda pipeline, test, cfg: (
+            dtypes.extend(p.value.dtype for p in pipeline.params())
+            or real(pipeline, test, cfg)))
+        code = run_cli(["eval", "--data-dir", str(fake_cifar_dir),
+                        "--checkpoint", str(out / "checkpoint.bin"),
+                        "--out", str(tmp_path), "--dtype", "float64"] + SMOKE)
+        assert code == 0
+        assert set(dtypes) == {np.dtype(np.float64)}
+        payload = json.loads((tmp_path / "metrics.json").read_text())
+        assert payload["config"]["dtype"] == "float64"
+
+    @pytest.mark.parametrize("content", [
+        b"SCM1\x00",
+        checkpoint_head(b"\xff\xfe"),
+        checkpoint_head(b'{"seed": null}'),
+        None,
+    ], ids=["five-bytes", "non-utf8-header", "no-model-key", "missing-file"])
+    def test_bad_checkpoint_fails_before_load(self, content, fake_cifar_dir,
+                                              tmp_path, capsys, corpus_loads):
+        ckpt = tmp_path / "checkpoint.bin"
+        if content is not None:
+            ckpt.write_bytes(content)
+        out = tmp_path / "out"
+        code = exit_code(["eval", "--data-dir", str(fake_cifar_dir),
+                          "--checkpoint", str(ckpt), "--out", str(out)] + SMOKE)
+        assert code == 2
+        assert_one_error_line(capsys)
+        assert corpus_loads == []
+        assert not out.exists()
 
     def test_train_rerun_metrics_byte_identical(self, train_run, fake_cifar_dir,
                                                 tmp_path):
@@ -201,6 +243,15 @@ class TestSweepCommand:
         code = run_cli(["sweep-comm-snr", "--data-dir", str(fake_cifar_dir),
                         "--points", "a,b", "--out", str(tmp_path)])
         assert code == 2
+
+    def test_empty_points_list(self, fake_cifar_dir, tmp_path, capsys,
+                               corpus_loads):
+        code = exit_code(["sweep-output-size", "--data-dir", str(fake_cifar_dir),
+                          "--points", ",", "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert_one_error_line(capsys)
+        assert corpus_loads == []
+        assert not (tmp_path / "out").exists()
 
 
 class TestLimitsAndDivergence:

@@ -9,6 +9,15 @@ def test_full_suite_passes():
         assert report.passed, f"{name}: {report.summary()}"
 
 
+def test_suite_rows_are_pinned():
+    assert [name for name, _ in run_gradient_checks()] == [
+        "dense_4_to_3", "conv2d_6x6x2", "maxpool_2x2", "relu", "flatten",
+        "dropout_frozen_mask", "softmax_cross_entropy", "power_normalize",
+        "channel_awgn", "channel_rayleigh", "pipeline_joint_rayleigh",
+        "pipeline_sensing_only_awgn",
+    ]
+
+
 def test_checker_catches_wrong_gradient():
     # the finite-difference oracle must stay independent: a deliberately
     # scaled analytic gradient has to be flagged

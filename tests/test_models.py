@@ -98,18 +98,16 @@ class TestPipelineForward:
         pipe = Pipeline(ModelConfig(20, 20, "joint"), Rng(1))
         assert pipe.decoder.layers[0].w.value.shape == (40, 40)
         x = Rng(2).uniform(size=(3, 32, 32, 3)).astype(np.float32)
-        probs, real = pipe.forward(x, np.array([0, 1, 0]), AWGN, SENSING, rng=Rng(3))
+        probs = pipe.forward(x, np.array([0, 1, 0]), AWGN, SENSING, rng=Rng(3))
         assert probs.shape == (3, 2)
         assert np.max(np.abs(probs.sum(axis=1) - 1.0)) < 1e-6
-        assert real.comm1 is not None
 
     def test_sensing_only_decoder_input_width(self):
         pipe = Pipeline(ModelConfig(20, 20, "sensing_only"), Rng(1))
         assert pipe.decoder.layers[0].w.value.shape == (20, 20)
         x = Rng(2).uniform(size=(3, 32, 32, 3)).astype(np.float32)
-        probs, real = pipe.forward(x, np.array([0, 1, 0]), AWGN, SENSING, rng=Rng(3))
+        probs = pipe.forward(x, np.array([0, 1, 0]), AWGN, SENSING, rng=Rng(3))
         assert probs.shape == (3, 2)
-        assert real.comm1 is None
 
     def test_noiseless_pipeline_is_deterministic_composition(self):
         # infinite SNR and zero offset: different channel draws give the
@@ -119,8 +117,8 @@ class TestPipelineForward:
         sensing = SensingConfig(np.inf, 0.0)
         x = Rng(5).uniform(size=(2, 32, 32, 3))
         labels = np.array([0, 1])
-        p1, _ = pipe.forward(x, labels, channel, sensing, rng=Rng(6))
-        p2, _ = pipe.forward(x, labels, channel, sensing, rng=Rng(7))
+        p1 = pipe.forward(x, labels, channel, sensing, rng=Rng(6))
+        p2 = pipe.forward(x, labels, channel, sensing, rng=Rng(7))
         assert np.array_equal(p1, p2)
 
     def test_same_seed_shares_image_encoder_init(self):
@@ -150,8 +148,8 @@ class TestPipelineForward:
         losses = []
         for seed in (21, 22, 23):
             pipe = Pipeline(ModelConfig(20, 20, "joint"), Rng(seed))
-            probs, _ = pipe.forward(ds.train.pixels, ds.train.label2, AWGN,
-                                    SENSING, rng=Rng(seed + 100), training=True)
+            probs = pipe.forward(ds.train.pixels, ds.train.label2, AWGN,
+                                 SENSING, rng=Rng(seed + 100), training=True)
             losses.append(cross_entropy(probs, one_hot(ds.train.label2, 2)))
         assert all(math.log(2.0) - 0.15 < lo < 1.7 for lo in losses)
         assert min(losses) < math.log(2.0) + 0.15
@@ -163,7 +161,7 @@ class TestPipelineBackward:
         pipe = Pipeline(ModelConfig(6, 6, mode), Rng(15))
         x = Rng(16).uniform(size=(4, 32, 32, 3)).astype(np.float32)
         labels = np.array([0, 1, 1, 0])
-        probs, _ = pipe.forward(x, labels, AWGN, SENSING, rng=Rng(17))
+        probs = pipe.forward(x, labels, AWGN, SENSING, rng=Rng(17))
         grad = cross_entropy_logit_grad(probs, one_hot(labels, 2, np.float32))
 
         grad_x = pipe.backward(grad)
