@@ -9,7 +9,6 @@ differentiable AWGN or Rayleigh channels.
 
 from .channel import (
     ChannelConfig,
-    ChannelRealization,
     SensingConfig,
     noise_std,
 )

@@ -13,8 +13,9 @@ receiver; robustness to fading is left to the learned decoder.
 
 Signal power is pinned to 1 per element by :class:`PowerNormalize` before
 every transmission, which makes sigma = 10^(-snr_db / 20) the correct noise
-scale for a given SNR. Backward through a transmission treats the sampled
-realization (h, n) as a constant, so the input gradient is just h times the
+scale for a given SNR. :func:`sample_realization` draws one realization
+(h, n) per sample and returns it as a :class:`Transmission`, whose backward
+treats it as a constant, so the input gradient is just h times the
 upstream gradient.
 
 The sensing reflection is the same mechanics with a class-dependent SNR:
@@ -63,14 +64,6 @@ class SensingConfig:
                         self.vehicle_snr_db - self.animal_offset_db)
 
 
-@dataclass
-class ChannelRealization:
-    """One sampled (gain, noise) pair for a batch of transmissions.
-    ``gain`` is (N,), ``noise`` is (N, n_c)."""
-    gain: np.ndarray
-    noise: np.ndarray
-
-
 def noise_std(snr_db) -> np.ndarray | float:
     """Noise standard deviation for unit signal power: sqrt(10^(-snr/10))."""
     return 10.0 ** (-np.asarray(snr_db, dtype=np.float64) / 20.0)
@@ -103,8 +96,9 @@ class PowerNormalize:
 
 
 def sample_realization(kind: str, snr_db, n_samples: int, n_c: int,
-                       rng: Rng, dtype=np.float32) -> ChannelRealization:
-    """Draw one (gain, noise) realization per transmission in the batch.
+                       rng: Rng, dtype=np.float32) -> Transmission:
+    """Draw one (gain, noise) realization per transmission in the batch,
+    as the transmission that applies it.
 
     ``snr_db`` may be a scalar or a per-sample vector (class-dependent
     sensing SNRs). Gains are drawn before noise so the stream layout is
@@ -119,19 +113,19 @@ def sample_realization(kind: str, snr_db, n_samples: int, n_c: int,
         raise ConfigError(f"unknown channel kind {kind!r}")
     sigma = np.broadcast_to(np.asarray(noise_std(snr_db)), (n_samples,))
     noise = (rng.standard_normal((n_samples, n_c)) * sigma[:, None]).astype(dtype)
-    return ChannelRealization(gain=gain, noise=noise)
+    return Transmission(gain, noise)
 
 
+@dataclass
 class Transmission:
-    """Applies y = h*s + n for a fixed realization; backward is h * grad."""
-
-    def __init__(self, realization: ChannelRealization):
-        self.realization = realization
+    """Applies y = h*s + n for one sampled realization; backward is h * grad.
+    ``gain`` is (N,), ``noise`` is (N, n_c)."""
+    gain: np.ndarray
+    noise: np.ndarray
 
     def forward(self, s: np.ndarray) -> np.ndarray:
-        r = self.realization
-        return r.gain[:, None] * s + r.noise
+        return self.gain[:, None] * s + self.noise
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        return self.realization.gain[:, None] * grad_out
+        return self.gain[:, None] * grad_out
 

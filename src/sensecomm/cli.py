@@ -76,8 +76,6 @@ def _add_common_flags(p: argparse.ArgumentParser):
                        help=f"{f.metadata['help']} (default: %(default)s)")
     p.add_argument("--out", type=_cast(str), default="runs",
                    help="output directory")
-    p.add_argument("--format", type=_cast(str), choices=["json", "csv"],
-                   default="json")
     p.add_argument("--config", help="JSON or key=value file; flags override it")
     p.add_argument("--limit-train", type=_cast(int, minimum=1),
                    help="truncate the training split (smoke runs)")
@@ -92,11 +90,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_train = sub.add_parser("train", help="train one model and report metrics")
-    _add_common_flags(p_train)
-    p_train.set_defaults(run=_cmd_train, parser=p_train)
-
     p_eval = sub.add_parser("eval", help="evaluate a saved checkpoint")
-    _add_common_flags(p_eval)
+    for p in (p_train, p_eval):
+        _add_common_flags(p)
+        # a sweep always writes both report formats
+        p.add_argument("--format", type=_cast(str), choices=["json", "csv"],
+                       default="json")
+    p_train.set_defaults(run=_cmd_train, parser=p_train)
     p_eval.add_argument("--checkpoint", type=_cast(str),
                         help="checkpoint file written by train (required)")
     p_eval.set_defaults(run=_cmd_eval, parser=p_eval)
@@ -216,7 +216,7 @@ def _cmd_train(args) -> int:
     save_checkpoint(pipeline, ckpt, seed=cfg.seed)
     report = os.path.join(args.out, f"metrics.{args.format}")
     emit_report(result, report, args.format)
-    metrics = harness.Metrics.from_dict(result["metrics"])
+    metrics = harness.Metrics(**result["metrics"])
     print(summary_line(metrics, runtime))
     print(f"wrote {ckpt} and {report}")
     return 0
@@ -232,7 +232,7 @@ def _cmd_eval(args) -> int:
     runtime = time.monotonic() - started
     os.makedirs(args.out, exist_ok=True)
     report = os.path.join(args.out, f"metrics.{args.format}")
-    result = {"config": asdict(cfg), "metrics": metrics.to_dict(),
+    result = {"config": asdict(cfg), "metrics": asdict(metrics),
               "checkpoint": {"path": args.checkpoint, "seed": header.get("seed")},
               "seeds": {"eval": cfg.eval_seed}}
     emit_report(result, report, args.format)

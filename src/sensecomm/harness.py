@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from typing import Any, Callable
 
 import numpy as np
@@ -32,13 +32,6 @@ class Metrics:
     misdetection_rate: float
     false_alarm_rate: float
     compression_rate_pct: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Metrics":
-        return cls(**d)
 
 
 def confusion_matrix(true2: np.ndarray, pred2: np.ndarray) -> list[list[int]]:
@@ -76,7 +69,7 @@ def run_experiment(cfg: ExperimentConfig, dataset: Dataset, log_fn=None
     metrics = evaluate(pipeline, dataset.test, cfg)
     result = {
         "config": asdict(cfg),
-        "metrics": metrics.to_dict(),
+        "metrics": asdict(metrics),
         "history": history,
         "seeds": {"train": cfg.seed, "eval": cfg.eval_seed},
     }
@@ -91,16 +84,6 @@ class SweepResult:
     sensing_accuracy: list[float] = field(default_factory=list)
     seeds: list[int] = field(default_factory=list)
     per_point: list[dict] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "param_name": self.param_name,
-            "points": self.points,
-            "joint_accuracy": self.joint_accuracy,
-            "sensing_accuracy": self.sensing_accuracy,
-            "seeds": self.seeds,
-            "per_point": self.per_point,
-        }
 
 
 @dataclass(frozen=True)
@@ -166,9 +149,10 @@ def sweep_output_size(sizes: list[int], cfg: ExperimentConfig, dataset: Dataset,
 
 def to_json(obj) -> str:
     """Canonical JSON: sorted keys, fixed separators, trailing newline.
-    Identical inputs serialize byte-for-byte identically."""
-    if hasattr(obj, "to_dict"):
-        obj = obj.to_dict()
+    Identical inputs serialize byte-for-byte identically. A dataclass goes
+    through ``asdict``."""
+    if is_dataclass(obj):
+        obj = asdict(obj)
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 

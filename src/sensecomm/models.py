@@ -60,8 +60,10 @@ class ModelConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}")
-        if self.n_c1 < 1 or self.n_c2 < 1:
-            raise ConfigError("encoder output sizes must be >= 1")
+        for n in (self.n_c1, self.n_c2):
+            if not isinstance(n, (int, np.integer)) or n < 1:
+                raise ConfigError(
+                    f"encoder output sizes must be integers >= 1, got {n!r}")
 
     @property
     def decoder_in(self) -> int:
@@ -216,26 +218,22 @@ class Pipeline:
         feat1 = self.image_encoder.forward(x, training=training, rng=rng)
         s1 = self._norm1.forward(feat1)
 
-        comm1 = sample_realization(channel_cfg.kind, channel_cfg.snr_db,
-                                   s1.shape[0], s1.shape[1], rng,
-                                   self.dtype) if joint else None
+        self._tx_comm1 = sample_realization(
+            channel_cfg.kind, channel_cfg.snr_db, s1.shape[0], s1.shape[1],
+            rng, self.dtype) if joint else None
         snr = sensing_cfg.snr_for_labels(label2)
-        sense = sample_realization(channel_cfg.kind, snr, s1.shape[0],
-                                   s1.shape[1], rng, self.dtype)
+        self._tx_sense = sample_realization(channel_cfg.kind, snr, s1.shape[0],
+                                            s1.shape[1], rng, self.dtype)
 
-        y_r1 = None
-        self._tx_comm1 = Transmission(comm1) if comm1 is not None else None
-        if self._tx_comm1 is not None:
-            y_r1 = self._tx_comm1.forward(s1)
-        self._tx_sense = Transmission(sense)
+        y_r1 = self._tx_comm1.forward(s1) if joint else None
         y_t1 = self._tx_sense.forward(s1)
 
         feat2 = self.echo_encoder.forward(y_t1, training=training, rng=rng)
         s2 = self._norm2.forward(feat2)
 
-        comm2 = sample_realization(channel_cfg.kind, channel_cfg.snr_db,
-                                   s2.shape[0], s2.shape[1], rng, self.dtype)
-        self._tx_comm2 = Transmission(comm2)
+        self._tx_comm2 = sample_realization(channel_cfg.kind, channel_cfg.snr_db,
+                                            s2.shape[0], s2.shape[1], rng,
+                                            self.dtype)
         y_r2 = self._tx_comm2.forward(s2)
 
         fused = np.concatenate([y_r1, y_r2], axis=1) if joint else y_r2

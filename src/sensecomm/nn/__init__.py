@@ -14,7 +14,6 @@ from .layers import (
 )
 from .losses import LOG_CLAMP, cross_entropy, cross_entropy_logit_grad, one_hot
 from .optim import Adam
-from .gradcheck import GradCheckReport, check_gradients
 
 __all__ = [
     "Adam",
@@ -22,14 +21,12 @@ __all__ = [
     "Dense",
     "Dropout",
     "Flatten",
-    "GradCheckReport",
     "LOG_CLAMP",
     "Layer",
     "MaxPool2D",
     "Param",
     "ReLU",
     "Sequential",
-    "check_gradients",
     "compute_fans",
     "cross_entropy",
     "cross_entropy_logit_grad",

@@ -269,9 +269,6 @@ class Sequential:
             out.extend(layer.params())
         return out
 
-    def param_count(self) -> int:
-        return sum(p.value.size for p in self.params())
-
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax with max-shift for overflow safety."""

@@ -5,7 +5,6 @@ from sensecomm.channel import (
     ChannelConfig,
     PowerNormalize,
     SensingConfig,
-    Transmission,
     noise_std,
     sample_realization,
 )
@@ -79,7 +78,7 @@ class TestApplyChannel:
     def test_infinite_snr_is_identity(self):
         s = PowerNormalize().forward(Rng(5).standard_normal((1, 20)))
         real = sample_realization("awgn", np.inf, 1, 20, Rng(6), s.dtype)
-        out = Transmission(real).forward(s)
+        out = real.forward(s)
         assert np.array_equal(out, s)
         assert np.all(real.gain == 1.0)
 
@@ -87,7 +86,7 @@ class TestApplyChannel:
         n, nc = 2000, 50  # 1e5 noise elements
         s = PowerNormalize().forward(Rng(7).standard_normal((n, nc)))
         real = sample_realization("awgn", 0.0, n, nc, Rng(8), s.dtype)
-        out = Transmission(real).forward(s)
+        out = real.forward(s)
         assert np.mean(real.noise ** 2) == pytest.approx(1.0, abs=0.02)
         assert np.allclose(out, s + real.noise)
 
@@ -114,16 +113,15 @@ class TestApplyChannel:
         s = PowerNormalize().forward(Rng(14).standard_normal((8, 10)))
         r1 = sample_realization("rayleigh", 3.0, 8, 10, Rng(15), s.dtype)
         r2 = sample_realization("rayleigh", 3.0, 8, 10, Rng(15), s.dtype)
-        out1, out2 = Transmission(r1).forward(s), Transmission(r2).forward(s)
+        out1, out2 = r1.forward(s), r2.forward(s)
         assert np.array_equal(out1, out2)
         assert np.array_equal(r1.gain, r2.gain)
         assert np.array_equal(r1.noise, r2.noise)
 
     def test_backward_is_gain_times_upstream(self):
-        real = sample_realization("rayleigh", 0.0, 4, 6, Rng(16), np.float64)
-        tx = Transmission(real)
+        tx = sample_realization("rayleigh", 0.0, 4, 6, Rng(16), np.float64)
         g = Rng(17).standard_normal((4, 6))
-        assert np.array_equal(tx.backward(g), real.gain[:, None] * g)
+        assert np.array_equal(tx.backward(g), tx.gain[:, None] * g)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):

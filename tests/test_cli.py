@@ -134,7 +134,10 @@ class TestTrainEval:
         checkpoint_head(b"\xff\xfe"),
         checkpoint_head(b'{"seed": null}'),
         None,
-    ], ids=["five-bytes", "non-utf8-header", "no-model-key", "missing-file"])
+        checkpoint_head(b'{"model": {"n_c1": 4.0, "n_c2": 4, "mode": "joint"}, '
+                        b'"tensors": []}'),
+    ], ids=["five-bytes", "non-utf8-header", "no-model-key", "missing-file",
+            "float-n_c1"])
     def test_bad_checkpoint_fails_before_load(self, content, fake_cifar_dir,
                                               tmp_path, capsys, corpus_loads):
         ckpt = tmp_path / "checkpoint.bin"
@@ -252,6 +255,12 @@ class TestSweepCommand:
         assert_one_error_line(capsys)
         assert corpus_loads == []
         assert not (tmp_path / "out").exists()
+
+    def test_format_flag_rejected(self):
+        # a sweep always writes both .json and .csv
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["sweep-output-size", "--format", "csv"])
+        assert exc.value.code == 2
 
 
 class TestLimitsAndDivergence:

@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -43,7 +44,7 @@ class TestMetrics:
 
     def test_round_trip_through_dict(self):
         m = metrics_from_predictions(np.array([0, 1, 1]), np.array([0, 1, 0]), 8)
-        again = Metrics.from_dict(json.loads(json.dumps(m.to_dict())))
+        again = Metrics(**json.loads(json.dumps(asdict(m))))
         assert again == m
 
     def test_summary_line_format(self):
@@ -76,7 +77,7 @@ class TestRunExperiment:
     def test_evaluate_matches_metrics_in_result(self, micro_corpus):
         pipeline, result = run_experiment(tiny_experiment(), micro_corpus)
         again = evaluate(pipeline, micro_corpus.test, tiny_experiment())
-        assert again.to_dict() == result["metrics"]
+        assert asdict(again) == result["metrics"]
 
     def test_rerun_is_byte_identical(self, micro_corpus):
         _, a = run_experiment(tiny_experiment(), micro_corpus)

@@ -50,7 +50,8 @@ class TestBuilders:
 
     def test_image_encoder_param_count(self):
         # (3*3*3*8+8) + (3*3*8*4+4) + (3*3*4*4+4) + (144*128+128) + (128*20+20)
-        assert build_image_encoder(20, Rng(0)).param_count() == 21_804
+        params = build_image_encoder(20, Rng(0)).params()
+        assert sum(p.value.size for p in params) == 21_804
 
     def test_image_encoder_final_layer_small_output(self):
         net = build_image_encoder(4, Rng(0))
