@@ -19,7 +19,6 @@ from .dataset import (
     load_cifar10,
     relabel_binary_array,
     synthetic_dataset,
-    verify_checksums,
 )
 from .errors import (
     ConfigError,

@@ -12,7 +12,6 @@ classes become "animal" (label 0).
 
 from __future__ import annotations
 
-import hashlib
 import os
 from dataclasses import dataclass
 from typing import Iterator
@@ -96,36 +95,6 @@ def load_cifar10(directory: str) -> Dataset:
     train = _build_split([os.path.join(directory, f) for f in TRAIN_FILES])
     test = _build_split([os.path.join(directory, TEST_FILE)])
     return Dataset(train=train, test=test)
-
-
-def verify_checksums(directory: str, manifest: str | None = None) -> dict[str, str]:
-    """MD5 each batch file. With a manifest ("<hex>  <filename>" lines, the
-    md5sum format), mismatches and omissions raise; without one the computed
-    digests are just returned for the caller to record."""
-    digests = {}
-    for fname in TRAIN_FILES + [TEST_FILE]:
-        path = os.path.join(directory, fname)
-        if not os.path.isfile(path):
-            raise CorruptDatasetError(f"missing dataset file: {path}")
-        md5 = hashlib.md5()
-        with open(path, "rb") as fh:
-            for chunk in iter(lambda: fh.read(1 << 20), b""):
-                md5.update(chunk)
-        digests[fname] = md5.hexdigest()
-    if manifest is not None:
-        expected = {}
-        with open(manifest, "r", encoding="utf-8") as fh:
-            for line in fh:
-                parts = line.split()
-                if len(parts) == 2:
-                    expected[parts[1]] = parts[0]
-        for fname, digest in digests.items():
-            if fname not in expected:
-                raise CorruptDatasetError(f"{fname} missing from manifest")
-            if expected[fname] != digest:
-                raise CorruptDatasetError(
-                    f"{fname}: checksum {digest} != manifest {expected[fname]}")
-    return digests
 
 
 def batch_indices(n: int, batch_size: int, shuffle: bool = False,

@@ -153,52 +153,66 @@ class Conv2D(Layer):
 class MaxPool2D(Layer):
     """Non-overlapping 2x2 max pooling; odd trailing rows/cols are dropped.
 
-    Backward routes each window's gradient to the argmax position, first in
-    row-major order on ties, so the pass is deterministic.
+    Forward is a pairwise ``np.maximum`` over the four strided quarters of
+    the input, one per window position in row-major order (r0c0, r0c1,
+    r1c0, r1c1). No argmax index is stored: backward finds each window's
+    first maximum by comparing the quarters, in that order, against the
+    cached pooled output, and routes the window's gradient there alone, so
+    ties resolve deterministically to the first position. Every other
+    position gets ``g * 0``, which is -0.0 where ``g`` is negative.
     """
 
     def __init__(self, pool: int = 2):
         self.pool = pool
-        self._idx: np.ndarray | None = None
-        self._x_shape: tuple | None = None
+        self._x: np.ndarray | None = None
+        self._out: np.ndarray | None = None
+
+    def _quarters(self, a: np.ndarray) -> list[np.ndarray]:
+        """Strided views of ``a``, one per window position, row-major."""
+        p = self.pool
+        ho, wo = a.shape[1] // p, a.shape[2] // p
+        return [a[:, i:ho * p:p, j:wo * p:p, :] for i in range(p) for j in range(p)]
 
     def forward(self, x, training=False, rng=None):
         if x.ndim != 4:
             raise ShapeError(f"maxpool expects (N, H, W, C), got {x.shape}")
-        p = self.pool
-        n, h, w, c = x.shape
-        ho, wo = h // p, w // p
-        self._x_shape = x.shape
-        xt = x[:, :ho * p, :wo * p, :]
-        # windows flattened row-major: (r0c0, r0c1, r1c0, r1c1)
-        wins = xt.reshape(n, ho, p, wo, p, c).transpose(0, 1, 3, 5, 2, 4).reshape(n, ho, wo, c, p * p)
-        self._idx = wins.argmax(axis=4)
-        return np.take_along_axis(wins, self._idx[..., None], axis=4)[..., 0]
+        first, *rest = self._quarters(x)
+        out = first.copy()
+        for q in rest:
+            np.maximum(out, q, out=out)
+        self._x, self._out = x, out
+        return out
 
     def backward(self, grad_out):
-        p = self.pool
-        n, h, w, c = self._x_shape
-        ho, wo = h // p, w // p
-        gwins = np.zeros((n, ho, wo, c, p * p), dtype=grad_out.dtype)
-        np.put_along_axis(gwins, self._idx[..., None], grad_out[..., None], axis=4)
-        grad_x = np.zeros(self._x_shape, dtype=grad_out.dtype)
-        grad_x[:, :ho * p, :wo * p, :] = (
-            gwins.reshape(n, ho, wo, c, p, p).transpose(0, 1, 4, 2, 5, 3).reshape(n, ho * p, wo * p, c))
+        grad_x = np.zeros(self._x.shape, dtype=grad_out.dtype)
+        free = np.ones(self._out.shape, dtype=bool)
+        for q, gq in zip(self._quarters(self._x), self._quarters(grad_x)):
+            hit = q == self._out
+            hit &= free
+            np.multiply(grad_out, hit, out=gq)
+            free ^= hit  # hit is a subset of free: clear the taken windows
         return grad_x
 
 
 class ReLU(Layer):
-    """Elementwise max(x, 0); subgradient at 0 is taken as 0."""
+    """Elementwise max(x, 0); subgradient at 0 is taken as 0.
+
+    NaN propagates: a NaN input gives a NaN output (and a zero gradient), so
+    a poisoned network fails the loss check instead of being silently
+    cleared. Backward takes its mask from the cached output (``out > 0`` is
+    ``x > 0``) and returns ``g * mask``, which is -0.0 where a negative
+    ``g`` is masked.
+    """
 
     def __init__(self):
-        self._mask: np.ndarray | None = None
+        self._out: np.ndarray | None = None
 
     def forward(self, x, training=False, rng=None):
-        self._mask = x > 0
-        return np.where(self._mask, x, 0)
+        self._out = np.maximum(x, 0, dtype=x.dtype)
+        return self._out
 
     def backward(self, grad_out):
-        return np.where(self._mask, grad_out, 0)
+        return grad_out * (self._out > 0)
 
 
 class Dropout(Layer):

@@ -24,10 +24,10 @@ from sensecomm.harness import (
     sweep_output_size,
     to_json,
 )
-from sensecomm.nn import Adam, Conv2D, Dense, Param
+from sensecomm.nn import Adam, Conv2D, Dense, MaxPool2D, Param
 from sensecomm.rng import Rng
 from sensecomm.selfcheck import run_gradient_checks
-from test_layers import conv_oracle, dense_oracle
+from test_layers import conv_oracle, dense_oracle, maxpool_oracle
 from test_losses_optim import hand_adam_step
 
 pytestmark = pytest.mark.acceptance
@@ -190,6 +190,16 @@ def test_c09_oracle_equivalence():
         x = rng.standard_normal((2, h, h, cin))
         diff = layer.forward(x) - conv_oracle(x, layer.w.value, layer.b.value)
         assert np.max(np.abs(diff)) < 1e-12
+
+    for i in range(20):
+        rng = Rng(980 + i)
+        h, w = int(rng.integers(2, 8)), int(rng.integers(2, 8))
+        x = np.maximum(np.round(rng.standard_normal((2, h, w, 3))), 0)
+        g = rng.standard_normal((2, h // 2, w // 2, 3))
+        layer = MaxPool2D(2)
+        out, gx = maxpool_oracle(x, g)
+        assert np.array_equal(layer.forward(x), out)
+        assert np.array_equal(layer.backward(g), gx)
 
     p = Param(np.array([1.0]))
     p.grad = np.array([1.0])

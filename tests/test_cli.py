@@ -285,6 +285,23 @@ class TestLimitsAndDivergence:
         assert code == 1
         assert_one_error_line(capsys)
 
+    def test_nan_weight_exits_1_with_one_line(self, fake_cifar_dir, tmp_path,
+                                              capsys, monkeypatch):
+        """A NaN conv1 weight must stop training, not be cleared by a ReLU
+        and leave a dead encoder behind."""
+        real = models.build_image_encoder
+
+        def poisoned(*args, **kwargs):
+            encoder = real(*args, **kwargs)
+            encoder.layers[0].w.value[0, 0, 0, 0] = np.nan
+            return encoder
+
+        monkeypatch.setattr(models, "build_image_encoder", poisoned)
+        code = exit_code(["train", "--data-dir", str(fake_cifar_dir),
+                          "--out", str(tmp_path)] + SMOKE)
+        assert code == 1
+        assert_one_error_line(capsys)
+
 
 def other_value(f):
     """A legal value of an ExperimentConfig field other than its default."""

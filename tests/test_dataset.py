@@ -12,7 +12,6 @@ from sensecomm.dataset import (
     load_cifar10,
     relabel_binary_array,
     synthetic_dataset,
-    verify_checksums,
 )
 from sensecomm.errors import CorruptDatasetError, LabelError
 from sensecomm.rng import Rng
@@ -69,23 +68,6 @@ class TestLoader:
         expected = np.isin(fake_dataset.train.label10,
                            list(VEHICLE_CLASSES)).astype(np.int64)
         assert np.array_equal(fake_dataset.train.label2, expected)
-
-
-class TestChecksums:
-    def test_digests_match_manifest_round_trip(self, fake_cifar_dir, tmp_path):
-        digests = verify_checksums(fake_cifar_dir)
-        assert set(digests) == set(TRAIN_FILES + [TEST_FILE])
-        manifest = tmp_path / "checksums.md5"
-        manifest.write_text("".join(f"{d}  {f}\n" for f, d in digests.items()))
-        assert verify_checksums(fake_cifar_dir, str(manifest)) == digests
-
-    def test_manifest_mismatch_raises(self, fake_cifar_dir, tmp_path):
-        digests = verify_checksums(fake_cifar_dir)
-        digests[TEST_FILE] = "0" * 32
-        manifest = tmp_path / "checksums.md5"
-        manifest.write_text("".join(f"{d}  {f}\n" for f, d in digests.items()))
-        with pytest.raises(CorruptDatasetError, match="checksum"):
-            verify_checksums(fake_cifar_dir, str(manifest))
 
 
 class TestRelabel:

@@ -70,6 +70,43 @@ def conv_backward_oracle(x, w, g):
     return gx, gw, gb
 
 
+def maxpool_oracle(x, g):
+    """Independent loops over the 2x2 windows: the pooled maxima, and the
+    input gradient with each window's ``g`` routed to its first maximum in
+    row-major order. Odd trailing rows/cols are dropped."""
+    n, h, wd, c = x.shape
+    out = np.zeros((n, h // 2, wd // 2, c), dtype=x.dtype)
+    gx = np.zeros(x.shape, dtype=g.dtype)
+    for s in range(n):
+        for i in range(h // 2):
+            for j in range(wd // 2):
+                for k in range(c):
+                    best = (2 * i, 2 * j)
+                    for di in range(2):
+                        for dj in range(2):
+                            r, q = 2 * i + di, 2 * j + dj
+                            if x[s, r, q, k] > x[s, best[0], best[1], k]:
+                                best = (r, q)
+                    out[s, i, j, k] = x[s, best[0], best[1], k]
+                    gx[s, best[0], best[1], k] = g[s, i, j, k]
+    return out, gx
+
+
+def tie_pattern_batch(dtype):
+    """One sample per non-empty subset of a 2x2 window's positions (15 in
+    all): channel 0 holds the maximum 3 at the subset's positions and
+    distinct smaller values elsewhere; channel 1 is all 5 (every position
+    tied); channel 2 is all 0, as after a ReLU. A trailing row and column of
+    larger values must be dropped."""
+    x = np.full((15, 3, 3, 3), 9.0, dtype=dtype)
+    x[:, :2, :2, 1] = 5.0
+    x[:, :2, :2, 2] = 0.0
+    for m in range(1, 16):
+        for pos in range(4):
+            x[m - 1, pos // 2, pos % 2, 0] = 3.0 if m >> (3 - pos) & 1 else pos / 2
+    return x
+
+
 class TestGlorot:
     def test_1x1_bound(self):
         vals = [glorot_uniform((1, 1), Rng(s), np.float64)[0, 0] for s in range(50)]
@@ -227,6 +264,29 @@ class TestMaxPool:
         assert g.shape == x.shape
         assert np.all(g[0, 4, :, 0] == 0) and np.all(g[0, :, 4, 0] == 0)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_every_tie_pattern_matches_loop_oracle(self, dtype):
+        x = tie_pattern_batch(dtype)
+        g = (np.arange(15 * 3, dtype=dtype).reshape(15, 1, 1, 3) - 20.0) / 7
+        layer = MaxPool2D(2)
+        out = layer.forward(x)
+        want_out, want_gx = maxpool_oracle(x, g)
+        assert np.array_equal(out, want_out)
+        assert np.array_equal(layer.backward(g), want_gx)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(3, 7, 9, 4), (2, 6, 6, 2), (1, 2, 3, 1)])
+    def test_post_relu_ties_match_loop_oracle(self, dtype, shape):
+        rng = Rng(sum(shape))
+        x = np.maximum(np.round(rng.standard_normal(shape)), 0).astype(dtype)
+        g = rng.standard_normal((shape[0], shape[1] // 2, shape[2] // 2,
+                                 shape[3])).astype(dtype)
+        layer = MaxPool2D(2)
+        out = layer.forward(x)
+        want_out, want_gx = maxpool_oracle(x, g)
+        assert np.array_equal(out, want_out)
+        assert np.array_equal(layer.backward(g), want_gx)
+
     def test_gradient_goes_to_argmax(self):
         layer = MaxPool2D(2)
         x = np.array([[1.0, 5.0], [2.0, 3.0]]).reshape(1, 2, 2, 1)
@@ -241,11 +301,31 @@ class TestActivations:
         out = ReLU().forward(np.array([[-1.0, 0.0, 2.0]]))
         assert np.array_equal(out, [[0.0, 0.0, 2.0]])
 
+    def test_relu_propagates_nan(self):
+        out = ReLU().forward(np.array([[np.nan, -1.0, 2.0]]))
+        assert np.array_equal(out, [[np.nan, 0.0, 2.0]], equal_nan=True)
+
     def test_relu_backward_masks(self):
         layer = ReLU()
         layer.forward(np.array([[-1.0, 0.0, 2.0]]))
         g = layer.backward(np.array([[5.0, 5.0, 5.0]]))
         assert np.array_equal(g, [[0.0, 0.0, 5.0]])  # subgradient at 0 is 0
+
+    def test_relu_backward_masked_negative_gradient_equals_zero(self):
+        layer = ReLU()
+        layer.forward(np.array([[-1.0, 0.0, 2.0]]))
+        g = layer.backward(np.array([[-5.0, -5.0, -5.0]]))
+        # the masked entries may be -0.0, which must compare equal to 0
+        assert np.array_equal(g, [[0.0, 0.0, -5.0]])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("layer_cls", [ReLU, MaxPool2D])
+    def test_forward_and_backward_keep_dtype(self, layer_cls, dtype):
+        x = Rng(3).standard_normal((2, 5, 6, 3)).astype(dtype)
+        layer = layer_cls()
+        out = layer.forward(x)
+        assert out.dtype == dtype
+        assert layer.backward(np.ones_like(out)).dtype == dtype
 
     def test_softmax_symmetry(self):
         assert np.allclose(softmax(np.array([0.0, 0.0])), [0.5, 0.5])
