@@ -3,7 +3,8 @@
 Reads the public binary distribution: five training files plus one test
 file, each exactly 10,000 records of 3,073 bytes (1 label byte, then 3,072
 pixel bytes channel-planar R, G, B, row-major within each plane). Pixels
-are normalized to [0, 1] by /255.
+stay resident as those bytes and are normalized to [0, 1] by /255 one
+batch at a time.
 
 The ten original classes collapse to two: airplane, automobile, ship and
 truck become "vehicle" (label 1, a potential transmitter); the six animal
@@ -41,13 +42,19 @@ def relabel_binary_array(label10: np.ndarray) -> np.ndarray:
 @dataclass
 class Split:
     """One dataset split as parallel arrays."""
-    pixels: np.ndarray   # (N, 32, 32, 3) float32 in [0, 1]
+    pixels: np.ndarray   # (N, 32, 32, 3) uint8, the raw bytes
     label2: np.ndarray   # (N,) int64, vehicle=1 / animal=0
     label10: np.ndarray  # (N,) int64, original class id
 
     @property
     def n(self) -> int:
         return self.pixels.shape[0]
+
+    def images(self, idx=slice(None)) -> np.ndarray:
+        """The samples at ``idx`` as float32 in [0, 1]. The division is in
+        float32, so a batch holds bitwise the values that converting the
+        whole corpus with ``astype(np.float32) / 255.0`` would give."""
+        return np.divide(self.pixels[idx], 255.0, dtype=np.float32)
 
     def subset(self, limit: int | None) -> "Split":
         if limit is None or limit >= self.n:
@@ -79,13 +86,15 @@ def _read_batch_file(path: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _build_split(files: list[str]) -> Split:
-    pix_parts, lab_parts = [], []
-    for path in files:
-        pixels, labels = _read_batch_file(path)
-        pix_parts.append(pixels)
-        lab_parts.append(labels)
-    label10 = np.concatenate(lab_parts)
-    pixels = (np.concatenate(pix_parts).astype(np.float32) / 255.0)
+    # Filled one file at a time, so loading peaks at the split plus one
+    # file. The memory stays channel-planar as on disk, which makes each
+    # fill a plain copy; batches gathered from it come out in that layout.
+    n = RECORDS_PER_FILE
+    pixels = np.empty((len(files) * n, 3, 32, 32), dtype=np.uint8).transpose(0, 2, 3, 1)
+    label10 = np.empty(len(files) * n, dtype=np.int64)
+    for i, path in enumerate(files):
+        rows = slice(i * n, (i + 1) * n)
+        pixels[rows], label10[rows] = _read_batch_file(path)
     return Split(pixels=pixels, label2=relabel_binary_array(label10), label10=label10)
 
 
@@ -115,9 +124,9 @@ def synthetic_dataset(n_train: int, n_test: int, seed: int = 0,
 
     Vehicle images are low-pass textures (box-blurred noise), animal images
     are raw high-frequency noise, so the two classes are separable by a
-    small convolutional encoder. Useful for smoke tests and demos when the
-    real corpus is not on disk; accuracy numbers on it are not comparable
-    to the real dataset.
+    small convolutional encoder. Pixels are rounded to bytes, as on disk.
+    Useful for smoke tests and demos when the real corpus is not on disk;
+    accuracy numbers on it are not comparable to the real dataset.
     """
     rng = Rng(seed)
 
@@ -137,6 +146,7 @@ def synthetic_dataset(n_train: int, n_test: int, seed: int = 0,
             labels2 == 1,
             vehicle_ids[rng.integers(0, len(vehicle_ids), size=n)],
             animal_ids[rng.integers(0, len(animal_ids), size=n)])
-        return Split(pixels=imgs, label2=labels2, label10=labels10)
+        return Split(pixels=np.rint(imgs * 255).astype(np.uint8),
+                     label2=labels2, label10=labels10)
 
     return Dataset(train=make(n_train), test=make(n_test))

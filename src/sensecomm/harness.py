@@ -9,8 +9,12 @@ seeds) plus CSV (one row per point) for external plotting.
 from __future__ import annotations
 
 import csv
+import ctypes
 import io
 import json
+import multiprocessing
+import os
+import signal
 from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from typing import Any, Callable
 
@@ -18,7 +22,7 @@ import numpy as np
 
 from .dataset import Dataset, SOURCE_DIM, Split
 from .errors import ConfigError
-from .models import ExperimentConfig, Pipeline, predict_split, train
+from .models import MODES, ExperimentConfig, Pipeline, predict_split, train
 
 
 @dataclass
@@ -116,28 +120,64 @@ SWEEPS = {
 }
 
 
+_PR_SET_PDEATHSIG = 1  # from <sys/prctl.h>
+
+_dataset: Dataset | None = None  # a pool worker's corpus, set as it starts
+
+
+def _start_worker(dataset: Dataset, parent: int):
+    """Keep the inherited corpus, and die with the sweep's process: a pool
+    worker outliving a killed parent would idle forever on the corpus."""
+    global _dataset
+    _dataset = dataset
+    ctypes.CDLL(None).prctl(_PR_SET_PDEATHSIG, signal.SIGTERM)
+    if os.getppid() != parent:  # the parent died before prctl took effect
+        os._exit(1)
+
+
+def _train_in_worker(cfg: ExperimentConfig
+                     ) -> tuple[dict, list[dict], list[str]]:
+    """One sweep training in a pool worker: its metrics, history and the
+    lines it would have logged."""
+    lines: list[str] = []
+    _, result = run_experiment(cfg, _dataset, log_fn=lines.append)
+    return result["metrics"], result["history"], lines
+
+
 def run_sweep(name: str, points: list, cfg: ExperimentConfig, dataset: Dataset,
               log_fn=None) -> SweepResult:
     """Train joint and sensing-only models per point of the ``SWEEPS[name]``
     axis; same test set and eval-seed policy everywhere. Every point's
-    config is built, and so validated, before the first training."""
+    config is built, and so validated, before the first training.
+
+    The trainings run in a pool of forked workers, one per CPU in the
+    process's affinity mask (``taskset`` limits them). Workers inherit the
+    corpus instead of receiving a pickled copy. Results and log lines come
+    back in the serial order, so nothing the sweep returns or logs depends
+    on the worker count."""
     sweep = SWEEPS[name]
     points = [sweep.point_type(p) for p in points]
     configs = [sweep.transform(cfg, p) for p in points]
+    tasks = [replace(c, mode=mode) for c in configs for mode in MODES]
+    workers = min(len(os.sched_getaffinity(0)), len(tasks))
     out = SweepResult(param_name=sweep.param_name, points=points)
-    for value, point_cfg in zip(points, configs):
-        point = {"value": value, "seed": point_cfg.seed}
-        for mode in ("joint", "sensing_only"):
-            if log_fn is not None:
-                log_fn(f"[{sweep.param_name}={value}] training {mode}")
-            _, result = run_experiment(replace(point_cfg, mode=mode), dataset,
-                                       log_fn=log_fn)
-            point[mode] = {"metrics": result["metrics"],
-                           "history": result["history"]}
-        out.joint_accuracy.append(point["joint"]["metrics"]["accuracy"])
-        out.sensing_accuracy.append(point["sensing_only"]["metrics"]["accuracy"])
-        out.seeds.append(point_cfg.seed)
-        out.per_point.append(point)
+    with multiprocessing.get_context("fork").Pool(
+            workers, initializer=_start_worker,
+            initargs=(dataset, os.getpid())) as pool:
+        trained = pool.imap(_train_in_worker, tasks, chunksize=1)
+        for value, point_cfg in zip(points, configs):
+            point = {"value": value, "seed": point_cfg.seed}
+            for mode in MODES:
+                metrics, history, lines = next(trained)
+                if log_fn is not None:
+                    log_fn(f"[{sweep.param_name}={value}] training {mode}")
+                    for line in lines:
+                        log_fn(line)
+                point[mode] = {"metrics": metrics, "history": history}
+            out.joint_accuracy.append(point["joint"]["metrics"]["accuracy"])
+            out.sensing_accuracy.append(point["sensing_only"]["metrics"]["accuracy"])
+            out.seeds.append(point_cfg.seed)
+            out.per_point.append(point)
     return out
 
 

@@ -281,7 +281,7 @@ def predict_split(pipeline: Pipeline, split: Split, channel_cfg: ChannelConfig,
     rng = Rng(eval_seed)
     out = np.empty(split.n, dtype=np.int64)
     for idx in batch_indices(split.n, EVAL_BATCH, shuffle=False):
-        _, labels_hat = pipeline.predict(split.pixels[idx], split.label2[idx],
+        _, labels_hat = pipeline.predict(split.images(idx), split.label2[idx],
                                          channel_cfg, sensing_cfg, rng)
         out[idx] = labels_hat
     return out
@@ -312,7 +312,7 @@ def train(dataset: Dataset, cfg: ExperimentConfig,
         losses = []
         for idx in batch_indices(dataset.train.n, cfg.batch_size,
                                  shuffle=True, rng=shuffle_rng):
-            x = dataset.train.pixels[idx]
+            x = dataset.train.images(idx)
             y = dataset.train.label2[idx]
             probs = pipeline.forward(x, y, channel_cfg, sensing_cfg,
                                      rng=noise_rng, training=True)

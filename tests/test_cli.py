@@ -161,19 +161,35 @@ class TestTrainEval:
             (out / "metrics.json").read_bytes()
 
 
+def outputs_at_blas_threads(threads, argv, out, names):
+    """Run the CLI in a fresh process at ``threads`` BLAS threads and read
+    back the named output files. The timeout turns a hang, such as a fork
+    taken while BLAS has live worker threads, into a failure."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-m", "sensecomm", *argv, "--out", str(out)],
+                   env=env, check=True, capture_output=True, timeout=300)
+    return [(out / name).read_bytes() for name in names]
+
+
 class TestThreadCount:
     def test_blas_threads_leave_outputs_byte_identical(self, fake_cifar_dir,
                                                         tmp_path):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        outputs = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"threads{threads}"
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
-            subprocess.run([sys.executable, "-m", "sensecomm", "train",
-                            "--data-dir", str(fake_cifar_dir), "--out", str(out)]
-                           + SMOKE, env=env, check=True, capture_output=True)
-            outputs.append([(out / name).read_bytes()
-                            for name in ("metrics.json", "checkpoint.bin")])
+        argv = ["train", "--data-dir", str(fake_cifar_dir)] + SMOKE
+        outputs = [outputs_at_blas_threads(threads, argv,
+                                           tmp_path / f"threads{threads}",
+                                           ["metrics.json", "checkpoint.bin"])
+                   for threads in ("1", "2")]
+        assert outputs[0] == outputs[1]
+
+    def test_blas_threads_leave_sweep_byte_identical(self, fake_cifar_dir,
+                                                     tmp_path):
+        argv = ["sweep-output-size", "--data-dir", str(fake_cifar_dir),
+                "--points", "4,6"] + SMOKE
+        outputs = [outputs_at_blas_threads(threads, argv,
+                                           tmp_path / f"threads{threads}",
+                                           ["sweep_size.json", "sweep_size.csv"])
+                   for threads in ("1", "2")]
         assert outputs[0] == outputs[1]
 
 
@@ -263,6 +279,20 @@ class TestSweepCommand:
         assert exc.value.code == 2
 
 
+@pytest.fixture
+def poisoned_encoder(monkeypatch):
+    """Every image encoder built, here or in a forked worker, starts with
+    a NaN conv1 weight."""
+    real = models.build_image_encoder
+
+    def poisoned(*args, **kwargs):
+        encoder = real(*args, **kwargs)
+        encoder.layers[0].w.value[0, 0, 0, 0] = np.nan
+        return encoder
+
+    monkeypatch.setattr(models, "build_image_encoder", poisoned)
+
+
 class TestLimitsAndDivergence:
     @pytest.mark.parametrize("flag, value", [("--limit-test", "0"),
                                              ("--limit-train", "-5")])
@@ -286,19 +316,19 @@ class TestLimitsAndDivergence:
         assert_one_error_line(capsys)
 
     def test_nan_weight_exits_1_with_one_line(self, fake_cifar_dir, tmp_path,
-                                              capsys, monkeypatch):
+                                              capsys, poisoned_encoder):
         """A NaN conv1 weight must stop training, not be cleared by a ReLU
         and leave a dead encoder behind."""
-        real = models.build_image_encoder
-
-        def poisoned(*args, **kwargs):
-            encoder = real(*args, **kwargs)
-            encoder.layers[0].w.value[0, 0, 0, 0] = np.nan
-            return encoder
-
-        monkeypatch.setattr(models, "build_image_encoder", poisoned)
         code = exit_code(["train", "--data-dir", str(fake_cifar_dir),
                           "--out", str(tmp_path)] + SMOKE)
+        assert code == 1
+        assert_one_error_line(capsys)
+
+    def test_nan_weight_in_sweep_exits_1_with_one_line(
+            self, fake_cifar_dir, tmp_path, capsys, poisoned_encoder):
+        """The error of a training in a pool worker reaches the CLI."""
+        code = exit_code(["sweep-output-size", "--data-dir", str(fake_cifar_dir),
+                          "--points", "4,6", "--out", str(tmp_path)] + SMOKE)
         assert code == 1
         assert_one_error_line(capsys)
 

@@ -8,6 +8,7 @@ from sensecomm.dataset import (
     TEST_FILE,
     TRAIN_FILES,
     VEHICLE_CLASSES,
+    Split,
     batch_indices,
     load_cifar10,
     relabel_binary_array,
@@ -31,12 +32,14 @@ class TestLoader:
         for f in TRAIN_FILES + [TEST_FILE]:
             write_batch_file(tmp_path / f, labels, pixels)
         ds = load_cifar10(tmp_path)
-        assert ds.train.pixels[0, 0, 0, 0] == 1.0
-        assert ds.train.pixels[0, 0, 0, 1] == 1.0
-        assert ds.train.pixels[0, 1, 1, 2] == 1.0
-        assert ds.train.pixels[0, 0, 1, 0] == 0.0
-        assert ds.train.pixels.dtype == np.float32
-        assert ds.train.pixels.min() >= 0.0 and ds.train.pixels.max() <= 1.0
+        assert ds.train.pixels.dtype == np.uint8
+        images = ds.train.images()
+        assert images[0, 0, 0, 0] == 1.0
+        assert images[0, 0, 0, 1] == 1.0
+        assert images[0, 1, 1, 2] == 1.0
+        assert images[0, 0, 1, 0] == 0.0
+        assert images.dtype == np.float32
+        assert images.min() >= 0.0 and images.max() <= 1.0
 
     def test_deterministic_order(self, fake_cifar_dir, fake_dataset):
         again = load_cifar10(fake_cifar_dir)
@@ -68,6 +71,19 @@ class TestLoader:
         expected = np.isin(fake_dataset.train.label10,
                            list(VEHICLE_CLASSES)).astype(np.int64)
         assert np.array_equal(fake_dataset.train.label2, expected)
+
+
+class TestImages:
+    def test_batches_bitwise_equal_whole_corpus_conversion(self):
+        # one image per byte value, gathered in shuffled batches
+        pixels = np.empty((256, 32, 32, 3), dtype=np.uint8)
+        pixels[:] = np.arange(256, dtype=np.uint8)[:, None, None, None]
+        split = Split(pixels, np.zeros(256, np.int64), np.zeros(256, np.int64))
+        whole = pixels.astype(np.float32) / 255.0
+        for idx in batch_indices(256, 64, shuffle=True, rng=Rng(8)):
+            batch = split.images(idx)
+            assert batch.dtype == np.float32
+            assert np.array_equal(batch.view(np.uint32), whole[idx].view(np.uint32))
 
 
 class TestRelabel:

@@ -1,6 +1,6 @@
 import json
 import os
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -16,6 +16,7 @@ from sensecomm.harness import (
     evaluate,
     metrics_from_predictions,
     run_experiment,
+    run_sweep,
     summary_line,
     sweep_csv,
     to_json,
@@ -83,6 +84,37 @@ class TestRunExperiment:
         _, a = run_experiment(tiny_experiment(), micro_corpus)
         _, b = run_experiment(tiny_experiment(), micro_corpus)
         assert to_json(a) == to_json(b)
+
+
+class TestRunSweep:
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_pool_matches_serial_loop(self, cpus, micro_corpus, monkeypatch):
+        """Bytes and log order equal a serial loop's, whatever the number
+        of workers."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        cfg, points = tiny_experiment(), [4, 6, 8]
+        logged = []
+        sweep = run_sweep("output_size", points, cfg, micro_corpus,
+                          log_fn=logged.append)
+
+        serial, serial_log = SweepResult("n_c", points), []
+        for value in points:
+            point = {"value": value, "seed": cfg.seed}
+            for mode in ("joint", "sensing_only"):
+                serial_log.append(f"[n_c={value}] training {mode}")
+                _, result = run_experiment(replace(cfg, n_c=value, mode=mode),
+                                           micro_corpus, log_fn=serial_log.append)
+                point[mode] = {"metrics": result["metrics"],
+                               "history": result["history"]}
+            serial.joint_accuracy.append(point["joint"]["metrics"]["accuracy"])
+            serial.sensing_accuracy.append(
+                point["sensing_only"]["metrics"]["accuracy"])
+            serial.seeds.append(cfg.seed)
+            serial.per_point.append(point)
+
+        assert to_json(sweep) == to_json(serial)
+        assert sweep_csv(sweep) == sweep_csv(serial)
+        assert logged == serial_log
 
 
 class TestReports:

@@ -149,7 +149,7 @@ class TestPipelineForward:
         losses = []
         for seed in (21, 22, 23):
             pipe = Pipeline(ModelConfig(20, 20, "joint"), Rng(seed))
-            probs = pipe.forward(ds.train.pixels, ds.train.label2, AWGN,
+            probs = pipe.forward(ds.train.images(), ds.train.label2, AWGN,
                                  SENSING, rng=Rng(seed + 100), training=True)
             losses.append(cross_entropy(probs, one_hot(ds.train.label2, 2)))
         assert all(math.log(2.0) - 0.15 < lo < 1.7 for lo in losses)
@@ -192,6 +192,23 @@ class TestTraining:
         assert len(hist) == 2
         # epochs * ceil(130/64) batches each
         assert [h["epoch"] for h in hist] == [1, 2]
+
+    def test_float64_pipeline_casts_float32_batches(self, monkeypatch):
+        ds = synthetic_dataset(64, 32, seed=32)
+        cfg = ExperimentConfig(n_c=4, epochs=1, seed=1, eval_seed=2,
+                               dtype="float64")
+        seen = []
+        real = Pipeline.forward
+
+        def forward(self, x, *args, **kwargs):
+            probs = real(self, x, *args, **kwargs)
+            seen.append((x.dtype, probs.dtype))
+            return probs
+
+        monkeypatch.setattr(Pipeline, "forward", forward)
+        train(ds, cfg)
+        # one training batch and one eval batch
+        assert seen == [(np.dtype(np.float32), np.dtype(np.float64))] * 2
 
 
 def rewrite_checkpoint(path, edit_header=None, payload_end=None, extra=b""):
