@@ -26,6 +26,7 @@ from .errors import (
     DivergenceError,
     LabelError,
     ShapeError,
+    WorkerError,
 )
 from .harness import (
     ExperimentConfig,

@@ -23,7 +23,7 @@ from dataclasses import asdict, fields, replace
 
 from . import harness
 from .dataset import load_cifar10
-from .errors import ConfigError, CorruptDatasetError, DivergenceError
+from .errors import ConfigError, CorruptDatasetError, DivergenceError, WorkerError
 from .harness import (
     SWEEPS,
     emit_report,
@@ -243,6 +243,7 @@ def _cmd_eval(args) -> int:
 def _cmd_sweep(args) -> int:
     sweep = SWEEPS[args.sweep]
     points = _parse_points(args.points, sweep)
+    sweep.configs(args.cfg, points)  # a bad point fails before the corpus loads
     dataset = _load_data(args)
     os.makedirs(args.out, exist_ok=True)
     started = time.monotonic()
@@ -275,7 +276,7 @@ def main(argv=None) -> int:
     except (ConfigError, CorruptDatasetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except DivergenceError as exc:
+    except (DivergenceError, WorkerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

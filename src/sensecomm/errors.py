@@ -19,3 +19,7 @@ class CorruptDatasetError(ValueError):
 
 class DivergenceError(RuntimeError):
     """Training produced a non-finite loss or gradient."""
+
+
+class WorkerError(RuntimeError):
+    """A sweep's worker process died before returning its training."""

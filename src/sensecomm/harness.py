@@ -15,13 +15,16 @@ import json
 import multiprocessing
 import os
 import signal
+from contextlib import closing
 from dataclasses import asdict, dataclass, field, is_dataclass, replace
+from multiprocessing.connection import Connection, wait
+from multiprocessing.process import BaseProcess
 from typing import Any, Callable
 
 import numpy as np
 
 from .dataset import Dataset, SOURCE_DIM, Split
-from .errors import ConfigError
+from .errors import ConfigError, WorkerError
 from .models import MODES, ExperimentConfig, Pipeline, predict_split, train
 
 
@@ -100,6 +103,11 @@ class Sweep:
     transform: Callable[[ExperimentConfig, Any], ExperimentConfig]
     stem: str
 
+    def configs(self, cfg: ExperimentConfig, points: list) -> list[ExperimentConfig]:
+        """Each point's config, moved from ``cfg``. Building a config
+        validates it, so a bad point raises ``ConfigError`` here."""
+        return [self.transform(cfg, p) for p in points]
+
 
 # The default grids span the ranges the accuracy curves are reported over.
 SWEEPS = {
@@ -122,26 +130,83 @@ SWEEPS = {
 
 _PR_SET_PDEATHSIG = 1  # from <sys/prctl.h>
 
-_dataset: Dataset | None = None  # a pool worker's corpus, set as it starts
 
-
-def _start_worker(dataset: Dataset, parent: int):
-    """Keep the inherited corpus, and die with the sweep's process: a pool
-    worker outliving a killed parent would idle forever on the corpus."""
-    global _dataset
-    _dataset = dataset
+def _serve(conn: Connection, dataset: Dataset, parent: int):
+    """A sweep worker: train every config received on ``conn`` and send back
+    the training's metrics, history and the lines it would have logged, or
+    the exception it raised. The worker dies with the sweep's process: one
+    outliving a killed parent would idle forever on the inherited corpus."""
     ctypes.CDLL(None).prctl(_PR_SET_PDEATHSIG, signal.SIGTERM)
     if os.getppid() != parent:  # the parent died before prctl took effect
         os._exit(1)
+    while True:
+        cfg = conn.recv()
+        lines: list[str] = []
+        try:
+            _, result = run_experiment(cfg, dataset, log_fn=lines.append)
+        except Exception as exc:
+            conn.send(exc)
+        else:
+            conn.send((result["metrics"], result["history"], lines))
 
 
-def _train_in_worker(cfg: ExperimentConfig
-                     ) -> tuple[dict, list[dict], list[str]]:
-    """One sweep training in a pool worker: its metrics, history and the
-    lines it would have logged."""
-    lines: list[str] = []
-    _, result = run_experiment(cfg, _dataset, log_fn=lines.append)
-    return result["metrics"], result["history"], lines
+def _train_in_workers(tasks: list[ExperimentConfig], dataset: Dataset):
+    """Yield every task's (metrics, history, log lines) in task order.
+
+    The trainings run in forked workers, one per CPU in the process's
+    affinity mask (``taskset`` limits them), each sent its next task as it
+    returns one. Workers inherit the corpus instead of receiving a pickled
+    copy. A task's exception is raised in its turn. Each worker has a pipe
+    of its own and shares no lock with the others, so a worker killed by a
+    signal (say by the OOM killer) shows at once as the end of its pipe and
+    raises ``WorkerError``. The workers are stopped however the sweep ends.
+    """
+    ctx = multiprocessing.get_context("fork")
+    todo = iter(enumerate(tasks))
+    workers: dict[Connection, BaseProcess] = {}
+    running: dict[Connection, int] = {}  # a busy worker's pipe -> task index
+    done: dict[int, Any] = {}
+
+    def lost(conn: Connection):
+        workers[conn].join()
+        raise WorkerError(f"sweep worker {workers[conn].pid} died (exit code "
+                          f"{workers[conn].exitcode}); its training was lost")
+
+    def send_next(conn: Connection):
+        index, task = next(todo, (None, None))
+        if task is None:
+            return
+        try:
+            conn.send(task)
+        except OSError:  # the worker died after its last answer
+            lost(conn)
+        running[conn] = index
+
+    try:
+        for _ in range(min(len(os.sched_getaffinity(0)), len(tasks))):
+            conn, child = ctx.Pipe()
+            workers[conn] = ctx.Process(target=_serve,
+                                        args=(child, dataset, os.getpid()))
+            workers[conn].start()
+            child.close()
+            send_next(conn)
+        for index in range(len(tasks)):
+            while index not in done:
+                for conn in wait(list(running)):
+                    try:
+                        done[running.pop(conn)] = conn.recv()
+                    except EOFError:
+                        lost(conn)
+                    send_next(conn)
+            result = done.pop(index)
+            if isinstance(result, Exception):
+                raise result
+            yield result
+    finally:
+        for conn, proc in workers.items():
+            proc.terminate()
+            proc.join()
+            conn.close()
 
 
 def run_sweep(name: str, points: list, cfg: ExperimentConfig, dataset: Dataset,
@@ -150,21 +215,16 @@ def run_sweep(name: str, points: list, cfg: ExperimentConfig, dataset: Dataset,
     axis; same test set and eval-seed policy everywhere. Every point's
     config is built, and so validated, before the first training.
 
-    The trainings run in a pool of forked workers, one per CPU in the
-    process's affinity mask (``taskset`` limits them). Workers inherit the
-    corpus instead of receiving a pickled copy. Results and log lines come
-    back in the serial order, so nothing the sweep returns or logs depends
-    on the worker count."""
+    The trainings run in parallel, in forked workers (see
+    ``_train_in_workers``). Results and log lines come back in the serial
+    order, so nothing the sweep returns or logs depends on the worker
+    count."""
     sweep = SWEEPS[name]
     points = [sweep.point_type(p) for p in points]
-    configs = [sweep.transform(cfg, p) for p in points]
+    configs = sweep.configs(cfg, points)
     tasks = [replace(c, mode=mode) for c in configs for mode in MODES]
-    workers = min(len(os.sched_getaffinity(0)), len(tasks))
     out = SweepResult(param_name=sweep.param_name, points=points)
-    with multiprocessing.get_context("fork").Pool(
-            workers, initializer=_start_worker,
-            initargs=(dataset, os.getpid())) as pool:
-        trained = pool.imap(_train_in_worker, tasks, chunksize=1)
+    with closing(_train_in_workers(tasks, dataset)) as trained:
         for value, point_cfg in zip(points, configs):
             point = {"value": value, "seed": point_cfg.seed}
             for mode in MODES:

@@ -13,6 +13,7 @@ fixed multipliers during the backward pass.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -111,6 +112,10 @@ class ExperimentConfig:
         for name in ("epochs", "batch_size"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        # an infinite SNR would train without noise, a NaN one diverge
+        for name in ("comm_snr_db", "vehicle_sensing_snr_db", "animal_offset_db"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         # the channel kind, mode and n_c are checked where they are used
         self.channel()
         self.model()

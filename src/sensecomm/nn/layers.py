@@ -93,25 +93,48 @@ class Dense(Layer):
         return [self.w, self.b]
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """Valid-correlation windows of a channels-last batch as rows:
-    (N, H, W, C) -> (N*Ho*Wo, kh*kw*C), each row in the (kh, kw, C) order of
-    a flattened kernel."""
+def _row_windows(x: np.ndarray, kw: int) -> np.ndarray:
+    """Every kw-wide window of a channels-last batch as a row:
+    (N, H, W, C) -> (N, H*Wo, kw*C), Wo = W - kw + 1, each row in the
+    (kw, C) order of a flattened kernel row. Image row h's windows are rows
+    h*Wo to (h+1)*Wo - 1 of its sample, so the windows of any run of image
+    rows are one contiguous block. ``x`` may be in any memory layout (a
+    loaded corpus gives channel-planar batches); it is made C-contiguous
+    first, as the windows copy faster from that layout."""
     n, h, w, c = x.shape
-    win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(1, 2))
-    return np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3)).reshape(
-        n * (h - kh + 1) * (w - kw + 1), kh * kw * c)
+    wo = w - kw + 1
+    win = np.lib.stride_tricks.sliding_window_view(np.ascontiguousarray(x), kw, axis=2)
+    return np.ascontiguousarray(win.transpose(0, 1, 2, 4, 3)).reshape(
+        n, h * wo, kw * c)
+
+
+def _correlate(rows: np.ndarray, w: np.ndarray, ho: int, wo: int) -> np.ndarray:
+    """Valid cross-correlation of the kernel ``w`` (kh, kw, C, F) over the
+    row windows of an image Ho + kh - 1 rows high: (N, Ho*Wo, F). Kernel row
+    i multiplies the block of image rows i to i + Ho - 1, which numpy hands
+    to BLAS one sample at a time without copying it."""
+    kh, kw, c, f = w.shape
+    out = rows[:, :ho * wo] @ w[0].reshape(kw * c, f)
+    for i in range(1, kh):
+        out += rows[:, i * wo:(i + ho) * wo] @ w[i].reshape(kw * c, f)
+    return out
 
 
 class Conv2D(Layer):
     """2-D cross-correlation, stride 1, no padding ("valid").
 
     Kernel shape is (kh, kw, in_channels, filters); output spatial dims
-    shrink by kernel-1. Forward is im2col + matmul, and the column matrix is
-    cached for the weight-gradient matmul in backward. The input gradient is
-    the "full" convolution of the output gradient: pad it by kernel-1 on
-    every spatial side and correlate it, through the same im2col, with the
-    kernel flipped in (kh, kw) and its channel axes swapped.
+    shrink by kernel-1. Forward copies each position's kw-wide window once,
+    (N, H, W, C) -> (N, H*Wo, kw*C), kw times the input rather than the
+    kh*kw times of a full window matrix. In that buffer image row h + i
+    starts i*Wo rows after image row h, so kernel row i's operand for all
+    of a sample's outputs is one contiguous (Ho*Wo, kw*C) block, and the
+    output is the sum of kh per-sample matmuls, one per kernel row. The row
+    windows are cached: backward's weight gradient for kernel row i is
+    ``block_i^T @ g`` per sample, summed over the batch. The input gradient
+    is the "full" convolution of the output gradient: pad it by kernel-1 on
+    every spatial side and correlate it, through the same row windows, with
+    the kernel flipped in (kh, kw) and its channel axes swapped.
     """
 
     def __init__(self, in_channels: int, filters: int, kernel: tuple[int, int] = (3, 3),
@@ -119,7 +142,7 @@ class Conv2D(Layer):
         kh, kw = kernel
         self.w = Param(glorot_uniform((kh, kw, in_channels, filters), rng, dtype), f"{name}.w")
         self.b = Param(np.zeros(filters, dtype=dtype), f"{name}.b")
-        self._cols: np.ndarray | None = None
+        self._rows: np.ndarray | None = None
         self._x_shape: tuple | None = None
 
     def forward(self, x, training=False, rng=None):
@@ -129,22 +152,29 @@ class Conv2D(Layer):
         n, h, w_in, _ = x.shape
         if h < kh or w_in < kw:
             raise ShapeError(f"kernel ({kh},{kw}) larger than input ({h},{w_in})")
-        self._cols = _im2col(x, kh, kw)
+        ho, wo = h - kh + 1, w_in - kw + 1
+        self._rows = _row_windows(x, kw)
         self._x_shape = x.shape
-        out = self._cols @ self.w.value.reshape(kh * kw * cin, filters) + self.b.value
-        return out.reshape(n, h - kh + 1, w_in - kw + 1, filters)
+        out = _correlate(self._rows, self.w.value, ho, wo).reshape(n, -1)
+        out += np.tile(self.b.value, ho * wo)  # one long add, not Ho*Wo of F
+        return out.reshape(n, ho, wo, filters)
 
     def backward(self, grad_out, input_grad=True):
         kh, kw, cin, filters = self.w.value.shape
         n, h, w_in, _ = self._x_shape
-        g = grad_out.reshape(-1, filters)
-        self.w.grad = (self._cols.T @ g).reshape(kh, kw, cin, filters)
-        self.b.grad = g.sum(axis=0)
+        ho, wo = h - kh + 1, w_in - kw + 1
+        g = grad_out.reshape(n, ho * wo, filters)
+        self.w.grad = np.stack([
+            (self._rows[:, i * wo:(i + ho) * wo].transpose(0, 2, 1) @ g).sum(axis=0)
+            for i in range(kh)]).reshape(kh, kw, cin, filters)
+        # over the batch, then over positions: long adds, not N*Ho*Wo of F
+        self.b.grad = grad_out.sum(axis=0).reshape(-1, filters).sum(axis=0)
         if not input_grad:
             return None
         padded = np.pad(grad_out, ((0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1), (0, 0)))
-        flipped = self.w.value[::-1, ::-1].transpose(0, 1, 3, 2).reshape(kh * kw * filters, cin)
-        return (_im2col(padded, kh, kw) @ flipped).reshape(n, h, w_in, cin)
+        flipped = self.w.value[::-1, ::-1].transpose(0, 1, 3, 2)
+        return _correlate(_row_windows(padded, kw), flipped, h, w_in).reshape(
+            n, h, w_in, cin)
 
     def params(self):
         return [self.w, self.b]

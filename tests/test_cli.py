@@ -223,7 +223,10 @@ class TestConfigFile:
         ("run.cfg", "epochs=abc\n"),
         ("run.json", '{"epochs": 1.7}'),
         ("run.json", '{"mode": "bogus"}'),
-    ], ids=["format-xml", "epochs-abc", "epochs-float", "mode-bogus"])
+        ("run.json", '{"comm_snr_db": NaN}'),
+        ("run.cfg", "sensing_snr_db=inf\n"),
+    ], ids=["format-xml", "epochs-abc", "epochs-float", "mode-bogus",
+            "comm-snr-nan", "sensing-snr-inf"])
     def test_bad_value_fails_before_load(self, name, text, fake_cifar_dir,
                                          tmp_path, capsys, corpus_loads):
         cfg = tmp_path / name
@@ -271,6 +274,25 @@ class TestSweepCommand:
         assert_one_error_line(capsys)
         assert corpus_loads == []
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, points", [
+        ("sweep-output-size", "0"),
+        ("sweep-output-size", "4,-2"),
+        ("sweep-comm-snr", "nan"),
+        ("sweep-sensing-snr", "-inf"),
+    ], ids=["size-0", "size-negative", "comm-snr-nan", "sensing-snr-inf"])
+    def test_bad_point_fails_before_load(self, command, points, fake_cifar_dir,
+                                         tmp_path, capsys, corpus_loads):
+        """Every point's config is built and checked before the corpus
+        loads."""
+        out = tmp_path / "out"
+        code = exit_code([command, "--data-dir", str(fake_cifar_dir),
+                          f"--points={points}",
+                          "--out", str(out)] + SMOKE)
+        assert code == 2
+        assert_one_error_line(capsys)
+        assert corpus_loads == []
+        assert not out.exists()
 
     def test_format_flag_rejected(self):
         # a sweep always writes both .json and .csv
@@ -331,6 +353,59 @@ class TestLimitsAndDivergence:
                           "--points", "4,6", "--out", str(tmp_path)] + SMOKE)
         assert code == 1
         assert_one_error_line(capsys)
+
+    def test_killed_sweep_worker_exits_1_with_one_line(self, fake_cifar_dir,
+                                                       tmp_path):
+        """A worker killed by a signal loses its training; the sweep must
+        fail within seconds instead of waiting for it forever. The timeout
+        turns such a wait into a failure."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", KILL_JOINT_TRAININGS, "sweep-output-size",
+             "--data-dir", str(fake_cifar_dir), "--points", "4",
+             "--out", str(tmp_path)] + SMOKE,
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True, timeout=60)
+        assert proc.returncode == 1
+        err = proc.stderr.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
+        assert not (tmp_path / "sweep_size.json").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["--comm-snr-db", "nan"],
+        ["--comm-snr-db", "inf"],
+        ["--sensing-snr-db=-inf"],
+        ["--offset-db", "nan"],
+    ], ids=["comm-nan", "comm-inf", "sensing-minus-inf", "offset-nan"])
+    def test_nonfinite_snr_exits_2(self, argv, fake_cifar_dir, tmp_path,
+                                   capsys, corpus_loads):
+        """A NaN SNR or offset would diverge at step 0 and an infinite one
+        train without noise; both fail before the corpus loads."""
+        out = tmp_path / "out"
+        code = exit_code(["train", "--data-dir", str(fake_cifar_dir),
+                          "--out", str(out)] + SMOKE + argv)
+        assert code == 2
+        assert_one_error_line(capsys)
+        assert corpus_loads == []
+        assert not out.exists()
+
+
+# Runs the CLI with every sweep training in joint mode SIGKILLed in its
+# worker as it starts, as the OOM killer would.
+KILL_JOINT_TRAININGS = """
+import os, signal, sys
+from sensecomm import cli, harness
+
+real = harness.run_experiment
+
+def run_experiment(cfg, dataset, log_fn=None):
+    if cfg.mode == "joint":
+        os.kill(os.getpid(), signal.SIGKILL)
+    return real(cfg, dataset, log_fn)
+
+harness.run_experiment = run_experiment
+sys.exit(cli.main(sys.argv[1:]))
+"""
 
 
 def other_value(f):

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 from dataclasses import asdict, replace
 
@@ -184,6 +185,8 @@ class TestExperimentConfig:
     @pytest.mark.parametrize("bad", [
         {"channel_kind": "foo"}, {"mode": "both"}, {"dtype": "float16"},
         {"n_c": 0}, {"epochs": 0}, {"batch_size": 0},
+        {"comm_snr_db": math.nan}, {"vehicle_sensing_snr_db": -math.inf},
+        {"animal_offset_db": math.inf},
     ], ids=lambda bad: next(iter(bad)))
     def test_rejects_bad_values(self, bad):
         with pytest.raises(ConfigError):

@@ -179,6 +179,24 @@ class TestDense:
             layer.forward(np.zeros((1, 5), dtype=np.float32))
 
 
+# (input shape (N, H, W, C), kernel): square and non-square inputs,
+# non-square kernels, and H == kh, so that Ho is 1
+CONV_CASES = [((2, 5, 5, 2), (3, 3)), ((2, 6, 5, 2), (3, 3)),
+              ((2, 6, 5, 2), (2, 3)), ((2, 6, 5, 2), (3, 1)),
+              ((2, 3, 5, 2), (3, 3))]
+CONV_CASE_IDS = ["5x5-k3x3", "6x5-k3x3", "6x5-k2x3", "6x5-k3x1", "3x5-k3x3"]
+
+
+def conv_input(rng, shape, layout):
+    """A random float64 batch of ``shape`` (N, H, W, C). ``channel-planar``
+    holds it in (N, C, H, W) memory, as ``Split.images`` returns batches of
+    a loaded corpus."""
+    if layout == "contiguous":
+        return rng.standard_normal(shape)
+    n, h, w, c = shape
+    return rng.standard_normal((n, c, h, w)).transpose(0, 2, 3, 1)
+
+
 class TestConv2D:
     def test_output_shape_32x32(self):
         layer = Conv2D(3, 8, (3, 3), Rng(0))
@@ -193,19 +211,23 @@ class TestConv2D:
         for k, bval in enumerate(layer.b.value):
             assert np.all(out[..., k] == bval)
 
-    def test_matches_loop_oracle(self):
+    @pytest.mark.parametrize("layout", ["contiguous", "channel-planar"])
+    @pytest.mark.parametrize("shape, kernel", CONV_CASES, ids=CONV_CASE_IDS)
+    def test_matches_loop_oracle(self, shape, kernel, layout):
         rng = Rng(5)
-        layer = Conv2D(2, 3, (3, 3), rng, np.float64)
-        x = rng.standard_normal((2, 5, 5, 2))
+        layer = Conv2D(shape[3], 3, kernel, rng, np.float64)
+        x = conv_input(rng, shape, layout)
         expected = conv_oracle(x, layer.w.value, layer.b.value)
         assert np.max(np.abs(layer.forward(x) - expected)) < 1e-12
 
-    def test_backward_matches_loop_oracle(self):
-        # non-square input and in_channels != filters, so a swapped axis or
-        # an unflipped kernel cannot cancel out
+    @pytest.mark.parametrize("layout", ["contiguous", "channel-planar"])
+    @pytest.mark.parametrize("shape, kernel", CONV_CASES, ids=CONV_CASE_IDS)
+    def test_backward_matches_loop_oracle(self, shape, kernel, layout):
+        # in_channels != filters, so a swapped axis or an unflipped kernel
+        # cannot cancel out
         rng = Rng(6)
-        layer = Conv2D(2, 3, (3, 3), rng, np.float64)
-        x = rng.standard_normal((2, 6, 5, 2))
+        layer = Conv2D(shape[3], 3, kernel, rng, np.float64)
+        x = conv_input(rng, shape, layout)
         g = rng.standard_normal(layer.forward(x).shape)
         gx, gw, gb = conv_backward_oracle(x, layer.w.value, g)
         assert np.max(np.abs(layer.backward(g) - gx)) < 1e-12
@@ -319,10 +341,14 @@ class TestActivations:
         assert np.array_equal(g, [[0.0, 0.0, -5.0]])
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("layer_cls", [ReLU, MaxPool2D])
-    def test_forward_and_backward_keep_dtype(self, layer_cls, dtype):
+    @pytest.mark.parametrize("make_layer", [
+        pytest.param(lambda dtype: ReLU(), id="ReLU"),
+        pytest.param(lambda dtype: MaxPool2D(), id="MaxPool2D"),
+        pytest.param(lambda dtype: Conv2D(3, 2, (3, 3), Rng(0), dtype), id="Conv2D"),
+    ])
+    def test_forward_and_backward_keep_dtype(self, make_layer, dtype):
         x = Rng(3).standard_normal((2, 5, 6, 3)).astype(dtype)
-        layer = layer_cls()
+        layer = make_layer(dtype)
         out = layer.forward(x)
         assert out.dtype == dtype
         assert layer.backward(np.ones_like(out)).dtype == dtype
