@@ -7,9 +7,10 @@ errors, 1 runtime failures.
 The experiment flags are generated from the fields of
 :class:`~sensecomm.models.ExperimentConfig`. A config file (``--config``,
 JSON or ``key=value`` lines) sets the same options, keyed by flag name with
-``_`` for ``-``; its values go through the same casters and choices as the
-flags, and flags on the command line win. Bad input exits 2 before the
-corpus loads.
+``_`` for ``-``: its entries are parsed as ``--key=value`` flags ahead of
+the command line's, so flags on the command line win. A flag has one
+spelling; abbreviations are not taken. Bad input exits 2 with one
+``error:`` line before the corpus loads.
 """
 
 from __future__ import annotations
@@ -35,56 +36,56 @@ from .harness import (
 from .models import ExperimentConfig, load_checkpoint, save_checkpoint
 from .selfcheck import run_gradient_checks
 
-# the non-string types a caster takes as they are; anything else must be a
-# string to parse, so a float is never truncated to an int
-_NUMERIC = {int: (int,), float: (int, float), str: ()}
+
+class _Parser(argparse.ArgumentParser):
+    """A parser that takes no abbreviated flags and reports a usage error
+    in one ``error:`` line, exit status 2."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
 
 
-def _cast(kind: type, minimum=None):
-    """Strict caster for one flag or config-file value of type ``kind``."""
-    def cast(raw):
-        try:
-            if not (isinstance(raw, str) or type(raw) in _NUMERIC[kind]):
-                raise ValueError
-            value = kind(raw)
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"invalid {kind.__name__} value: {raw!r}") from None
-        if minimum is not None and value < minimum:
-            raise argparse.ArgumentTypeError(f"{value} is below {minimum}")
-        return value
-    return cast
+def _positive_int(raw: str) -> int:
+    """Caster for a limit flag: an integer of at least 1."""
+    try:
+        value = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is below 1")
+    return value
 
 
-def _choice(raw) -> str:
+def _choice(raw: str) -> str:
     """Caster for a field with choices; ``sensing-only`` spells
     ``sensing_only``. Membership is checked against the choices."""
-    if not isinstance(raw, str):
-        raise argparse.ArgumentTypeError(f"invalid choice: {raw!r}")
     return raw.replace("-", "_")
 
 
 def _add_common_flags(p: argparse.ArgumentParser):
-    p.add_argument("--data-dir", type=_cast(str),
+    p.add_argument("--data-dir",
                    help="directory with the CIFAR-10 binary batch files")
     for f in fields(ExperimentConfig):
         flag, choices = f.metadata["flag"], f.metadata["choices"]
         p.add_argument(flag, dest=f.name, default=f.default,
-                       type=_choice if choices else _cast(type(f.default)),
+                       type=_choice if choices else type(f.default),
                        choices=choices,
                        metavar=None if choices else flag[2:].replace("-", "_").upper(),
                        help=f"{f.metadata['help']} (default: %(default)s)")
-    p.add_argument("--out", type=_cast(str), default="runs",
+    p.add_argument("--out", default="runs",
                    help="output directory")
     p.add_argument("--config", help="JSON or key=value file; flags override it")
-    p.add_argument("--limit-train", type=_cast(int, minimum=1),
+    p.add_argument("--limit-train", type=_positive_int,
                    help="truncate the training split (smoke runs)")
-    p.add_argument("--limit-test", type=_cast(int, minimum=1),
+    p.add_argument("--limit-test", type=_positive_int,
                    help="truncate the test split (smoke runs)")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sensecomm",
         description="Joint sensing and task-oriented communications simulator")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -94,10 +95,10 @@ def build_parser() -> argparse.ArgumentParser:
     for p in (p_train, p_eval):
         _add_common_flags(p)
         # a sweep always writes both report formats
-        p.add_argument("--format", type=_cast(str), choices=["json", "csv"],
+        p.add_argument("--format", choices=["json", "csv"],
                        default="json")
     p_train.set_defaults(run=_cmd_train, parser=p_train)
-    p_eval.add_argument("--checkpoint", type=_cast(str),
+    p_eval.add_argument("--checkpoint",
                         help="checkpoint file written by train (required)")
     p_eval.set_defaults(run=_cmd_eval, parser=p_eval)
 
@@ -106,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  help=f"sweep {sweep.param_name} over --points")
         _add_common_flags(p_sweep)
         p_sweep.add_argument(
-            "--points", type=_cast(str),
+            "--points",
             help=f"comma-separated {sweep.point_type.__name__} points "
                  f"(default: {','.join(map(str, sweep.points))})")
         p_sweep.set_defaults(run=_cmd_sweep, parser=p_sweep, sweep=name)
@@ -118,9 +119,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_config(path: str, parser: argparse.ArgumentParser) -> dict:
-    """A config file's values, cast and checked like the flags of
-    ``parser`` and keyed by their destination."""
+def _config_tokens(path: str) -> list[str]:
+    """A config file's entries as ``--key=value`` flags."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
@@ -135,42 +135,36 @@ def _read_config(path: str, parser: argparse.ArgumentParser) -> dict:
             raw[key.strip()] = value.strip()
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: expected a JSON object or key=value lines")
-    actions = {a.option_strings[0][2:].replace("-", "_"): a
-               for a in parser._actions
-               if a.option_strings and a.dest not in ("help", "config")}
-    values = {}
+    tokens = []
     for key, value in raw.items():
-        action = actions.get(key)
-        if action is None:
+        if key == "config" or not key.isidentifier():
             raise ConfigError(f"unknown config key {key!r}")
-        try:
-            value = action.type(value)
-        except argparse.ArgumentTypeError as exc:
-            raise ConfigError(f"config key {key!r}: {exc}") from None
-        if action.choices is not None and value not in action.choices:
-            raise ConfigError(f"config key {key!r}: {value!r} is not one of "
-                              f"{', '.join(action.choices)}")
-        values[action.dest] = value
-    return values
+        # a JSON number is spelled as on the command line; true is not 1
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            raise ConfigError(f"config key {key!r}: {value!r} is not a string "
+                              "or number")
+        tokens.append(f"--{key.replace('_', '-')}={value}")
+    return tokens
 
 
 def parse_args(argv=None) -> argparse.Namespace:
-    """Parse the command line over the config file's values and validate
-    both. An experiment subcommand gets its config as ``args.cfg``. Bad
-    input exits 2 before any data is read; a bad config file or config
-    value is reported in one ``error:`` line."""
+    """Parse the command line and validate it. A config file's entries are
+    parsed as flags placed before the command line's, so those win. An
+    experiment subcommand gets its config as ``args.cfg``. Bad input exits
+    2 with one ``error:`` line before any data is read."""
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "gradcheck":
         return args
     try:
         if args.config:
-            args.parser.set_defaults(**_read_config(args.config, args.parser))
-            args = parser.parse_args(argv)
+            args = parser.parse_args(
+                [args.command, *_config_tokens(args.config), *argv[1:]])
         args.cfg = ExperimentConfig(
             **{f.name: getattr(args, f.name) for f in fields(ExperimentConfig)})
     except (ConfigError, OSError, UnicodeDecodeError) as exc:
-        args.parser.exit(2, f"error: {exc}\n")
+        parser.error(str(exc))
     return args
 
 
@@ -225,7 +219,7 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     _require(args, "checkpoint")
     pipeline, header = load_checkpoint(args.checkpoint, args.cfg.np_dtype)
-    cfg = replace(args.cfg, n_c=pipeline.cfg.n_c1, mode=pipeline.cfg.mode)
+    cfg = replace(args.cfg, n_c=pipeline.cfg.n_c, mode=pipeline.cfg.mode)
     dataset = _load_data(args)
     started = time.monotonic()
     metrics = evaluate(pipeline, dataset.test, cfg)

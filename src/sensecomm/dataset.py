@@ -117,8 +117,7 @@ def batch_indices(n: int, batch_size: int, shuffle: bool = False,
         yield order[start:start + batch_size]
 
 
-def synthetic_dataset(n_train: int, n_test: int, seed: int = 0,
-                      vehicle_fraction: float = 0.4) -> Dataset:
+def synthetic_dataset(n_train: int, n_test: int, seed: int = 0) -> Dataset:
     """Procedurally generated stand-in with the real dataset's shape and the
     same 40/60 vehicle/animal prior.
 
@@ -131,7 +130,7 @@ def synthetic_dataset(n_train: int, n_test: int, seed: int = 0,
     rng = Rng(seed)
 
     def make(n):
-        labels2 = (rng.uniform(size=n) < vehicle_fraction).astype(np.int64)
+        labels2 = (rng.uniform(size=n) < 0.4).astype(np.int64)
         imgs = rng.uniform(size=(n, 32, 32, 3)).astype(np.float32)
         kernel = np.ones((5, 5), dtype=np.float32) / 25.0
         for i in np.nonzero(labels2)[0]:

@@ -48,7 +48,7 @@ def confusion_matrix(true2: np.ndarray, pred2: np.ndarray) -> list[list[int]]:
 
 
 def metrics_from_predictions(true2: np.ndarray, pred2: np.ndarray,
-                             n_c1: int) -> Metrics:
+                             n_c: int) -> Metrics:
     conf = confusion_matrix(true2, pred2)
     (tn, fp), (fn, tp) = conf
     total = tn + fp + fn + tp
@@ -57,7 +57,7 @@ def metrics_from_predictions(true2: np.ndarray, pred2: np.ndarray,
         confusion=conf,
         misdetection_rate=float(fn / max(tp + fn, 1)),
         false_alarm_rate=float(fp / max(tn + fp, 1)),
-        compression_rate_pct=100.0 * n_c1 / SOURCE_DIM,
+        compression_rate_pct=100.0 * n_c / SOURCE_DIM,
     )
 
 
@@ -65,15 +65,16 @@ def evaluate(pipeline: Pipeline, test: Split, cfg: ExperimentConfig) -> Metrics:
     """One pass over the test split under the fixed evaluation seed."""
     preds = predict_split(pipeline, test, cfg.channel(), cfg.sensing(),
                           cfg.eval_seed)
-    return metrics_from_predictions(test.label2, preds, pipeline.cfg.n_c1)
+    return metrics_from_predictions(test.label2, preds, pipeline.cfg.n_c)
 
 
 def run_experiment(cfg: ExperimentConfig, dataset: Dataset, log_fn=None
                    ) -> tuple[Pipeline, dict]:
     """Train one model per ``cfg`` and package config, metrics, history and
-    seeds into a JSON-ready result dict."""
-    pipeline, history = train(dataset, cfg, log_fn=log_fn)
-    metrics = evaluate(pipeline, dataset.test, cfg)
+    seeds into a JSON-ready result dict. The metrics come from the last
+    epoch's test predictions, the very ones ``evaluate`` would make."""
+    pipeline, history, preds = train(dataset, cfg, log_fn=log_fn)
+    metrics = metrics_from_predictions(dataset.test.label2, preds, cfg.n_c)
     result = {
         "config": asdict(cfg),
         "metrics": asdict(metrics),
@@ -104,9 +105,11 @@ class Sweep:
     stem: str
 
     def configs(self, cfg: ExperimentConfig, points: list) -> list[ExperimentConfig]:
-        """Each point's config, moved from ``cfg``. Building a config
-        validates it, so a bad point raises ``ConfigError`` here."""
-        return [self.transform(cfg, p) for p in points]
+        """The config of every training: each point's, moved from ``cfg``,
+        once per mode in ``MODES`` order. Building a config validates it,
+        so a bad point raises ``ConfigError`` here."""
+        return [replace(self.transform(cfg, p), mode=mode)
+                for p in points for mode in MODES]
 
 
 # The default grids span the ranges the accuracy curves are reported over.
@@ -212,8 +215,8 @@ def _train_in_workers(tasks: list[ExperimentConfig], dataset: Dataset):
 def run_sweep(name: str, points: list, cfg: ExperimentConfig, dataset: Dataset,
               log_fn=None) -> SweepResult:
     """Train joint and sensing-only models per point of the ``SWEEPS[name]``
-    axis; same test set and eval-seed policy everywhere. Every point's
-    config is built, and so validated, before the first training.
+    axis; same seed, test set and eval-seed policy everywhere. Every
+    training's config is built, and so validated, before the first one.
 
     The trainings run in parallel, in forked workers (see
     ``_train_in_workers``). Results and log lines come back in the serial
@@ -222,11 +225,10 @@ def run_sweep(name: str, points: list, cfg: ExperimentConfig, dataset: Dataset,
     sweep = SWEEPS[name]
     points = [sweep.point_type(p) for p in points]
     configs = sweep.configs(cfg, points)
-    tasks = [replace(c, mode=mode) for c in configs for mode in MODES]
     out = SweepResult(param_name=sweep.param_name, points=points)
-    with closing(_train_in_workers(tasks, dataset)) as trained:
-        for value, point_cfg in zip(points, configs):
-            point = {"value": value, "seed": point_cfg.seed}
+    with closing(_train_in_workers(configs, dataset)) as trained:
+        for value in points:
+            point = {"value": value, "seed": cfg.seed}
             for mode in MODES:
                 metrics, history, lines = next(trained)
                 if log_fn is not None:
@@ -236,7 +238,7 @@ def run_sweep(name: str, points: list, cfg: ExperimentConfig, dataset: Dataset,
                 point[mode] = {"metrics": metrics, "history": history}
             out.joint_accuracy.append(point["joint"]["metrics"]["accuracy"])
             out.sensing_accuracy.append(point["sensing_only"]["metrics"]["accuracy"])
-            out.seeds.append(point_cfg.seed)
+            out.seeds.append(cfg.seed)
             out.per_point.append(point)
     return out
 

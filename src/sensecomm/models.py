@@ -1,8 +1,8 @@
 """Transmit encoders, fusion decoder, and the end-to-end trained pipeline.
 
 The transmitter runs two encoders: a convolutional image encoder that
-compresses a 32x32x3 image to ``n_c1`` channel symbols, and a dense echo
-encoder that compresses the reflected probe signal to ``n_c2`` symbols.
+compresses a 32x32x3 image to ``n_c`` channel symbols, and a dense echo
+encoder that re-encodes the reflected probe signal to ``n_c`` symbols.
 The receiver's decoder classifies from the concatenation of both received
 vectors (joint mode) or from the second-round vector alone (sensing-only
 benchmark). All three networks are trained jointly by backpropagating the
@@ -54,21 +54,22 @@ EVAL_BATCH = 256  # fixed so the eval-seed noise stream is reproducible
 
 @dataclass
 class ModelConfig:
-    n_c1: int
-    n_c2: int
+    n_c: int  # the output size of both encoders
     mode: str
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}")
-        for n in (self.n_c1, self.n_c2):
-            if not isinstance(n, (int, np.integer)) or n < 1:
-                raise ConfigError(
-                    f"encoder output sizes must be integers >= 1, got {n!r}")
+        if not isinstance(self.n_c, (int, np.integer)) or self.n_c < 1:
+            raise ConfigError(
+                f"encoder output size must be an integer >= 1, got {self.n_c!r}")
+        if self.decoder_in < 2:
+            raise ConfigError(f"decoder input must be >= 2; n_c {self.n_c} "
+                              f"in {self.mode} mode gives {self.decoder_in}")
 
     @property
     def decoder_in(self) -> int:
-        return self.n_c1 + self.n_c2 if self.mode == "joint" else self.n_c2
+        return 2 * self.n_c if self.mode == "joint" else self.n_c
 
 
 def _flag(flag: str, help: str, choices: tuple | None = None) -> dict:
@@ -131,55 +132,51 @@ class ExperimentConfig:
         return SensingConfig(vehicle_snr_db=self.vehicle_sensing_snr_db,
                              animal_offset_db=self.animal_offset_db)
 
-    def model(self, mode: str | None = None) -> ModelConfig:
-        return ModelConfig(n_c1=self.n_c, n_c2=self.n_c,
-                           mode=self.mode if mode is None else mode)
+    def model(self) -> ModelConfig:
+        return ModelConfig(n_c=self.n_c, mode=self.mode)
 
 
-def build_image_encoder(n_c1: int, rng: Rng, dtype=np.float32) -> Sequential:
-    """Convolutional encoder 32x32x3 -> n_c1 (final activation linear)."""
+def build_image_encoder(n_c: int, rng: Rng, dtype=np.float32) -> Sequential:
+    """Convolutional encoder 32x32x3 -> n_c (final activation linear)."""
     return Sequential([
         Conv2D(3, 8, (3, 3), rng, dtype, name="image_encoder.conv1"),
         ReLU(),
         Conv2D(8, 4, (3, 3), rng, dtype, name="image_encoder.conv2"),
         ReLU(),
-        MaxPool2D(2),
+        MaxPool2D(),
         Dropout(0.1),
         Conv2D(4, 4, (3, 3), rng, dtype, name="image_encoder.conv3"),
         ReLU(),
-        MaxPool2D(2),
+        MaxPool2D(),
         Dropout(0.1),
         Flatten(),
         Dense(144, 128, rng, dtype, name="image_encoder.dense1"),
         ReLU(),
-        Dense(128, n_c1, rng, dtype, name="image_encoder.dense2"),
-    ], name="image_encoder")
+        Dense(128, n_c, rng, dtype, name="image_encoder.dense2"),
+    ])
 
 
-def build_echo_encoder(n_c1: int, n_c2: int, rng: Rng, dtype=np.float32) -> Sequential:
-    """Dense encoder for the reflected signal: n_c1 -> n_c2, hidden width
-    is the floored half-sum of the two output sizes."""
-    hidden = (n_c1 + n_c2) // 2
+def build_echo_encoder(n_c: int, rng: Rng, dtype=np.float32) -> Sequential:
+    """Dense encoder for the reflected signal: n_c -> n_c, every layer n_c
+    wide."""
     return Sequential([
-        Dense(n_c1, n_c1, rng, dtype, name="echo_encoder.dense1"),
+        Dense(n_c, n_c, rng, dtype, name="echo_encoder.dense1"),
         ReLU(),
-        Dense(n_c1, hidden, rng, dtype, name="echo_encoder.dense2"),
+        Dense(n_c, n_c, rng, dtype, name="echo_encoder.dense2"),
         ReLU(),
-        Dense(hidden, n_c2, rng, dtype, name="echo_encoder.dense3"),
-    ], name="echo_encoder")
+        Dense(n_c, n_c, rng, dtype, name="echo_encoder.dense3"),
+    ])
 
 
 def build_decoder(d_in: int, rng: Rng, dtype=np.float32) -> Sequential:
     """Receiver-side classifier d_in -> 2 logits (softmax applied by caller)."""
-    if d_in < 2:
-        raise ConfigError("decoder input must be >= 2")
     return Sequential([
         Dense(d_in, d_in, rng, dtype, name="decoder.dense1"),
         ReLU(),
         Dense(d_in, d_in // 2, rng, dtype, name="decoder.dense2"),
         ReLU(),
         Dense(d_in // 2, 2, rng, dtype, name="decoder.dense3"),
-    ], name="decoder")
+    ])
 
 
 class Pipeline:
@@ -193,8 +190,8 @@ class Pipeline:
     def __init__(self, cfg: ModelConfig, rng: Rng, dtype=np.float32):
         self.cfg = cfg
         self.dtype = dtype
-        self.image_encoder = build_image_encoder(cfg.n_c1, rng, dtype)
-        self.echo_encoder = build_echo_encoder(cfg.n_c1, cfg.n_c2, rng, dtype)
+        self.image_encoder = build_image_encoder(cfg.n_c, rng, dtype)
+        self.echo_encoder = build_echo_encoder(cfg.n_c, rng, dtype)
         self.decoder = build_decoder(cfg.decoder_in, rng, dtype)
         self._norm1 = PowerNormalize()
         self._norm2 = PowerNormalize()
@@ -254,8 +251,8 @@ class Pipeline:
         convolution its input-gradient pass."""
         g_fused = self.decoder.backward(grad_logits)
         if self.cfg.mode == "joint":
-            n1 = self.cfg.n_c1
-            g_yr1, g_yr2 = g_fused[:, :n1], g_fused[:, n1:]
+            n_c = self.cfg.n_c
+            g_yr1, g_yr2 = g_fused[:, :n_c], g_fused[:, n_c:]
         else:
             g_yr1, g_yr2 = None, g_fused
 
@@ -271,12 +268,12 @@ class Pipeline:
 
     def predict(self, x: np.ndarray, label2: np.ndarray,
                 channel_cfg: ChannelConfig, sensing_cfg: SensingConfig,
-                rng: Rng) -> tuple[np.ndarray, np.ndarray]:
+                rng: Rng) -> np.ndarray:
         """Inference pass: dropout disabled, one sampled realization per call.
-        Returns (probs, predicted labels)."""
+        Returns the predicted labels."""
         probs = self.forward(x, label2, channel_cfg, sensing_cfg,
                              rng=rng, training=False)
-        return probs, probs.argmax(axis=1)
+        return probs.argmax(axis=1)
 
 
 def predict_split(pipeline: Pipeline, split: Split, channel_cfg: ChannelConfig,
@@ -286,25 +283,27 @@ def predict_split(pipeline: Pipeline, split: Split, channel_cfg: ChannelConfig,
     rng = Rng(eval_seed)
     out = np.empty(split.n, dtype=np.int64)
     for idx in batch_indices(split.n, EVAL_BATCH, shuffle=False):
-        _, labels_hat = pipeline.predict(split.images(idx), split.label2[idx],
-                                         channel_cfg, sensing_cfg, rng)
-        out[idx] = labels_hat
+        out[idx] = pipeline.predict(split.images(idx), split.label2[idx],
+                                    channel_cfg, sensing_cfg, rng)
     return out
 
 
 def accuracy_on(pipeline: Pipeline, split: Split, channel_cfg: ChannelConfig,
-                sensing_cfg: SensingConfig, eval_seed: int) -> float:
+                sensing_cfg: SensingConfig, eval_seed: int
+                ) -> tuple[float, np.ndarray]:
+    """Accuracy on a split and the predicted labels behind it."""
     preds = predict_split(pipeline, split, channel_cfg, sensing_cfg, eval_seed)
-    return float((preds == split.label2).mean())
+    return float((preds == split.label2).mean()), preds
 
 
 def train(dataset: Dataset, cfg: ExperimentConfig,
-          log_fn=None) -> tuple[Pipeline, list[dict]]:
+          log_fn=None) -> tuple[Pipeline, list[dict], np.ndarray]:
     """Train all three networks jointly.
 
     Each batch draws fresh channel and sensing realizations, runs the full
     forward pass, and applies one Adam step to every parameter. History
-    records per-epoch mean training loss and test accuracy.
+    records per-epoch mean training loss and test accuracy; the last
+    epoch's test predictions are returned too.
     """
     init_rng, shuffle_rng, noise_rng = Rng(cfg.seed).split(3)
     dtype = cfg.np_dtype
@@ -330,8 +329,8 @@ def train(dataset: Dataset, cfg: ExperimentConfig,
                               input_grad=False)
             adam.step()
             losses.append(loss)
-        test_acc = accuracy_on(pipeline, dataset.test, channel_cfg, sensing_cfg,
-                               cfg.eval_seed)
+        test_acc, preds = accuracy_on(pipeline, dataset.test, channel_cfg,
+                                      sensing_cfg, cfg.eval_seed)
         record = {"epoch": epoch,
                   "train_loss": float(np.mean(losses)),
                   "test_accuracy": test_acc}
@@ -339,14 +338,15 @@ def train(dataset: Dataset, cfg: ExperimentConfig,
         if log_fn is not None:
             log_fn(f"epoch {epoch}/{cfg.epochs}  "
                    f"loss={record['train_loss']:.4f}  test_acc={test_acc:.4f}")
-    return pipeline, history
+    return pipeline, history, preds
 
 
 # --- checkpoint format ------------------------------------------------------
 #
 # magic "SCM1", u32 header length, UTF-8 JSON header, then each parameter
 # tensor as little-endian float32 in declaration order. The header carries
-# the model config, tensor names/shapes, and the training seed.
+# the model config, tensor names/shapes, and the training seed. The model
+# config gives the encoder sizes as "n_c1" and "n_c2", which must be equal.
 
 CHECKPOINT_MAGIC = b"SCM1"
 
@@ -354,7 +354,7 @@ CHECKPOINT_MAGIC = b"SCM1"
 def save_checkpoint(pipeline: Pipeline, path: str, seed: int | None = None):
     params = pipeline.params()
     header = {
-        "model": {"n_c1": pipeline.cfg.n_c1, "n_c2": pipeline.cfg.n_c2,
+        "model": {"n_c1": pipeline.cfg.n_c, "n_c2": pipeline.cfg.n_c,
                   "mode": pipeline.cfg.mode},
         "seed": seed,
         "tensors": [{"name": p.name, "shape": list(p.value.shape)} for p in params],
@@ -382,12 +382,16 @@ def load_checkpoint(path: str, dtype=np.float32) -> tuple[Pipeline, dict]:
         try:
             (hlen,) = struct.unpack("<I", fh.read(4))
             header = json.loads(fh.read(hlen).decode("utf-8"))
-            cfg = ModelConfig(**header["model"])
+            model = header["model"]
+            cfg = ModelConfig(n_c=model["n_c1"], mode=model["mode"])
             tensors = [(meta["name"], meta["shape"]) for meta in header["tensors"]]
         except (struct.error, UnicodeDecodeError, json.JSONDecodeError,
                 KeyError, TypeError) as exc:
             raise ConfigError(f"{path}: malformed checkpoint header "
                               f"({type(exc).__name__}: {exc})") from None
+        if model != {"n_c1": cfg.n_c, "n_c2": cfg.n_c, "mode": cfg.mode}:
+            raise ConfigError(f"{path}: model {model} is not two encoders of "
+                              "one size n_c1 = n_c2")
         pipeline = Pipeline(cfg, Rng(0), dtype)
         params = pipeline.params()
         if len(tensors) != len(params):

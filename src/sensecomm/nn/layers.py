@@ -192,16 +192,14 @@ class MaxPool2D(Layer):
     position gets ``g * 0``, which is -0.0 where ``g`` is negative.
     """
 
-    def __init__(self, pool: int = 2):
-        self.pool = pool
+    def __init__(self):
         self._x: np.ndarray | None = None
         self._out: np.ndarray | None = None
 
     def _quarters(self, a: np.ndarray) -> list[np.ndarray]:
         """Strided views of ``a``, one per window position, row-major."""
-        p = self.pool
-        ho, wo = a.shape[1] // p, a.shape[2] // p
-        return [a[:, i:ho * p:p, j:wo * p:p, :] for i in range(p) for j in range(p)]
+        ho, wo = a.shape[1] // 2, a.shape[2] // 2
+        return [a[:, i:ho * 2:2, j:wo * 2:2, :] for i in range(2) for j in range(2)]
 
     def forward(self, x, training=False, rng=None):
         if x.ndim != 4:
@@ -288,9 +286,8 @@ class Flatten(Layer):
 class Sequential:
     """Straight-line stack of layers sharing one forward/backward interface."""
 
-    def __init__(self, layers: list[Layer], name: str = ""):
+    def __init__(self, layers: list[Layer]):
         self.layers = layers
-        self.name = name
 
     def forward(self, x, training=False, rng=None):
         for layer in self.layers:

@@ -7,28 +7,27 @@ import numpy as np
 from ..errors import DivergenceError
 from .layers import Param
 
+LR = 0.001
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-7
+
 
 class Adam:
     """Standard Adam. Moments are kept per parameter in the parameter dtype;
-    the update is p -= lr * m_hat / (sqrt(v_hat) + eps).
+    the update is p -= LR * m_hat / (sqrt(v_hat) + EPS).
     """
 
-    def __init__(self, params: list[Param], lr: float = 0.001,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-7):
+    def __init__(self, params: list[Param]):
         self.params = params
-        self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p.value) for p in params]
         self.v = [np.zeros_like(p.value) for p in params]
 
     def step(self):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
-        bc1 = 1.0 - b1 ** self.t
-        bc2 = 1.0 - b2 ** self.t
+        bc1 = 1.0 - BETA1 ** self.t
+        bc2 = 1.0 - BETA2 ** self.t
         for i, p in enumerate(self.params):
             g = p.grad
             if g is None:
@@ -36,8 +35,8 @@ class Adam:
             if not np.all(np.isfinite(g)):
                 raise DivergenceError(
                     f"non-finite gradient in {p.name} at step {self.t}")
-            self.m[i] = b1 * self.m[i] + (1.0 - b1) * g
-            self.v[i] = b2 * self.v[i] + (1.0 - b2) * (g * g)
+            self.m[i] = BETA1 * self.m[i] + (1.0 - BETA1) * g
+            self.v[i] = BETA2 * self.v[i] + (1.0 - BETA2) * (g * g)
             m_hat = self.m[i] / bc1
             v_hat = self.v[i] / bc2
-            p.value -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.value -= LR * m_hat / (np.sqrt(v_hat) + EPS)

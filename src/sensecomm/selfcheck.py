@@ -90,8 +90,6 @@ class GradCheckReport:
 def _coords(size: int, max_coords: int | None, rng: Rng | None) -> np.ndarray:
     if max_coords is None or size <= max_coords:
         return np.arange(size)
-    if rng is None:
-        rng = Rng(0)
     return np.sort(rng.permutation(size)[:max_coords])
 
 
@@ -172,8 +170,7 @@ def _pipeline(mode: str, kind: str, seed: int = 101) -> GradCheckReport:
     meaningless where the function is non-differentiable.
     """
     rng = Rng(seed)
-    pipeline = Pipeline(ModelConfig(n_c1=4, n_c2=4, mode=mode), rng,
-                        dtype=np.float64)
+    pipeline = Pipeline(ModelConfig(n_c=4, mode=mode), rng, dtype=np.float64)
     x = rng.uniform(0.0, 1.0, size=(2, 32, 32, 3))
     labels = np.array([0, 1])
     onehot = one_hot(labels, 2)
@@ -203,7 +200,7 @@ def run_gradient_checks() -> list[tuple[str, GradCheckReport]]:
         ("conv2d_6x6x2",
          _layer(lambda rng: Conv2D(2, 3, (3, 3), rng, dtype=np.float64),
                 (2, 6, 6, 2), 12)),
-        ("maxpool_2x2", _layer(lambda rng: MaxPool2D(2), (2, 4, 4, 2), 13)),
+        ("maxpool_2x2", _layer(lambda rng: MaxPool2D(), (2, 4, 4, 2), 13)),
         ("relu", _layer(lambda rng: ReLU(), (2, 12), 14)),
         ("flatten", _layer(lambda rng: Flatten(), (2, 3, 4, 2), 15)),
         ("dropout_frozen_mask",

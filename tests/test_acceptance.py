@@ -196,14 +196,14 @@ def test_c09_oracle_equivalence():
         h, w = int(rng.integers(2, 8)), int(rng.integers(2, 8))
         x = np.maximum(np.round(rng.standard_normal((2, h, w, 3))), 0)
         g = rng.standard_normal((2, h // 2, w // 2, 3))
-        layer = MaxPool2D(2)
+        layer = MaxPool2D()
         out, gx = maxpool_oracle(x, g)
         assert np.array_equal(layer.forward(x), out)
         assert np.array_equal(layer.backward(g), gx)
 
     p = Param(np.array([1.0]))
     p.grad = np.array([1.0])
-    Adam([p], lr=0.001).step()
+    Adam([p]).step()
     expected, _, _ = hand_adam_step(1.0, 1.0)
     assert abs(p.value[0] - expected) < 1e-10
 

@@ -101,7 +101,7 @@ class TestTrainEval:
     def test_checkpoint_is_loadable(self, train_run):
         _, out = train_run
         pipeline, header = load_checkpoint(out / "checkpoint.bin")
-        assert pipeline.cfg.n_c1 == 4
+        assert pipeline.cfg.n_c == 4
         assert header["seed"] == 5
 
     def test_eval_subcommand(self, train_run, fake_cifar_dir, tmp_path):
@@ -136,8 +136,10 @@ class TestTrainEval:
         None,
         checkpoint_head(b'{"model": {"n_c1": 4.0, "n_c2": 4, "mode": "joint"}, '
                         b'"tensors": []}'),
+        checkpoint_head(b'{"model": {"n_c1": 4, "n_c2": 6, "mode": "joint"}, '
+                        b'"tensors": []}'),
     ], ids=["five-bytes", "non-utf8-header", "no-model-key", "missing-file",
-            "float-n_c1"])
+            "float-n_c1", "unequal-sizes"])
     def test_bad_checkpoint_fails_before_load(self, content, fake_cifar_dir,
                                               tmp_path, capsys, corpus_loads):
         ckpt = tmp_path / "checkpoint.bin"
@@ -225,8 +227,16 @@ class TestConfigFile:
         ("run.json", '{"mode": "bogus"}'),
         ("run.json", '{"comm_snr_db": NaN}'),
         ("run.cfg", "sensing_snr_db=inf\n"),
+        ("run.json", '{"comm_snr_db": 1' + "0" * 400 + "}"),
+        ("run.json", '{"epochs": true}'),
+        ("run.json", '{"points": [4, 8]}'),
+        ("run.cfg", "epoch=1\n"),
+        ("run.cfg", "config=other.cfg\n"),
+        ("run.cfg", "output_size=1\nmode=sensing-only\n"),
     ], ids=["format-xml", "epochs-abc", "epochs-float", "mode-bogus",
-            "comm-snr-nan", "sensing-snr-inf"])
+            "comm-snr-nan", "sensing-snr-inf", "comm-snr-huge-int",
+            "epochs-true", "points-list", "prefix-key", "config-key",
+            "size-1-sensing-only"])
     def test_bad_value_fails_before_load(self, name, text, fake_cifar_dir,
                                          tmp_path, capsys, corpus_loads):
         cfg = tmp_path / name
@@ -280,11 +290,13 @@ class TestSweepCommand:
         ("sweep-output-size", "4,-2"),
         ("sweep-comm-snr", "nan"),
         ("sweep-sensing-snr", "-inf"),
-    ], ids=["size-0", "size-negative", "comm-snr-nan", "sensing-snr-inf"])
+        ("sweep-output-size", "4,1"),
+    ], ids=["size-0", "size-negative", "comm-snr-nan", "sensing-snr-inf",
+            "size-1"])
     def test_bad_point_fails_before_load(self, command, points, fake_cifar_dir,
                                          tmp_path, capsys, corpus_loads):
-        """Every point's config is built and checked before the corpus
-        loads."""
+        """Every training's config is built and checked before the corpus
+        loads; size 1 is too small for the sensing-only decoder alone."""
         out = tmp_path / "out"
         code = exit_code([command, "--data-dir", str(fake_cifar_dir),
                           f"--points={points}",

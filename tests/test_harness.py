@@ -6,9 +6,11 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
+from sensecomm import harness, models
 from sensecomm.dataset import synthetic_dataset
 from sensecomm.errors import ConfigError
 from sensecomm.harness import (
+    SWEEPS,
     ExperimentConfig,
     Metrics,
     SweepResult,
@@ -81,6 +83,22 @@ class TestRunExperiment:
         again = evaluate(pipeline, micro_corpus.test, tiny_experiment())
         assert asdict(again) == result["metrics"]
 
+    def test_test_split_predicted_once_per_epoch(self, micro_corpus,
+                                                 monkeypatch):
+        """The metrics reuse the last epoch's predictions instead of
+        predicting the test split once more."""
+        calls = []
+        real = models.predict_split
+
+        def counted(*args):
+            calls.append(args[1].n)
+            return real(*args)
+
+        monkeypatch.setattr(models, "predict_split", counted)
+        monkeypatch.setattr(harness, "predict_split", counted)
+        run_experiment(replace(tiny_experiment(), epochs=3), micro_corpus)
+        assert calls == [micro_corpus.test.n] * 3
+
     def test_rerun_is_byte_identical(self, micro_corpus):
         _, a = run_experiment(tiny_experiment(), micro_corpus)
         _, b = run_experiment(tiny_experiment(), micro_corpus)
@@ -88,6 +106,12 @@ class TestRunExperiment:
 
 
 class TestRunSweep:
+    def test_configs_cover_every_training(self):
+        """One config per point and mode, in the order the trainings run."""
+        configs = SWEEPS["output_size"].configs(tiny_experiment(), [4, 6])
+        assert [(c.n_c, c.mode) for c in configs] == [
+            (4, "joint"), (4, "sensing_only"), (6, "joint"), (6, "sensing_only")]
+
     @pytest.mark.parametrize("cpus", [1, 3])
     def test_pool_matches_serial_loop(self, cpus, micro_corpus, monkeypatch):
         """Bytes and log order equal a serial loop's, whatever the number
@@ -179,7 +203,7 @@ class TestExperimentConfig:
         assert cfg.channel().snr_db == 3.0
         assert cfg.sensing().vehicle_snr_db == -3.0
         assert cfg.model().decoder_in == 20
-        assert cfg.model("joint").decoder_in == 40
+        assert replace(cfg, mode="joint").model().decoder_in == 40
         assert cfg.np_dtype is np.float32
 
     @pytest.mark.parametrize("bad", [

@@ -258,12 +258,12 @@ class TestConv2D:
 
 class TestMaxPool:
     def test_single_window(self):
-        layer = MaxPool2D(2)
+        layer = MaxPool2D()
         x = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 2, 2, 1)
         assert layer.forward(x).reshape(-1) == pytest.approx([4.0])
 
     def test_constant_ties_route_to_first(self):
-        layer = MaxPool2D(2)
+        layer = MaxPool2D()
         x = np.full((1, 4, 4, 1), 7.0)
         out = layer.forward(x)
         assert np.all(out == 7.0)
@@ -273,12 +273,12 @@ class TestMaxPool:
         assert np.array_equal(g, expected)
 
     def test_shape_28_to_14(self):
-        layer = MaxPool2D(2)
+        layer = MaxPool2D()
         out = layer.forward(np.zeros((3, 28, 28, 4), dtype=np.float32))
         assert out.shape == (3, 14, 14, 4)
 
     def test_odd_input_truncates(self):
-        layer = MaxPool2D(2)
+        layer = MaxPool2D()
         x = np.arange(25, dtype=np.float64).reshape(1, 5, 5, 1)
         out = layer.forward(x)
         assert out.shape == (1, 2, 2, 1)
@@ -290,7 +290,7 @@ class TestMaxPool:
     def test_every_tie_pattern_matches_loop_oracle(self, dtype):
         x = tie_pattern_batch(dtype)
         g = (np.arange(15 * 3, dtype=dtype).reshape(15, 1, 1, 3) - 20.0) / 7
-        layer = MaxPool2D(2)
+        layer = MaxPool2D()
         out = layer.forward(x)
         want_out, want_gx = maxpool_oracle(x, g)
         assert np.array_equal(out, want_out)
@@ -303,14 +303,14 @@ class TestMaxPool:
         x = np.maximum(np.round(rng.standard_normal(shape)), 0).astype(dtype)
         g = rng.standard_normal((shape[0], shape[1] // 2, shape[2] // 2,
                                  shape[3])).astype(dtype)
-        layer = MaxPool2D(2)
+        layer = MaxPool2D()
         out = layer.forward(x)
         want_out, want_gx = maxpool_oracle(x, g)
         assert np.array_equal(out, want_out)
         assert np.array_equal(layer.backward(g), want_gx)
 
     def test_gradient_goes_to_argmax(self):
-        layer = MaxPool2D(2)
+        layer = MaxPool2D()
         x = np.array([[1.0, 5.0], [2.0, 3.0]]).reshape(1, 2, 2, 1)
         layer.forward(x)
         g = layer.backward(np.full((1, 1, 1, 1), 4.0))

@@ -56,7 +56,7 @@ class TestAdam:
     def test_single_step_matches_hand_evaluation(self):
         p = Param(np.array([1.0]))
         p.grad = np.array([1.0])
-        Adam([p], lr=0.001).step()
+        Adam([p]).step()
         expected, _, _ = hand_adam_step(1.0, 1.0)
         assert abs(p.value[0] - expected) < 1e-10
         # first-step magnitude is ~lr for a unit gradient
@@ -64,13 +64,13 @@ class TestAdam:
 
     def test_multi_step_matches_hand_evaluation(self):
         p = Param(np.array([0.5]))
-        opt = Adam([p], lr=0.01)
+        opt = Adam([p])
         ref, m, v = 0.5, 0.0, 0.0
         for t in range(1, 6):
             g = 0.3 * t
             p.grad = np.array([g])
             opt.step()
-            ref, m, v = hand_adam_step(ref, g, lr=0.01, t=t, m=m, v=v)
+            ref, m, v = hand_adam_step(ref, g, t=t, m=m, v=v)
             assert abs(p.value[0] - ref) < 1e-10
 
     def test_identical_params_stay_identical(self):

@@ -60,20 +60,9 @@ class TestBuilders:
         assert final.w.value.size + final.b.value.size == 128 * 4 + 4
 
     def test_echo_encoder_default_widths(self):
-        net = build_echo_encoder(20, 20, Rng(0))
+        net = build_echo_encoder(20, Rng(0))
         dense = [l for l in net.layers if isinstance(l, Dense)]
         assert [(d.w.value.shape) for d in dense] == [(20, 20), (20, 20), (20, 20)]
-
-    def test_echo_encoder_hidden_half_sum(self):
-        net = build_echo_encoder(20, 10, Rng(0))
-        dense = [l for l in net.layers if isinstance(l, Dense)]
-        assert dense[1].w.value.shape == (20, 15)
-
-    def test_echo_encoder_floors_odd_half_sum(self):
-        net = build_echo_encoder(3, 4, Rng(0))
-        dense = [l for l in net.layers if isinstance(l, Dense)]
-        assert dense[1].w.value.shape == (3, 3)
-        assert dense[2].w.value.shape == (3, 4)
 
     def test_decoder_joint_widths(self):
         net = build_decoder(40, Rng(0))
@@ -87,16 +76,19 @@ class TestBuilders:
 
     def test_bad_configs(self):
         with pytest.raises(ConfigError):
-            ModelConfig(0, 4, "joint")
+            ModelConfig(0, "joint")
         with pytest.raises(ConfigError):
-            ModelConfig(4, 4, "both")
+            ModelConfig(4, "both")
+        with pytest.raises(ConfigError, match="decoder input"):
+            ModelConfig(1, "sensing_only")
+        assert ModelConfig(1, "joint").decoder_in == 2
         with pytest.raises(ConfigError):
             ExperimentConfig(epochs=0)
 
 
 class TestPipelineForward:
     def test_joint_decoder_input_width(self):
-        pipe = Pipeline(ModelConfig(20, 20, "joint"), Rng(1))
+        pipe = Pipeline(ModelConfig(20, "joint"), Rng(1))
         assert pipe.decoder.layers[0].w.value.shape == (40, 40)
         x = Rng(2).uniform(size=(3, 32, 32, 3)).astype(np.float32)
         probs = pipe.forward(x, np.array([0, 1, 0]), AWGN, SENSING, rng=Rng(3))
@@ -104,7 +96,7 @@ class TestPipelineForward:
         assert np.max(np.abs(probs.sum(axis=1) - 1.0)) < 1e-6
 
     def test_sensing_only_decoder_input_width(self):
-        pipe = Pipeline(ModelConfig(20, 20, "sensing_only"), Rng(1))
+        pipe = Pipeline(ModelConfig(20, "sensing_only"), Rng(1))
         assert pipe.decoder.layers[0].w.value.shape == (20, 20)
         x = Rng(2).uniform(size=(3, 32, 32, 3)).astype(np.float32)
         probs = pipe.forward(x, np.array([0, 1, 0]), AWGN, SENSING, rng=Rng(3))
@@ -113,7 +105,7 @@ class TestPipelineForward:
     def test_noiseless_pipeline_is_deterministic_composition(self):
         # infinite SNR and zero offset: different channel draws give the
         # same output, which equals running the encoders/decoder directly
-        pipe = Pipeline(ModelConfig(8, 8, "joint"), Rng(4), dtype=np.float64)
+        pipe = Pipeline(ModelConfig(8, "joint"), Rng(4), dtype=np.float64)
         channel = ChannelConfig("awgn", np.inf)
         sensing = SensingConfig(np.inf, 0.0)
         x = Rng(5).uniform(size=(2, 32, 32, 3))
@@ -123,21 +115,21 @@ class TestPipelineForward:
         assert np.array_equal(p1, p2)
 
     def test_same_seed_shares_image_encoder_init(self):
-        joint = Pipeline(ModelConfig(20, 20, "joint"), Rng(11))
-        sensing = Pipeline(ModelConfig(20, 20, "sensing_only"), Rng(11))
+        joint = Pipeline(ModelConfig(20, "joint"), Rng(11))
+        sensing = Pipeline(ModelConfig(20, "sensing_only"), Rng(11))
         for pj, ps in zip(joint.image_encoder.params(), sensing.image_encoder.params()):
             assert np.array_equal(pj.value, ps.value)
         for pj, ps in zip(joint.echo_encoder.params(), sensing.echo_encoder.params()):
             assert np.array_equal(pj.value, ps.value)
 
     def test_predict_contract(self):
-        pipe = Pipeline(ModelConfig(6, 6, "joint"), Rng(12))
+        pipe = Pipeline(ModelConfig(6, "joint"), Rng(12))
         x = Rng(13).uniform(size=(4, 32, 32, 3)).astype(np.float32)
         labels = np.array([0, 1, 1, 0])
-        probs, hat = pipe.predict(x, labels, AWGN, SENSING, Rng(14))
-        probs2, hat2 = pipe.predict(x, labels, AWGN, SENSING, Rng(14))
+        hat = pipe.predict(x, labels, AWGN, SENSING, Rng(14))
+        hat2 = pipe.predict(x, labels, AWGN, SENSING, Rng(14))
+        probs = pipe.forward(x, labels, AWGN, SENSING, rng=Rng(14))
         assert np.array_equal(hat, hat2)
-        assert np.array_equal(probs, probs2)
         assert np.array_equal(hat, probs.argmax(axis=1))
         assert np.all((probs >= 0) & (probs <= 1))
 
@@ -148,7 +140,7 @@ class TestPipelineForward:
         ds = synthetic_dataset(64, 8, seed=20)
         losses = []
         for seed in (21, 22, 23):
-            pipe = Pipeline(ModelConfig(20, 20, "joint"), Rng(seed))
+            pipe = Pipeline(ModelConfig(20, "joint"), Rng(seed))
             probs = pipe.forward(ds.train.images(), ds.train.label2, AWGN,
                                  SENSING, rng=Rng(seed + 100), training=True)
             losses.append(cross_entropy(probs, one_hot(ds.train.label2, 2)))
@@ -159,7 +151,7 @@ class TestPipelineForward:
 class TestPipelineBackward:
     @pytest.mark.parametrize("mode", ["joint", "sensing_only"])
     def test_input_grad_flag_leaves_param_grads_bitwise(self, mode):
-        pipe = Pipeline(ModelConfig(6, 6, mode), Rng(15))
+        pipe = Pipeline(ModelConfig(6, mode), Rng(15))
         x = Rng(16).uniform(size=(4, 32, 32, 3)).astype(np.float32)
         labels = np.array([0, 1, 1, 0])
         probs = pipe.forward(x, labels, AWGN, SENSING, rng=Rng(17))
@@ -178,17 +170,18 @@ class TestTraining:
         ds = synthetic_dataset(192, 64, seed=30)
         cfg = ExperimentConfig("awgn", 3.0, -3.0, 6.0, n_c=4, epochs=1,
                                batch_size=64, seed=9, eval_seed=99, mode="joint")
-        pipe_a, hist_a = train(ds, cfg)
-        pipe_b, hist_b = train(ds, cfg)
+        pipe_a, hist_a, preds_a = train(ds, cfg)
+        pipe_b, hist_b, preds_b = train(ds, cfg)
         for pa, pb in zip(pipe_a.params(), pipe_b.params()):
             assert np.array_equal(pa.value, pb.value), pa.name
         assert hist_a == hist_b
+        assert np.array_equal(preds_a, preds_b)
 
     def test_adam_step_count(self):
         ds = synthetic_dataset(130, 32, seed=31)  # 3 batches of 64 -> 2+ partial
         cfg = ExperimentConfig("awgn", 3.0, -3.0, 6.0, n_c=4, epochs=2,
                                batch_size=64, seed=1, eval_seed=2, mode="joint")
-        pipe, hist = train(ds, cfg)
+        pipe, hist, _ = train(ds, cfg)
         assert len(hist) == 2
         # epochs * ceil(130/64) batches each
         assert [h["epoch"] for h in hist] == [1, 2]
@@ -226,20 +219,30 @@ def rewrite_checkpoint(path, edit_header=None, payload_end=None, extra=b""):
 
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
-        pipe = Pipeline(ModelConfig(6, 6, "joint"), Rng(40))
+        pipe = Pipeline(ModelConfig(6, "joint"), Rng(40))
         path = tmp_path / "model.bin"
         save_checkpoint(pipe, path, seed=7)
         loaded, header = load_checkpoint(path)
         assert header["seed"] == 7
         assert loaded.cfg.mode == "joint"
-        assert loaded.cfg.n_c1 == 6
+        assert loaded.cfg.n_c == 6
         for a, b in zip(pipe.params(), loaded.params()):
             assert np.array_equal(a.value.astype(np.float32), b.value)
         x = Rng(41).uniform(size=(2, 32, 32, 3)).astype(np.float32)
         labels = np.array([0, 1])
-        p_orig, _ = pipe.predict(x, labels, AWGN, SENSING, Rng(42))
-        p_load, _ = loaded.predict(x, labels, AWGN, SENSING, Rng(42))
+        p_orig = pipe.forward(x, labels, AWGN, SENSING, rng=Rng(42))
+        p_load = loaded.forward(x, labels, AWGN, SENSING, rng=Rng(42))
         assert np.allclose(p_orig, p_load, atol=1e-7)
+
+    def test_header_is_pinned(self, tmp_path):
+        """The on-disk header of a 4-symbol joint model: both encoder sizes
+        are written, as in every checkpoint so far."""
+        path = tmp_path / "model.bin"
+        save_checkpoint(Pipeline(ModelConfig(4, "joint"), Rng(7)), path, seed=7)
+        blob = path.read_bytes()
+        (hlen,) = struct.unpack("<I", blob[4:8])
+        assert blob[:4] == b"SCM1"
+        assert blob[8:8 + hlen].decode() == GOLDEN_HEADER
 
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "bogus.bin"
@@ -248,7 +251,7 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_truncated_payload_rejected(self, tmp_path):
-        pipe = Pipeline(ModelConfig(4, 4, "sensing_only"), Rng(43))
+        pipe = Pipeline(ModelConfig(4, "sensing_only"), Rng(43))
         path = tmp_path / "model.bin"
         save_checkpoint(pipe, path)
         blob = path.read_bytes()
@@ -259,7 +262,7 @@ class TestCheckpoint:
     @pytest.fixture
     def saved(self, tmp_path):
         path = tmp_path / "model.bin"
-        save_checkpoint(Pipeline(ModelConfig(4, 4, "joint"), Rng(44)), path)
+        save_checkpoint(Pipeline(ModelConfig(4, "joint"), Rng(44)), path)
         return path
 
     def test_missing_tensor_rejected(self, saved):
@@ -277,7 +280,38 @@ class TestCheckpoint:
         with pytest.raises(ConfigError, match="conv9"):
             load_checkpoint(saved)
 
+    def test_unequal_encoder_sizes_rejected(self, saved):
+        rewrite_checkpoint(saved, lambda h: h["model"].update(n_c2=6))
+        with pytest.raises(ConfigError, match="one size"):
+            load_checkpoint(saved)
+
     def test_trailing_bytes_rejected(self, saved):
         rewrite_checkpoint(saved, extra=b"\x00" * 4)
         with pytest.raises(ConfigError, match="trailing"):
             load_checkpoint(saved)
+
+
+GOLDEN_HEADER = (
+    '{"model": {"mode": "joint", "n_c1": 4, "n_c2": 4}, "seed": 7, "tensors": ['
+    '{"name": "image_encoder.conv1.w", "shape": [3, 3, 3, 8]}, '
+    '{"name": "image_encoder.conv1.b", "shape": [8]}, '
+    '{"name": "image_encoder.conv2.w", "shape": [3, 3, 8, 4]}, '
+    '{"name": "image_encoder.conv2.b", "shape": [4]}, '
+    '{"name": "image_encoder.conv3.w", "shape": [3, 3, 4, 4]}, '
+    '{"name": "image_encoder.conv3.b", "shape": [4]}, '
+    '{"name": "image_encoder.dense1.w", "shape": [144, 128]}, '
+    '{"name": "image_encoder.dense1.b", "shape": [128]}, '
+    '{"name": "image_encoder.dense2.w", "shape": [128, 4]}, '
+    '{"name": "image_encoder.dense2.b", "shape": [4]}, '
+    '{"name": "echo_encoder.dense1.w", "shape": [4, 4]}, '
+    '{"name": "echo_encoder.dense1.b", "shape": [4]}, '
+    '{"name": "echo_encoder.dense2.w", "shape": [4, 4]}, '
+    '{"name": "echo_encoder.dense2.b", "shape": [4]}, '
+    '{"name": "echo_encoder.dense3.w", "shape": [4, 4]}, '
+    '{"name": "echo_encoder.dense3.b", "shape": [4]}, '
+    '{"name": "decoder.dense1.w", "shape": [8, 8]}, '
+    '{"name": "decoder.dense1.b", "shape": [8]}, '
+    '{"name": "decoder.dense2.w", "shape": [8, 4]}, '
+    '{"name": "decoder.dense2.b", "shape": [4]}, '
+    '{"name": "decoder.dense3.w", "shape": [4, 2]}, '
+    '{"name": "decoder.dense3.b", "shape": [2]}]}')

@@ -40,7 +40,7 @@ def test_install_wraps_every_target_and_uninstall_restores():
         tracer.install()
         for (owner, attr), original in before.items():
             assert getattr(owner, attr) is not original, f"{owner}.{attr}"
-        pipe = Pipeline(ModelConfig(4, 4, "joint"), Rng(0))
+        pipe = Pipeline(ModelConfig(4, "joint"), Rng(0))
         pipe.forward(Rng(1).uniform(size=(2, 32, 32, 3)), np.array([0, 1]),
                      ChannelConfig("rayleigh", 3.0), SensingConfig(-3.0, 6.0),
                      rng=Rng(2))

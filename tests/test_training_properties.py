@@ -33,7 +33,7 @@ def run_once(ds, mode, kind="awgn", comm=3.0, veh=-3.0, off=6.0, seed=3,
     cfg = ExperimentConfig(kind, comm, veh, off, n_c=nc, mode=mode,
                            epochs=epochs, batch_size=64, seed=seed,
                            eval_seed=EVAL_SEED)
-    pipeline, history = train(ds, cfg)
+    pipeline, history, _ = train(ds, cfg)
     preds = predict_split(pipeline, ds.test, cfg.channel(), cfg.sensing(), EVAL_SEED)
     return metrics_from_predictions(ds.test.label2, preds, nc), history
 
