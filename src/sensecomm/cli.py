@@ -10,7 +10,8 @@ JSON or ``key=value`` lines) sets the same options, keyed by flag name with
 ``_`` for ``-``: its entries are parsed as ``--key=value`` flags ahead of
 the command line's, so flags on the command line win. A flag has one
 spelling; abbreviations are not taken. Bad input exits 2 with one
-``error:`` line before the corpus loads.
+``error:`` line before the corpus loads. ``eval`` takes the output size
+and mode from the checkpoint; either flag, when given, must agree with it.
 """
 
 from __future__ import annotations
@@ -65,16 +66,20 @@ def _choice(raw: str) -> str:
     return raw.replace("-", "_")
 
 
-def _add_common_flags(p: argparse.ArgumentParser):
+def _add_common_flags(p: argparse.ArgumentParser, from_checkpoint=()):
+    """The flags every experiment command takes. A field named in
+    ``from_checkpoint`` defaults to None, "not given": the checkpoint sets it."""
     p.add_argument("--data-dir",
                    help="directory with the CIFAR-10 binary batch files")
     for f in fields(ExperimentConfig):
         flag, choices = f.metadata["flag"], f.metadata["choices"]
-        p.add_argument(flag, dest=f.name, default=f.default,
+        saved = f.name in from_checkpoint
+        p.add_argument(flag, dest=f.name, default=None if saved else f.default,
                        type=_choice if choices else type(f.default),
                        choices=choices,
                        metavar=None if choices else flag[2:].replace("-", "_").upper(),
-                       help=f"{f.metadata['help']} (default: %(default)s)")
+                       help=f"{f.metadata['help']} (default: "
+                            f"{'the checkpoint' if saved else '%(default)s'})")
     p.add_argument("--out", default="runs",
                    help="output directory")
     p.add_argument("--config", help="JSON or key=value file; flags override it")
@@ -92,8 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="train one model and report metrics")
     p_eval = sub.add_parser("eval", help="evaluate a saved checkpoint")
-    for p in (p_train, p_eval):
-        _add_common_flags(p)
+    for p, from_checkpoint in ((p_train, ()), (p_eval, ("n_c", "mode"))):
+        _add_common_flags(p, from_checkpoint)
         # a sweep always writes both report formats
         p.add_argument("--format", choices=["json", "csv"],
                        default="json")
@@ -161,10 +166,16 @@ def parse_args(argv=None) -> argparse.Namespace:
         if args.config:
             args = parser.parse_args(
                 [args.command, *_config_tokens(args.config), *argv[1:]])
-        args.cfg = ExperimentConfig(
-            **{f.name: getattr(args, f.name) for f in fields(ExperimentConfig)})
+        args.cfg = ExperimentConfig(**{
+            f.name: getattr(args, f.name) for f in fields(ExperimentConfig)
+            if getattr(args, f.name) is not None})
     except (ConfigError, OSError, UnicodeDecodeError) as exc:
         parser.error(str(exc))
+    existing = os.path.abspath(args.out)  # its nearest existing ancestor
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        parser.error(f"--out {args.out}: {existing} is not a directory")
     return args
 
 
@@ -219,6 +230,10 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     _require(args, "checkpoint")
     pipeline, header = load_checkpoint(args.checkpoint, args.cfg.np_dtype)
+    for name, flag in (("n_c", "--output-size"), ("mode", "--mode")):
+        given, saved = getattr(args, name), getattr(pipeline.cfg, name)
+        if given is not None and given != saved:
+            args.parser.error(f"{flag} {given} differs from the checkpoint's {saved}")
     cfg = replace(args.cfg, n_c=pipeline.cfg.n_c, mode=pipeline.cfg.mode)
     dataset = _load_data(args)
     started = time.monotonic()

@@ -3,8 +3,9 @@
 Reads the public binary distribution: five training files plus one test
 file, each exactly 10,000 records of 3,073 bytes (1 label byte, then 3,072
 pixel bytes channel-planar R, G, B, row-major within each plane). Pixels
-stay resident as those bytes and are normalized to [0, 1] by /255 one
-batch at a time.
+stay resident as those bytes. A batch leaves a split in the form the
+network takes: C-contiguous channels-last float32 images in [0, 1] and
+int64 labels, 1 for vehicle and 0 for animal.
 
 The ten original classes collapse to two: airplane, automobile, ship and
 truck become "vehicle" (label 1, a potential transmitter); the six animal
@@ -30,7 +31,7 @@ IMAGE_SHAPE = (32, 32, 3)
 SOURCE_DIM = 32 * 32 * 3
 
 VEHICLE_CLASSES = frozenset({0, 1, 8, 9})  # airplane, automobile, ship, truck
-ANIMAL, VEHICLE = 0, 1
+
 
 def relabel_binary_array(label10: np.ndarray) -> np.ndarray:
     label10 = np.asarray(label10)
@@ -44,22 +45,22 @@ class Split:
     """One dataset split as parallel arrays."""
     pixels: np.ndarray   # (N, 32, 32, 3) uint8, the raw bytes
     label2: np.ndarray   # (N,) int64, vehicle=1 / animal=0
-    label10: np.ndarray  # (N,) int64, original class id
 
     @property
     def n(self) -> int:
         return self.pixels.shape[0]
 
     def images(self, idx=slice(None)) -> np.ndarray:
-        """The samples at ``idx`` as float32 in [0, 1]. The division is in
-        float32, so a batch holds bitwise the values that converting the
-        whole corpus with ``astype(np.float32) / 255.0`` would give."""
-        return np.divide(self.pixels[idx], 255.0, dtype=np.float32)
+        """The samples at ``idx`` as a C-contiguous float32 batch in [0, 1],
+        whatever the layout of ``pixels``. The division is in float32, so a
+        batch holds bitwise the values that converting the whole corpus with
+        ``astype(np.float32) / 255.0`` would give."""
+        return np.divide(self.pixels[idx], 255.0, dtype=np.float32, order="C")
 
     def subset(self, limit: int | None) -> "Split":
         if limit is None or limit >= self.n:
             return self
-        return Split(self.pixels[:limit], self.label2[:limit], self.label10[:limit])
+        return Split(self.pixels[:limit], self.label2[:limit])
 
 
 @dataclass
@@ -88,14 +89,15 @@ def _read_batch_file(path: str) -> tuple[np.ndarray, np.ndarray]:
 def _build_split(files: list[str]) -> Split:
     # Filled one file at a time, so loading peaks at the split plus one
     # file. The memory stays channel-planar as on disk, which makes each
-    # fill a plain copy; batches gathered from it come out in that layout.
+    # fill a plain copy; ``Split.images`` hands batches out in C order.
     n = RECORDS_PER_FILE
     pixels = np.empty((len(files) * n, 3, 32, 32), dtype=np.uint8).transpose(0, 2, 3, 1)
-    label10 = np.empty(len(files) * n, dtype=np.int64)
+    label2 = np.empty(len(files) * n, dtype=np.int64)
     for i, path in enumerate(files):
         rows = slice(i * n, (i + 1) * n)
-        pixels[rows], label10[rows] = _read_batch_file(path)
-    return Split(pixels=pixels, label2=relabel_binary_array(label10), label10=label10)
+        pixels[rows], label10 = _read_batch_file(path)
+        label2[rows] = relabel_binary_array(label10)
+    return Split(pixels=pixels, label2=label2)
 
 
 def load_cifar10(directory: str) -> Dataset:
@@ -139,13 +141,6 @@ def synthetic_dataset(n_train: int, n_test: int, seed: int = 0) -> Dataset:
                 padded = np.pad(img, 2, mode="edge")
                 win = np.lib.stride_tricks.sliding_window_view(padded, (5, 5))
                 imgs[i, :, :, c] = (win * kernel).sum(axis=(2, 3))
-        vehicle_ids = np.array(sorted(VEHICLE_CLASSES))
-        animal_ids = np.array(sorted(set(range(10)) - VEHICLE_CLASSES))
-        labels10 = np.where(
-            labels2 == 1,
-            vehicle_ids[rng.integers(0, len(vehicle_ids), size=n)],
-            animal_ids[rng.integers(0, len(animal_ids), size=n)])
-        return Split(pixels=np.rint(imgs * 255).astype(np.uint8),
-                     label2=labels2, label10=labels10)
+        return Split(pixels=np.rint(imgs * 255).astype(np.uint8), label2=labels2)
 
     return Dataset(train=make(n_train), test=make(n_test))

@@ -41,7 +41,6 @@ from .nn import (
     Sequential,
     cross_entropy,
     cross_entropy_logit_grad,
-    one_hot,
     softmax,
 )
 from .rng import Rng
@@ -306,9 +305,8 @@ def train(dataset: Dataset, cfg: ExperimentConfig,
     epoch's test predictions are returned too.
     """
     init_rng, shuffle_rng, noise_rng = Rng(cfg.seed).split(3)
-    dtype = cfg.np_dtype
     channel_cfg, sensing_cfg = cfg.channel(), cfg.sensing()
-    pipeline = Pipeline(cfg.model(), init_rng, dtype)
+    pipeline = Pipeline(cfg.model(), init_rng, cfg.np_dtype)
     adam = Adam(pipeline.params())
 
     history: list[dict] = []
@@ -320,13 +318,11 @@ def train(dataset: Dataset, cfg: ExperimentConfig,
             y = dataset.train.label2[idx]
             probs = pipeline.forward(x, y, channel_cfg, sensing_cfg,
                                      rng=noise_rng, training=True)
-            onehot = one_hot(y, 2, dtype=dtype)
-            loss = cross_entropy(probs, onehot)
+            loss = cross_entropy(probs, y)
             if not np.isfinite(loss):
                 raise DivergenceError(
                     f"non-finite loss at epoch {epoch}, step {adam.t}")
-            pipeline.backward(cross_entropy_logit_grad(probs, onehot).astype(dtype),
-                              input_grad=False)
+            pipeline.backward(cross_entropy_logit_grad(probs, y), input_grad=False)
             adam.step()
             losses.append(loss)
         test_acc, preds = accuracy_on(pipeline, dataset.test, channel_cfg,

@@ -12,7 +12,7 @@ from .layers import (
     glorot_uniform,
     softmax,
 )
-from .losses import LOG_CLAMP, cross_entropy, cross_entropy_logit_grad, one_hot
+from .losses import LOG_CLAMP, cross_entropy, cross_entropy_logit_grad
 from .optim import Adam
 
 __all__ = [
@@ -31,6 +31,5 @@ __all__ = [
     "cross_entropy",
     "cross_entropy_logit_grad",
     "glorot_uniform",
-    "one_hot",
     "softmax",
 ]

@@ -20,8 +20,6 @@ def compute_fans(shape: tuple[int, ...]) -> tuple[int, int]:
     """Fan-in/fan-out for a weight shape. Convolution kernels are
     ``(kh, kw, in_channels, filters)`` so the receptive field multiplies
     both fans; dense weights are ``(in, out)``."""
-    if len(shape) == 1:
-        return shape[0], shape[0]
     if len(shape) == 2:
         return shape[0], shape[1]
     receptive = int(np.prod(shape[:-2]))
@@ -31,7 +29,7 @@ def compute_fans(shape: tuple[int, ...]) -> tuple[int, int]:
 def glorot_uniform(shape, rng: Rng, dtype=np.float32) -> np.ndarray:
     """Weights drawn uniform on [-L, L] with L = sqrt(6 / (fan_in + fan_out))."""
     shape = tuple(int(d) for d in shape)
-    if len(shape) == 0 or any(d < 1 for d in shape):
+    if len(shape) < 2 or any(d < 1 for d in shape):
         raise ShapeError(f"invalid weight shape {shape}")
     fan_in, fan_out = compute_fans(shape)
     limit = math.sqrt(6.0 / (fan_in + fan_out))
@@ -98,12 +96,13 @@ def _row_windows(x: np.ndarray, kw: int) -> np.ndarray:
     (N, H, W, C) -> (N, H*Wo, kw*C), Wo = W - kw + 1, each row in the
     (kw, C) order of a flattened kernel row. Image row h's windows are rows
     h*Wo to (h+1)*Wo - 1 of its sample, so the windows of any run of image
-    rows are one contiguous block. ``x`` may be in any memory layout (a
-    loaded corpus gives channel-planar batches); it is made C-contiguous
-    first, as the windows copy faster from that layout."""
+    rows are one contiguous block. The windows are right for ``x`` in any
+    memory layout and copy fastest from C order, which every input has:
+    ``Split.images`` hands batches out C-contiguous, and activations, pooled
+    maps and padded gradients are built that way."""
     n, h, w, c = x.shape
     wo = w - kw + 1
-    win = np.lib.stride_tricks.sliding_window_view(np.ascontiguousarray(x), kw, axis=2)
+    win = np.lib.stride_tricks.sliding_window_view(x, kw, axis=2)
     return np.ascontiguousarray(win.transpose(0, 1, 2, 4, 3)).reshape(
         n, h * wo, kw * c)
 
@@ -137,8 +136,8 @@ class Conv2D(Layer):
     the kernel flipped in (kh, kw) and its channel axes swapped.
     """
 
-    def __init__(self, in_channels: int, filters: int, kernel: tuple[int, int] = (3, 3),
-                 rng: Rng | None = None, dtype=np.float32, name: str = "conv"):
+    def __init__(self, in_channels: int, filters: int, kernel: tuple[int, int],
+                 rng: Rng, dtype=np.float32, name: str = "conv"):
         kh, kw = kernel
         self.w = Param(glorot_uniform((kh, kw, in_channels, filters), rng, dtype), f"{name}.w")
         self.b = Param(np.zeros(filters, dtype=dtype), f"{name}.b")

@@ -1,42 +1,25 @@
-"""Categorical cross-entropy over class probabilities."""
+"""Categorical cross-entropy over class probabilities.
+
+Labels are integer class ids, one per row of ``probs``, as ``Split.label2``
+hands them out; the one-hot target is never built.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..errors import LabelError
-
 LOG_CLAMP = 1e-12  # added inside the log so saturated softmax cannot give -inf
 
 
-def one_hot(labels: np.ndarray, num_classes: int = 2, dtype=np.float64) -> np.ndarray:
-    labels = np.asarray(labels)
-    if labels.min() < 0 or labels.max() >= num_classes:
-        raise LabelError(f"labels outside [0, {num_classes})")
-    out = np.zeros((labels.shape[0], num_classes), dtype=dtype)
-    out[np.arange(labels.shape[0]), labels] = 1.0
-    return out
+def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
+    """Mean of -log(probs[i, y_i] + eps) over the (N, K) batch."""
+    picked = probs[np.arange(probs.shape[0]), labels]
+    return float(-np.log(picked + LOG_CLAMP).mean())
 
 
-def _check_onehot(onehot: np.ndarray):
-    if onehot.ndim != 2 or not np.all((onehot == 0) | (onehot == 1)) \
-            or not np.all(onehot.sum(axis=1) == 1):
-        raise LabelError("one-hot rows must contain exactly one 1")
-
-
-def cross_entropy(probs: np.ndarray, onehot: np.ndarray) -> float:
-    """Mean of -sum(onehot * log(probs + eps)) over the batch.
-
-    Accepts a single probability vector or a (N, K) batch.
-    """
-    probs, onehot = np.atleast_2d(probs), np.atleast_2d(onehot)
-    _check_onehot(onehot)
-    per_sample = -(onehot * np.log(probs + LOG_CLAMP)).sum(axis=1)
-    return float(per_sample.mean())
-
-
-def cross_entropy_logit_grad(probs: np.ndarray, onehot: np.ndarray) -> np.ndarray:
-    """Gradient of the batch-mean loss w.r.t. pre-softmax logits: (p - y)/N."""
-    probs, onehot = np.atleast_2d(probs), np.atleast_2d(onehot)
-    _check_onehot(onehot)
-    return (probs - onehot) / probs.shape[0]
+def cross_entropy_logit_grad(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Gradient of the batch-mean loss w.r.t. pre-softmax logits: (p - y)/N,
+    with y the one-hot rows of ``labels``."""
+    grad = probs.copy()
+    grad[np.arange(probs.shape[0]), labels] -= 1
+    return grad / probs.shape[0]

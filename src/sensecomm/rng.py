@@ -34,8 +34,5 @@ class Rng:
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
 
-    def integers(self, low: int, high: int, size=None) -> np.ndarray:
-        return self._gen.integers(low, high, size)
-
     def __repr__(self) -> str:
         return f"Rng(seed={self.seed})"

@@ -153,6 +153,50 @@ class TestTrainEval:
         assert corpus_loads == []
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value", [("--output-size", "8"),
+                                             ("--mode", "sensing-only")])
+    def test_eval_flag_disagreeing_with_checkpoint_fails_before_load(
+            self, flag, value, train_run, fake_cifar_dir, tmp_path, capsys,
+            corpus_loads):
+        _, run = train_run
+        out = tmp_path / "out"
+        code = exit_code(["eval", "--data-dir", str(fake_cifar_dir),
+                          "--checkpoint", str(run / "checkpoint.bin"),
+                          "--out", str(out), flag, value])
+        assert code == 2
+        assert_one_error_line(capsys)
+        assert corpus_loads == []
+        assert not out.exists()
+
+    def test_eval_flags_agreeing_with_checkpoint_accepted(
+            self, train_run, fake_cifar_dir, tmp_path):
+        _, run = train_run
+        code = run_cli(["eval", "--data-dir", str(fake_cifar_dir),
+                        "--checkpoint", str(run / "checkpoint.bin"),
+                        "--out", str(tmp_path), "--mode", "joint"] + SMOKE)
+        assert code == 0
+        config = json.loads((tmp_path / "metrics.json").read_text())["config"]
+        assert (config["n_c"], config["mode"]) == (4, "joint")
+
+    @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "below-file"])
+    @pytest.mark.parametrize("command", ["train", "eval", "sweep-output-size"])
+    def test_out_naming_a_file_fails_before_load(self, command, below, train_run,
+                                                 fake_cifar_dir, tmp_path,
+                                                 capsys, corpus_loads):
+        _, run = train_run
+        out = tmp_path / "out"
+        out.write_text("kept\n")
+        argv = [command, "--data-dir", str(fake_cifar_dir), "--out", str(out / below)]
+        if command == "eval":
+            argv += ["--checkpoint", str(run / "checkpoint.bin")]
+        if command == "sweep-output-size":
+            argv += ["--points", "2"]
+        assert exit_code(argv + SMOKE) == 2
+        assert_one_error_line(capsys)
+        assert corpus_loads == []
+        assert out.read_text() == "kept\n"
+        assert os.listdir(tmp_path) == ["out"]
+
     def test_train_rerun_metrics_byte_identical(self, train_run, fake_cifar_dir,
                                                 tmp_path):
         _, out = train_run
@@ -343,7 +387,7 @@ class TestLimitsAndDivergence:
     def test_divergence_exits_1_with_one_line(self, fake_cifar_dir, tmp_path,
                                               capsys, monkeypatch):
         monkeypatch.setattr(models, "cross_entropy",
-                            lambda probs, onehot: float("nan"))
+                            lambda probs, labels: float("nan"))
         code = exit_code(["train", "--data-dir", str(fake_cifar_dir),
                           "--out", str(tmp_path)] + SMOKE)
         assert code == 1

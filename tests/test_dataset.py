@@ -43,7 +43,7 @@ class TestLoader:
 
     def test_deterministic_order(self, fake_cifar_dir, fake_dataset):
         again = load_cifar10(fake_cifar_dir)
-        assert np.array_equal(again.train.label10, fake_dataset.train.label10)
+        assert np.array_equal(again.train.label2, fake_dataset.train.label2)
         assert np.array_equal(again.test.pixels[0], fake_dataset.test.pixels[0])
 
     def test_missing_file(self, tmp_path):
@@ -67,10 +67,15 @@ class TestLoader:
         with pytest.raises(CorruptDatasetError, match="label"):
             load_cifar10(tmp_path)
 
-    def test_labels_relabelled_consistently(self, fake_dataset):
-        expected = np.isin(fake_dataset.train.label10,
-                           list(VEHICLE_CLASSES)).astype(np.int64)
-        assert np.array_equal(fake_dataset.train.label2, expected)
+    def test_labels_relabelled_consistently(self, fake_cifar_dir, fake_dataset):
+        for split, files in ((fake_dataset.train, TRAIN_FILES),
+                             (fake_dataset.test, [TEST_FILE])):
+            raw = np.concatenate([
+                np.fromfile(fake_cifar_dir / f, np.uint8).reshape(-1, RECORD_BYTES)[:, 0]
+                for f in files])
+            expected = np.isin(raw, list(VEHICLE_CLASSES)).astype(np.int64)
+            assert split.label2.dtype == np.int64
+            assert np.array_equal(split.label2, expected)
 
 
 class TestImages:
@@ -78,11 +83,23 @@ class TestImages:
         # one image per byte value, gathered in shuffled batches
         pixels = np.empty((256, 32, 32, 3), dtype=np.uint8)
         pixels[:] = np.arange(256, dtype=np.uint8)[:, None, None, None]
-        split = Split(pixels, np.zeros(256, np.int64), np.zeros(256, np.int64))
+        split = Split(pixels, np.zeros(256, np.int64))
         whole = pixels.astype(np.float32) / 255.0
         for idx in batch_indices(256, 64, shuffle=True, rng=Rng(8)):
             batch = split.images(idx)
             assert batch.dtype == np.float32
+            assert np.array_equal(batch.view(np.uint32), whole[idx].view(np.uint32))
+
+    def test_channel_planar_split_gives_c_contiguous_batches(self):
+        # a loaded split keeps the on-disk channel-planar memory order
+        planar = Rng(9).uniform(0, 256, size=(100, 3, 32, 32)).astype(np.uint8)
+        pixels = planar.transpose(0, 2, 3, 1)
+        split = Split(pixels, np.zeros(100, np.int64))
+        whole = pixels.astype(np.float32) / 255.0
+        for idx in (slice(None), slice(10, 42), np.array([99, 3, 3, 50])):
+            batch = split.images(idx)
+            assert batch.dtype == np.float32
+            assert batch.flags["C_CONTIGUOUS"]
             assert np.array_equal(batch.view(np.uint32), whole[idx].view(np.uint32))
 
 
@@ -144,9 +161,8 @@ class TestSynthetic:
         assert ds.train.pixels.shape == (600, 32, 32, 3)
         assert ds.test.n == 300
         assert 0.3 < ds.train.label2.mean() < 0.5
-        assert np.array_equal(
-            ds.train.label2,
-            np.isin(ds.train.label10, list(VEHICLE_CLASSES)).astype(np.int64))
+        assert ds.train.label2.dtype == np.int64
+        assert set(np.unique(ds.train.label2)) == {0, 1}
 
     def test_deterministic(self):
         a = synthetic_dataset(50, 20, seed=3)

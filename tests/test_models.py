@@ -19,7 +19,7 @@ from sensecomm.models import (
     save_checkpoint,
     train,
 )
-from sensecomm.nn import cross_entropy, cross_entropy_logit_grad, one_hot
+from sensecomm.nn import cross_entropy, cross_entropy_logit_grad
 from sensecomm.nn.layers import Dense
 from sensecomm.rng import Rng
 
@@ -143,7 +143,7 @@ class TestPipelineForward:
             pipe = Pipeline(ModelConfig(20, "joint"), Rng(seed))
             probs = pipe.forward(ds.train.images(), ds.train.label2, AWGN,
                                  SENSING, rng=Rng(seed + 100), training=True)
-            losses.append(cross_entropy(probs, one_hot(ds.train.label2, 2)))
+            losses.append(cross_entropy(probs, ds.train.label2))
         assert all(math.log(2.0) - 0.15 < lo < 1.7 for lo in losses)
         assert min(losses) < math.log(2.0) + 0.15
 
@@ -155,7 +155,7 @@ class TestPipelineBackward:
         x = Rng(16).uniform(size=(4, 32, 32, 3)).astype(np.float32)
         labels = np.array([0, 1, 1, 0])
         probs = pipe.forward(x, labels, AWGN, SENSING, rng=Rng(17))
-        grad = cross_entropy_logit_grad(probs, one_hot(labels, 2, np.float32))
+        grad = cross_entropy_logit_grad(probs, labels)
 
         grad_x = pipe.backward(grad)
         assert grad_x.shape == x.shape
