@@ -24,9 +24,7 @@ from .errors import (
     ConfigError,
     CorruptDatasetError,
     DivergenceError,
-    LabelError,
     ShapeError,
-    WorkerError,
 )
 from .harness import (
     ExperimentConfig,

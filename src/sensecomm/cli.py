@@ -21,11 +21,12 @@ import json
 import os
 import sys
 import time
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, fields, replace
 
 from . import harness
 from .dataset import load_cifar10
-from .errors import ConfigError, CorruptDatasetError, DivergenceError, WorkerError
+from .errors import ConfigError, CorruptDatasetError, DivergenceError
 from .harness import (
     SWEEPS,
     emit_report,
@@ -285,7 +286,7 @@ def main(argv=None) -> int:
     except (ConfigError, CorruptDatasetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DivergenceError, WorkerError) as exc:
+    except (DivergenceError, BrokenProcessPool) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

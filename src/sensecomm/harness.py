@@ -15,16 +15,15 @@ import json
 import multiprocessing
 import os
 import signal
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from dataclasses import asdict, dataclass, field, is_dataclass, replace
-from multiprocessing.connection import Connection, wait
-from multiprocessing.process import BaseProcess
 from typing import Any, Callable
 
 import numpy as np
 
 from .dataset import Dataset, SOURCE_DIM, Split
-from .errors import ConfigError, WorkerError
+from .errors import ConfigError
 from .models import MODES, ExperimentConfig, Pipeline, predict_split, train
 
 
@@ -132,84 +131,60 @@ SWEEPS = {
 
 
 _PR_SET_PDEATHSIG = 1  # from <sys/prctl.h>
+_dataset: Dataset | None = None  # set in each sweep worker by _init_worker
 
 
-def _serve(conn: Connection, dataset: Dataset, parent: int):
-    """A sweep worker: train every config received on ``conn`` and send back
-    the training's metrics, history and the lines it would have logged, or
-    the exception it raised. The worker dies with the sweep's process: one
-    outliving a killed parent would idle forever on the inherited corpus."""
+def _init_worker(dataset: Dataset, parent: int):
+    """Start a sweep worker on the corpus it inherited from the sweep's
+    process by fork. The worker dies with that process: one outliving a
+    killed parent would idle forever on the inherited corpus."""
+    global _dataset
     ctypes.CDLL(None).prctl(_PR_SET_PDEATHSIG, signal.SIGTERM)
     if os.getppid() != parent:  # the parent died before prctl took effect
         os._exit(1)
-    while True:
-        cfg = conn.recv()
-        lines: list[str] = []
-        try:
-            _, result = run_experiment(cfg, dataset, log_fn=lines.append)
-        except Exception as exc:
-            conn.send(exc)
-        else:
-            conn.send((result["metrics"], result["history"], lines))
+    _dataset = dataset
+
+
+def _train(cfg: ExperimentConfig) -> tuple[dict, list, list[str]]:
+    """One sweep training in a worker: its metrics, its history and the
+    lines it would have logged. The pipeline dies with the call, so a
+    worker holds none while it runs its next training."""
+    lines: list[str] = []
+    _, result = run_experiment(cfg, _dataset, log_fn=lines.append)
+    return result["metrics"], result["history"], lines
 
 
 def _train_in_workers(tasks: list[ExperimentConfig], dataset: Dataset):
     """Yield every task's (metrics, history, log lines) in task order.
 
-    The trainings run in forked workers, one per CPU in the process's
-    affinity mask (``taskset`` limits them), each sent its next task as it
-    returns one. Workers inherit the corpus instead of receiving a pickled
-    copy. A task's exception is raised in its turn. Each worker has a pipe
-    of its own and shares no lock with the others, so a worker killed by a
-    signal (say by the OOM killer) shows at once as the end of its pipe and
-    raises ``WorkerError``. The workers are stopped however the sweep ends.
+    The trainings run on a fork-context ``ProcessPoolExecutor`` with one
+    worker per CPU in the process's affinity mask (``taskset`` limits
+    them). Workers inherit the corpus through the initializer's arguments
+    instead of receiving a pickled copy. A task's exception is raised in
+    its turn, and a worker killed by a signal (say by the OOM killer)
+    raises ``BrokenProcessPool`` at once. However the sweep ends, its
+    workers are terminated, not waited for, before the pool shuts down.
     """
-    ctx = multiprocessing.get_context("fork")
-    todo = iter(enumerate(tasks))
-    workers: dict[Connection, BaseProcess] = {}
-    running: dict[Connection, int] = {}  # a busy worker's pipe -> task index
-    done: dict[int, Any] = {}
-
-    def lost(conn: Connection):
-        workers[conn].join()
-        raise WorkerError(f"sweep worker {workers[conn].pid} died (exit code "
-                          f"{workers[conn].exitcode}); its training was lost")
-
-    def send_next(conn: Connection):
-        index, task = next(todo, (None, None))
-        if task is None:
-            return
-        try:
-            conn.send(task)
-        except OSError:  # the worker died after its last answer
-            lost(conn)
-        running[conn] = index
-
+    before = set(multiprocessing.active_children())
+    pool = ProcessPoolExecutor(min(len(os.sched_getaffinity(0)), len(tasks)),
+                               multiprocessing.get_context("fork"),
+                               initializer=_init_worker,
+                               initargs=(dataset, os.getpid()))
+    # Futures rather than pool.map: map cancels the queued ones when a
+    # training raises, and Python 3.11's pool then fails in its own thread
+    # (InvalidStateError) on a cancelled future once its workers die.
+    futures = [pool.submit(_train, cfg) for cfg in tasks]
     try:
-        for _ in range(min(len(os.sched_getaffinity(0)), len(tasks))):
-            conn, child = ctx.Pipe()
-            workers[conn] = ctx.Process(target=_serve,
-                                        args=(child, dataset, os.getpid()))
-            workers[conn].start()
-            child.close()
-            send_next(conn)
-        for index in range(len(tasks)):
-            while index not in done:
-                for conn in wait(list(running)):
-                    try:
-                        done[running.pop(conn)] = conn.recv()
-                    except EOFError:
-                        lost(conn)
-                    send_next(conn)
-            result = done.pop(index)
-            if isinstance(result, Exception):
-                raise result
-            yield result
+        for future in futures:
+            yield future.result()
     finally:
-        for conn, proc in workers.items():
-            proc.terminate()
-            proc.join()
-            conn.close()
+        # shutdown() alone would wait for the trainings in flight. With the
+        # workers gone, the pool fails its futures and shutdown() joins its
+        # threads, so the next sweep forks from a process without them.
+        for child in set(multiprocessing.active_children()) - before:
+            child.terminate()
+            child.join()
+        pool.shutdown()
 
 
 def run_sweep(name: str, points: list, cfg: ExperimentConfig, dataset: Dataset,
@@ -218,7 +193,7 @@ def run_sweep(name: str, points: list, cfg: ExperimentConfig, dataset: Dataset,
     axis; same seed, test set and eval-seed policy everywhere. Every
     training's config is built, and so validated, before the first one.
 
-    The trainings run in parallel, in forked workers (see
+    The trainings run in parallel on a process pool (see
     ``_train_in_workers``). Results and log lines come back in the serial
     order, so nothing the sweep returns or logs depends on the worker
     count."""

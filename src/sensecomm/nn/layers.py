@@ -44,13 +44,6 @@ class Param:
         self.grad: np.ndarray | None = None
         self.name = name
 
-    @property
-    def shape(self):
-        return self.value.shape
-
-    def __repr__(self) -> str:
-        return f"Param({self.name}, shape={self.value.shape})"
-
 
 class Layer:
     """Base layer. Subclasses override forward/backward; params() lists

@@ -33,6 +33,3 @@ class Rng:
 
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
-
-    def __repr__(self) -> str:
-        return f"Rng(seed={self.seed})"

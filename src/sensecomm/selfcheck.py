@@ -75,16 +75,6 @@ class GradCheckReport:
     def passed(self) -> bool:
         return self.max_rel_error < self.tolerance
 
-    def summary(self) -> str:
-        lines = [
-            f"  {t.name:28s} rel_err={t.max_rel_error:.3e} ({t.checked} coords)"
-            for t in self.tensors
-        ]
-        verdict = "PASS" if self.passed else "FAIL"
-        lines.append(f"  max rel error {self.max_rel_error:.3e} "
-                     f"(tolerance {self.tolerance:.1e}) -> {verdict}")
-        return "\n".join(lines)
-
 
 def _coords(size: int, max_coords: int | None, rng: Rng | None) -> np.ndarray:
     if max_coords is None or size <= max_coords:

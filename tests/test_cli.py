@@ -412,20 +412,23 @@ class TestLimitsAndDivergence:
 
     def test_killed_sweep_worker_exits_1_with_one_line(self, fake_cifar_dir,
                                                        tmp_path):
-        """A worker killed by a signal loses its training; the sweep must
-        fail within seconds instead of waiting for it forever. The timeout
-        turns such a wait into a failure."""
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        proc = subprocess.run(
-            [sys.executable, "-c", KILL_JOINT_TRAININGS, "sweep-output-size",
-             "--data-dir", str(fake_cifar_dir), "--points", "4",
-             "--out", str(tmp_path)] + SMOKE,
-            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
-            text=True, timeout=60)
-        assert proc.returncode == 1
-        err = proc.stderr.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error:"), err
-        assert not (tmp_path / "sweep_size.json").exists()
+        """A worker killed by a signal, as the OOM killer would, loses its
+        training; the sweep must fail within seconds instead of waiting for
+        it forever. The timeout turns such a wait into a failure."""
+        assert_faulty_sweep_fails(
+            fake_cifar_dir, tmp_path, "4",
+            joint="os.kill(os.getpid(), signal.SIGKILL)")
+
+    def test_failed_sweep_training_stops_the_others(self, fake_cifar_dir,
+                                                    tmp_path):
+        """A training that raises ends the sweep at once: the trainings
+        in flight are stopped, not waited for, and those still queued
+        (ten trainings outnumber the pool's queue) are dropped without a
+        traceback from the pool."""
+        assert_faulty_sweep_fails(
+            fake_cifar_dir, tmp_path, "4,6,8,10,12",
+            joint="raise DivergenceError('injected')",
+            sensing_only="time.sleep(60)")
 
     @pytest.mark.parametrize("argv", [
         ["--comm-snr-db", "nan"],
@@ -446,22 +449,41 @@ class TestLimitsAndDivergence:
         assert not out.exists()
 
 
-# Runs the CLI with every sweep training in joint mode SIGKILLed in its
-# worker as it starts, as the OOM killer would.
-KILL_JOINT_TRAININGS = """
-import os, signal, sys
+# Runs the CLI with one statement injected at the start of every sweep
+# training in its worker, one for each mode.
+FAULTY_CLI = """
+import os, signal, sys, time
 from sensecomm import cli, harness
+from sensecomm.errors import DivergenceError
 
 real = harness.run_experiment
 
 def run_experiment(cfg, dataset, log_fn=None):
     if cfg.mode == "joint":
-        os.kill(os.getpid(), signal.SIGKILL)
+        {joint}
+    else:
+        {sensing_only}
     return real(cfg, dataset, log_fn)
 
 harness.run_experiment = run_experiment
 sys.exit(cli.main(sys.argv[1:]))
 """
+
+
+def assert_faulty_sweep_fails(data_dir, out, points, joint, sensing_only="pass"):
+    """Run ``sweep-output-size`` over ``points`` with the faults injected;
+    it must exit 1 within seconds with one ``error:`` line and no report."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    script = FAULTY_CLI.format(joint=joint, sensing_only=sensing_only)
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "sweep-output-size", "--data-dir",
+         str(data_dir), "--points", points, "--out", str(out)] + SMOKE,
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=15)
+    assert proc.returncode == 1
+    err = proc.stderr.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert not (out / "sweep_size.json").exists()
 
 
 def other_value(f):

@@ -14,7 +14,7 @@ from sensecomm.dataset import (
     relabel_binary_array,
     synthetic_dataset,
 )
-from sensecomm.errors import CorruptDatasetError, LabelError
+from sensecomm.errors import CorruptDatasetError
 from sensecomm.rng import Rng
 
 
@@ -123,12 +123,6 @@ class TestRelabel:
         binary = relabel_binary_array(label10)
         assert (binary == 1).sum() == 24_000
         assert (binary == 0).sum() == 36_000
-
-    def test_out_of_range(self):
-        with pytest.raises(LabelError):
-            relabel_binary_array(np.array([10]))
-        with pytest.raises(LabelError):
-            relabel_binary_array(np.array([0, 11]))
 
 
 class TestBatchIndices:

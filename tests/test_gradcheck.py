@@ -5,7 +5,7 @@ from sensecomm.selfcheck import projection_check, run_gradient_checks
 
 def test_full_suite_passes():
     for name, report in run_gradient_checks():
-        assert report.passed, f"{name}: {report.summary()}"
+        assert report.passed, f"{name}: {report.max_rel_error}"
 
 
 def test_suite_rows_are_pinned():

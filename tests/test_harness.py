@@ -1,6 +1,9 @@
+import gc
 import json
 import math
 import os
+import threading
+import weakref
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -118,9 +121,11 @@ class TestRunSweep:
         of workers."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         cfg, points = tiny_experiment(), [4, 6, 8]
-        logged = []
+        logged, threads = [], threading.active_count()
         sweep = run_sweep("output_size", points, cfg, micro_corpus,
                           log_fn=logged.append)
+        # the pool's threads are gone, so the next sweep forks none
+        assert threading.active_count() == threads
 
         serial, serial_log = SweepResult("n_c", points), []
         for value in points:
@@ -140,6 +145,27 @@ class TestRunSweep:
         assert to_json(sweep) == to_json(serial)
         assert sweep_csv(sweep) == sweep_csv(serial)
         assert logged == serial_log
+
+    def test_worker_holds_no_finished_pipeline(self, micro_corpus, monkeypatch):
+        """A worker keeps no finished training's pipeline, with its cached
+        eval activations, while it runs its next training."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        real, finished = harness.run_experiment, []
+
+        def tracked(cfg, dataset, log_fn=None):
+            gc.collect()
+            alive = bool(finished) and finished[-1]() is not None
+            log_fn(f"previous pipeline alive: {alive}")
+            pipeline, result = real(cfg, dataset, log_fn)
+            finished.append(weakref.ref(pipeline))
+            return pipeline, result
+
+        monkeypatch.setattr(harness, "run_experiment", tracked)
+        logged = []
+        run_sweep("output_size", [4, 6], tiny_experiment(), micro_corpus,
+                  log_fn=logged.append)
+        assert [line for line in logged if line.startswith("previous")] == [
+            "previous pipeline alive: False"] * 4
 
 
 class TestReports:
