@@ -101,8 +101,9 @@ def sample_realization(kind: str, snr_db, n_samples: int, n_c: int,
     as the transmission that applies it.
 
     ``snr_db`` may be a scalar or a per-sample vector (class-dependent
-    sensing SNRs). Gains are drawn before noise so the stream layout is
-    stable across channel kinds.
+    sensing SNRs). AWGN draws only the (N, n_c) noise normals. Rayleigh
+    first draws (N, 2) gain normals, then the noise, so the same ``rng``
+    gives the two kinds different noise.
     """
     if kind == "awgn":
         gain = np.ones(n_samples, dtype=dtype)

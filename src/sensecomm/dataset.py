@@ -105,13 +105,14 @@ def load_cifar10(directory: str) -> Dataset:
     return Dataset(train=train, test=test)
 
 
-def batch_indices(n: int, batch_size: int, shuffle: bool = False,
+def batch_indices(n: int, batch_size: int,
                   rng: Rng | None = None) -> Iterator[np.ndarray]:
-    """Yield index arrays covering 0..n-1 exactly once; the final partial
-    batch is kept so every sample is visited each epoch."""
+    """Yield index arrays covering 0..n-1 exactly once, in an order drawn
+    from ``rng`` when one is given and in disk order otherwise; the final
+    partial batch is kept so every sample is visited each epoch."""
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    order = rng.permutation(n) if shuffle else np.arange(n)
+    order = np.arange(n) if rng is None else rng.permutation(n)
     for start in range(0, n, batch_size):
         yield order[start:start + batch_size]
 

@@ -204,19 +204,20 @@ class Pipeline:
 
     def forward(self, x: np.ndarray, label2: np.ndarray,
                 channel_cfg: ChannelConfig, sensing_cfg: SensingConfig,
-                rng: Rng | None = None, training: bool = False) -> np.ndarray:
+                rng: Rng, training: bool = False) -> np.ndarray:
         """Run one batch through encode / transmit / reflect / re-encode /
         transmit / decode and return class probabilities.
 
         The true label feeds only the sensing reflection, where it selects
-        the class-dependent SNR. Channel realizations are drawn from ``rng``
-        in a fixed order: first-round link (joint mode only), sensing, then
-        second-round link.
-        """
+        the class-dependent SNR. An rng given to a layer stack means
+        training, so ``rng`` reaches the image encoder, the one stack with
+        dropout, only when ``training`` is set. Its masks come first, then
+        the first-round link (joint mode only), sensing and second-round
+        link realizations."""
         x = np.asarray(x, dtype=self.dtype)
         joint = self.cfg.mode == "joint"
 
-        feat1 = self.image_encoder.forward(x, training=training, rng=rng)
+        feat1 = self.image_encoder.forward(x, rng if training else None)
         s1 = self._norm1.forward(feat1)
 
         self._tx_comm1 = sample_realization(
@@ -229,7 +230,7 @@ class Pipeline:
         y_r1 = self._tx_comm1.forward(s1) if joint else None
         y_t1 = self._tx_sense.forward(s1)
 
-        feat2 = self.echo_encoder.forward(y_t1, training=training, rng=rng)
+        feat2 = self.echo_encoder.forward(y_t1)
         s2 = self._norm2.forward(feat2)
 
         self._tx_comm2 = sample_realization(channel_cfg.kind, channel_cfg.snr_db,
@@ -238,7 +239,7 @@ class Pipeline:
         y_r2 = self._tx_comm2.forward(s2)
 
         fused = np.concatenate([y_r1, y_r2], axis=1) if joint else y_r2
-        logits = self.decoder.forward(fused, training=training, rng=rng)
+        logits = self.decoder.forward(fused)
         return softmax(logits)
 
     def backward(self, grad_logits: np.ndarray,
@@ -270,8 +271,7 @@ class Pipeline:
                 rng: Rng) -> np.ndarray:
         """Inference pass: dropout disabled, one sampled realization per call.
         Returns the predicted labels."""
-        probs = self.forward(x, label2, channel_cfg, sensing_cfg,
-                             rng=rng, training=False)
+        probs = self.forward(x, label2, channel_cfg, sensing_cfg, rng=rng)
         return probs.argmax(axis=1)
 
 
@@ -281,7 +281,7 @@ def predict_split(pipeline: Pipeline, split: Split, channel_cfg: ChannelConfig,
     one fresh channel realization per sample."""
     rng = Rng(eval_seed)
     out = np.empty(split.n, dtype=np.int64)
-    for idx in batch_indices(split.n, EVAL_BATCH, shuffle=False):
+    for idx in batch_indices(split.n, EVAL_BATCH):
         out[idx] = pipeline.predict(split.images(idx), split.label2[idx],
                                     channel_cfg, sensing_cfg, rng)
     return out
@@ -312,8 +312,7 @@ def train(dataset: Dataset, cfg: ExperimentConfig,
     history: list[dict] = []
     for epoch in range(1, cfg.epochs + 1):
         losses = []
-        for idx in batch_indices(dataset.train.n, cfg.batch_size,
-                                 shuffle=True, rng=shuffle_rng):
+        for idx in batch_indices(dataset.train.n, cfg.batch_size, shuffle_rng):
             x = dataset.train.images(idx)
             y = dataset.train.label2[idx]
             probs = pipeline.forward(x, y, channel_cfg, sensing_cfg,

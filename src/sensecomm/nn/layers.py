@@ -4,6 +4,9 @@ All layers operate on batched arrays with the sample axis first. Images are
 channels-last ``(N, H, W, C)``. Each layer caches what its backward pass
 needs during ``forward`` and exposes trainable parameters as :class:`Param`
 objects whose ``grad`` is filled in by ``backward``.
+
+An rng given to a layer stack's ``forward`` means training: a layer that
+draws at random (:class:`Dropout`) draws from it, and without one does not.
 """
 
 from __future__ import annotations
@@ -47,9 +50,10 @@ class Param:
 
 class Layer:
     """Base layer. Subclasses override forward/backward; params() lists
-    trainable parameters in declaration order."""
+    trainable parameters in declaration order. An rng given to ``forward``
+    means training: a layer draws from it, and only from it."""
 
-    def forward(self, x: np.ndarray, training: bool = False, rng: Rng | None = None) -> np.ndarray:
+    def forward(self, x: np.ndarray, rng: Rng | None = None) -> np.ndarray:
         raise NotImplementedError
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
@@ -67,7 +71,7 @@ class Dense(Layer):
         self.b = Param(np.zeros(out_dim, dtype=dtype), f"{name}.b")
         self._x: np.ndarray | None = None
 
-    def forward(self, x, training=False, rng=None):
+    def forward(self, x, rng=None):
         if x.ndim != 2 or x.shape[1] != self.w.value.shape[0]:
             raise ShapeError(
                 f"dense expects (N, {self.w.value.shape[0]}), got {x.shape}")
@@ -137,7 +141,7 @@ class Conv2D(Layer):
         self._rows: np.ndarray | None = None
         self._x_shape: tuple | None = None
 
-    def forward(self, x, training=False, rng=None):
+    def forward(self, x, rng=None):
         kh, kw, cin, filters = self.w.value.shape
         if x.ndim != 4 or x.shape[3] != cin:
             raise ShapeError(f"conv2d expects (N, H, W, {cin}), got {x.shape}")
@@ -193,7 +197,7 @@ class MaxPool2D(Layer):
         ho, wo = a.shape[1] // 2, a.shape[2] // 2
         return [a[:, i:ho * 2:2, j:wo * 2:2, :] for i in range(2) for j in range(2)]
 
-    def forward(self, x, training=False, rng=None):
+    def forward(self, x, rng=None):
         if x.ndim != 4:
             raise ShapeError(f"maxpool expects (N, H, W, C), got {x.shape}")
         first, *rest = self._quarters(x)
@@ -227,7 +231,7 @@ class ReLU(Layer):
     def __init__(self):
         self._out: np.ndarray | None = None
 
-    def forward(self, x, training=False, rng=None):
+    def forward(self, x, rng=None):
         self._out = np.maximum(x, 0, dtype=x.dtype)
         return self._out
 
@@ -236,8 +240,8 @@ class ReLU(Layer):
 
 
 class Dropout(Layer):
-    """Inverted dropout: zero with probability ``rate`` during training and
-    scale survivors by 1/(1-rate); identity at inference."""
+    """Inverted dropout: given an rng, zero with probability ``rate`` and
+    scale survivors by 1/(1-rate); the identity without one."""
 
     def __init__(self, rate: float):
         if not 0.0 <= rate < 1.0:
@@ -245,12 +249,10 @@ class Dropout(Layer):
         self.rate = rate
         self._mask: np.ndarray | None = None
 
-    def forward(self, x, training=False, rng=None):
-        if not training or self.rate == 0.0:
+    def forward(self, x, rng=None):
+        if rng is None or self.rate == 0.0:
             self._mask = None
             return x
-        if rng is None:
-            raise ConfigError("dropout in training mode needs an rng")
         keep = (rng.uniform(size=x.shape) >= self.rate)
         self._mask = keep.astype(x.dtype) / (1.0 - self.rate)
         return x * self._mask
@@ -267,7 +269,7 @@ class Flatten(Layer):
     def __init__(self):
         self._x_shape: tuple | None = None
 
-    def forward(self, x, training=False, rng=None):
+    def forward(self, x, rng=None):
         self._x_shape = x.shape
         return x.reshape(x.shape[0], -1)
 
@@ -281,9 +283,11 @@ class Sequential:
     def __init__(self, layers: list[Layer]):
         self.layers = layers
 
-    def forward(self, x, training=False, rng=None):
+    def forward(self, x, rng=None):
+        """An rng given to a layer stack means training: each dropout layer
+        draws its mask from it, in layer order."""
         for layer in self.layers:
-            x = layer.forward(x, training=training, rng=rng)
+            x = layer.forward(x, rng)
         return x
 
     def backward(self, grad_out, input_grad=True):

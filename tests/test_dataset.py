@@ -85,7 +85,7 @@ class TestImages:
         pixels[:] = np.arange(256, dtype=np.uint8)[:, None, None, None]
         split = Split(pixels, np.zeros(256, np.int64))
         whole = pixels.astype(np.float32) / 255.0
-        for idx in batch_indices(256, 64, shuffle=True, rng=Rng(8)):
+        for idx in batch_indices(256, 64, Rng(8)):
             batch = split.images(idx)
             assert batch.dtype == np.float32
             assert np.array_equal(batch.view(np.uint32), whole[idx].view(np.uint32))
@@ -137,12 +137,12 @@ class TestBatchIndices:
         assert np.array_equal(np.concatenate(batches), np.arange(10))
 
     def test_same_seed_same_permutation(self):
-        a = np.concatenate(list(batch_indices(1000, 64, shuffle=True, rng=Rng(5))))
-        b = np.concatenate(list(batch_indices(1000, 64, shuffle=True, rng=Rng(5))))
+        a = np.concatenate(list(batch_indices(1000, 64, Rng(5))))
+        b = np.concatenate(list(batch_indices(1000, 64, Rng(5))))
         assert np.array_equal(a, b)
 
     def test_epoch_covers_each_sample_once(self):
-        idx = np.concatenate(list(batch_indices(1000, 64, shuffle=True, rng=Rng(6))))
+        idx = np.concatenate(list(batch_indices(1000, 64, Rng(6))))
         assert np.array_equal(np.sort(idx), np.arange(1000))
 
     def test_empty_split(self):

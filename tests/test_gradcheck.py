@@ -37,9 +37,9 @@ def test_checker_accepts_exact_gradient():
 
 def test_coordinate_sampling_is_deterministic():
     from sensecomm.rng import Rng
-    from sensecomm.selfcheck import _coords
+    from sensecomm.selfcheck import SAMPLED_COORDS, _coords
 
-    a = _coords(1000, 32, Rng(5))
-    b = _coords(1000, 32, Rng(5))
+    a = _coords(1000, Rng(5))
+    b = _coords(1000, Rng(5))
     assert np.array_equal(a, b)
-    assert len(a) == 32
+    assert len(a) == SAMPLED_COORDS

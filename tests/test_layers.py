@@ -371,15 +371,29 @@ class TestActivations:
 class TestDropout:
     def test_inference_identity(self):
         x = Rng(0).standard_normal((4, 9))
-        assert np.array_equal(Dropout(0.5).forward(x, training=False), x)
+        layer = Dropout(0.5)
+        assert layer.forward(x) is x
+        g = Rng(4).standard_normal((4, 9))
+        assert layer.backward(g) is g
+
+    def test_mask_from_rng(self):
+        # the mask is the rng's next uniforms against the rate, scaled by
+        # 1/(1-rate), and backward applies the same mask
+        x = Rng(5).standard_normal((4, 9))
+        layer = Dropout(0.5)
+        out = layer.forward(x, Rng(6))
+        mask = (Rng(6).uniform(size=x.shape) >= 0.5) / 0.5
+        assert np.array_equal(out, x * mask)
+        g = Rng(7).standard_normal((4, 9))
+        assert np.array_equal(layer.backward(g), g * mask)
 
     def test_rate_zero_identity(self):
         x = Rng(1).standard_normal((4, 9))
-        assert np.array_equal(Dropout(0.0).forward(x, training=True, rng=Rng(2)), x)
+        assert np.array_equal(Dropout(0.0).forward(x, Rng(2)), x)
 
     def test_survivor_statistics(self):
         x = np.ones((1000, 1000))
-        out = Dropout(0.1).forward(x, training=True, rng=Rng(3))
+        out = Dropout(0.1).forward(x, Rng(3))
         survivors = (out != 0).mean()
         assert abs(survivors - 0.9) < 0.002
         assert abs(out.mean() - 1.0) < 0.005  # inverted scaling preserves the mean
@@ -389,10 +403,6 @@ class TestDropout:
             Dropout(1.0)
         with pytest.raises(ConfigError):
             Dropout(-0.1)
-
-    def test_training_needs_rng(self):
-        with pytest.raises(ConfigError):
-            Dropout(0.5).forward(np.ones((2, 2)), training=True)
 
 
 class TestFlatten:

@@ -31,6 +31,19 @@ def layer_sizes(net):
     return [(p.name, p.value.size) for p in net.params()]
 
 
+class CountingRng(Rng):
+    """An Rng that records the size of every uniform draw made from it."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.uniform_sizes = []
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        out = super().uniform(low, high, size)
+        self.uniform_sizes.append(np.size(out))
+        return out
+
+
 class TestBuilders:
     def test_image_encoder_activation_shapes(self):
         net = build_image_encoder(20, Rng(0))
@@ -132,6 +145,20 @@ class TestPipelineForward:
         assert np.array_equal(hat, hat2)
         assert np.array_equal(hat, probs.argmax(axis=1))
         assert np.all((probs >= 0) & (probs <= 1))
+
+    @pytest.mark.parametrize("mode", ["joint", "sensing_only"])
+    @pytest.mark.parametrize("training, sizes", [
+        (False, []),
+        # one mask per dropout layer, over the pooled 14x14x4 and 6x6x4 maps
+        (True, [3 * 14 * 14 * 4, 3 * 6 * 6 * 4]),
+    ])
+    def test_dropout_draws_only_in_training(self, mode, training, sizes):
+        pipe = Pipeline(ModelConfig(6, mode), Rng(18))
+        x = Rng(19).uniform(size=(3, 32, 32, 3)).astype(np.float32)
+        rng = CountingRng(20)
+        pipe.forward(x, np.array([0, 1, 1]), AWGN, SENSING, rng=rng,
+                     training=training)
+        assert rng.uniform_sizes == sizes
 
     def test_untrained_loss_near_chance_level(self):
         # an untrained model carries no information: loss sits at or above
