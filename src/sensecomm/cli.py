@@ -187,6 +187,9 @@ def _require(args, name: str):
 
 
 def _load_data(args):
+    """The corpus with the limits applied. A limited split's pixels are
+    read here, the others' on first use; ``eval`` reads no training
+    sample."""
     _require(args, "data_dir")
     if not os.path.isdir(args.data_dir):
         args.parser.error(f"data directory not found: {args.data_dir}")
@@ -194,7 +197,8 @@ def _load_data(args):
         dataset = load_cifar10(args.data_dir)
     except CorruptDatasetError as exc:
         args.parser.error(str(exc))
-    dataset.train = dataset.train.subset(args.limit_train)
+    if args.command != "eval":
+        dataset.train = dataset.train.subset(args.limit_train)
     dataset.test = dataset.test.subset(args.limit_test)
     return dataset
 

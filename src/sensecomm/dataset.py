@@ -2,10 +2,13 @@
 
 Reads the public binary distribution: five training files plus one test
 file, each exactly 10,000 records of 3,073 bytes (1 label byte, then 3,072
-pixel bytes channel-planar R, G, B, row-major within each plane). Pixels
-stay resident as those bytes. A batch leaves a split in the form the
-network takes: C-contiguous channels-last float32 images in [0, 1] and
-int64 labels, 1 for vehicle and 0 for animal.
+pixel bytes channel-planar R, G, B, row-major within each plane).
+Loading checks every file and reads only the labels. A split reads its
+pixel bytes on first use, and a subset of an unread split reads only the
+records it keeps, so a command holds in memory only the records it uses,
+as those bytes. A batch leaves a split in the form the network takes:
+C-contiguous channels-last float32 images in [0, 1] and int64 labels, 1
+for vehicle and 0 for animal.
 
 The ten original classes collapse to two: airplane, automobile, ship and
 truck become "vehicle" (label 1, a potential transmitter); the six animal
@@ -37,15 +40,30 @@ def relabel_binary_array(label10: np.ndarray) -> np.ndarray:
     return np.isin(label10, list(VEHICLE_CLASSES)).astype(np.int64)
 
 
-@dataclass
 class Split:
-    """One dataset split as parallel arrays."""
-    pixels: np.ndarray   # (N, 32, 32, 3) uint8, the raw bytes
-    label2: np.ndarray   # (N,) int64, vehicle=1 / animal=0
+    """One dataset split as parallel arrays: ``label2`` (N,) int64, vehicle=1
+    / animal=0, and ``pixels`` (N, 32, 32, 3) uint8, the raw bytes.
+
+    A split built from arrays holds them. A split that ``load_cifar10``
+    builds holds its labels and the paths of its batch ``files``, and reads
+    its pixel bytes on first use of ``pixels`` or ``images``. ``subset`` of
+    an unread split reads only the records it keeps."""
+
+    def __init__(self, pixels: np.ndarray | None, label2: np.ndarray,
+                 files: tuple[str, ...] = ()):
+        self._pixels = pixels
+        self.label2 = label2
+        self.files = files
+
+    @property
+    def pixels(self) -> np.ndarray:
+        if self._pixels is None:
+            self._pixels = _read_pixels(self.files, self.n)
+        return self._pixels
 
     @property
     def n(self) -> int:
-        return self.pixels.shape[0]
+        return self.label2.shape[0]
 
     def images(self, idx=slice(None)) -> np.ndarray:
         """The samples at ``idx`` as a C-contiguous float32 batch in [0, 1],
@@ -55,9 +73,13 @@ class Split:
         return np.divide(self.pixels[idx], 255.0, dtype=np.float32, order="C")
 
     def subset(self, limit: int | None) -> "Split":
+        """The first ``limit`` samples, in memory; the split itself when it
+        has no more."""
         if limit is None or limit >= self.n:
             return self
-        return Split(self.pixels[:limit], self.label2[:limit])
+        pixels = (_read_pixels(self.files, limit) if self._pixels is None
+                  else self._pixels[:limit])
+        return Split(pixels, self.label2[:limit])
 
 
 @dataclass
@@ -66,7 +88,9 @@ class Dataset:
     test: Split
 
 
-def _read_batch_file(path: str) -> tuple[np.ndarray, np.ndarray]:
+def _read_labels(path: str) -> np.ndarray:
+    """The vehicle/animal labels of a batch file, after checking its size
+    and label bytes."""
     if not os.path.isfile(path):
         raise CorruptDatasetError(f"missing dataset file: {path}")
     expected = RECORDS_PER_FILE * RECORD_BYTES
@@ -74,35 +98,41 @@ def _read_batch_file(path: str) -> tuple[np.ndarray, np.ndarray]:
     if size != expected:
         raise CorruptDatasetError(
             f"{path}: expected {expected} bytes, found {size}")
-    raw = np.fromfile(path, dtype=np.uint8).reshape(RECORDS_PER_FILE, RECORD_BYTES)
-    labels = raw[:, 0].astype(np.int64)
-    if labels.max() > 9:
+    label10 = np.fromfile(path, dtype=np.uint8)[::RECORD_BYTES]
+    if label10.max() > 9:
         raise CorruptDatasetError(f"{path}: label byte > 9")
-    # channel-planar (3, 32, 32) -> channels-last (32, 32, 3)
-    pixels = raw[:, 1:].reshape(RECORDS_PER_FILE, 3, 32, 32).transpose(0, 2, 3, 1)
-    return pixels, labels
+    return relabel_binary_array(label10)
 
 
-def _build_split(files: list[str]) -> Split:
-    # Filled one file at a time, so loading peaks at the split plus one
-    # file. The memory stays channel-planar as on disk, which makes each
-    # fill a plain copy; ``Split.images`` hands batches out in C order.
-    n = RECORDS_PER_FILE
-    pixels = np.empty((len(files) * n, 3, 32, 32), dtype=np.uint8).transpose(0, 2, 3, 1)
-    label2 = np.empty(len(files) * n, dtype=np.int64)
-    for i, path in enumerate(files):
-        rows = slice(i * n, (i + 1) * n)
-        pixels[rows], label10 = _read_batch_file(path)
-        label2[rows] = relabel_binary_array(label10)
-    return Split(pixels=pixels, label2=label2)
+def _read_pixels(files: tuple[str, ...], count: int) -> np.ndarray:
+    """The pixel bytes of the first ``count`` records of ``files``, as
+    (count, 32, 32, 3) over channel-planar memory. Only the files holding
+    those records are read, the last of them only up to its ``count``-th
+    record, so reading peaks at the pixels plus one file. Each fill is a
+    plain copy; ``Split.images`` hands batches out in C order."""
+    planar = np.empty((count, 3, 32, 32), dtype=np.uint8)
+    for start, path in zip(range(0, count, RECORDS_PER_FILE), files):
+        k = min(RECORDS_PER_FILE, count - start)
+        try:
+            raw = np.fromfile(path, dtype=np.uint8, count=k * RECORD_BYTES)
+        except OSError as exc:
+            raise CorruptDatasetError(f"{path}: {exc.strerror}") from None
+        if raw.size != k * RECORD_BYTES:
+            raise CorruptDatasetError(f"{path}: truncated since it was loaded")
+        planar[start:start + k] = raw.reshape(k, RECORD_BYTES)[:, 1:].reshape(
+            k, 3, 32, 32)
+    return planar.transpose(0, 2, 3, 1)
 
 
 def load_cifar10(directory: str) -> Dataset:
-    """Load the six binary batch files from ``directory``, preserving the
-    on-disk sample order."""
-    train = _build_split([os.path.join(directory, f) for f in TRAIN_FILES])
-    test = _build_split([os.path.join(directory, TEST_FILE)])
-    return Dataset(train=train, test=test)
+    """Check the six binary batch files in ``directory`` and read their
+    labels, preserving the on-disk sample order. Pixels are read when first
+    used (see ``Split``)."""
+    def split(names):
+        files = tuple(os.path.join(directory, f) for f in names)
+        return Split(None, np.concatenate([_read_labels(f) for f in files]), files)
+
+    return Dataset(train=split(TRAIN_FILES), test=split([TEST_FILE]))
 
 
 def batch_indices(n: int, batch_size: int,

@@ -136,17 +136,20 @@ class ExperimentConfig:
 
 
 def build_image_encoder(n_c: int, rng: Rng, dtype=np.float32) -> Sequential:
-    """Convolutional encoder 32x32x3 -> n_c (final activation linear)."""
+    """Convolutional encoder 32x32x3 -> n_c (final activation linear).
+
+    ReLU follows each max-pool: max is monotone, so the two orders give the
+    same values, and ReLU then sees a quarter of the elements."""
     return Sequential([
         Conv2D(3, 8, (3, 3), rng, dtype, name="image_encoder.conv1"),
         ReLU(),
         Conv2D(8, 4, (3, 3), rng, dtype, name="image_encoder.conv2"),
-        ReLU(),
         MaxPool2D(),
+        ReLU(),
         Dropout(0.1),
         Conv2D(4, 4, (3, 3), rng, dtype, name="image_encoder.conv3"),
-        ReLU(),
         MaxPool2D(),
+        ReLU(),
         Dropout(0.1),
         Flatten(),
         Dense(144, 128, rng, dtype, name="image_encoder.dense1"),

@@ -167,7 +167,8 @@ class Conv2D(Layer):
         self.b.grad = grad_out.sum(axis=0).reshape(-1, filters).sum(axis=0)
         if not input_grad:
             return None
-        padded = np.pad(grad_out, ((0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1), (0, 0)))
+        padded = np.zeros((n, h + kh - 1, w_in + kw - 1, filters), grad_out.dtype)
+        padded[:, kh - 1:h, kw - 1:w_in] = grad_out
         flipped = self.w.value[::-1, ::-1].transpose(0, 1, 3, 2)
         return _correlate(_row_windows(padded, kw), flipped, h, w_in).reshape(
             n, h, w_in, cin)

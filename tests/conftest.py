@@ -1,3 +1,4 @@
+import json
 import os
 
 import numpy as np
@@ -74,3 +75,30 @@ def fake_dataset(fake_cifar_dir):
     from sensecomm.dataset import load_cifar10
 
     return load_cifar10(fake_cifar_dir)
+
+
+def link_corpus(src, dst):
+    """Symlink the six batch files of ``src`` into ``dst``, so that a test
+    can remove some of them without touching ``src``."""
+    for fname in TRAIN_FILES + [TEST_FILE]:
+        os.symlink(src / fname, dst / fname)
+
+
+@pytest.fixture
+def pixel_reads(monkeypatch, tmp_path_factory):
+    """Records every read of pixel bytes, in this process or a forked one,
+    as (pid, file names, record count); call the fixture for the list."""
+    from sensecomm import dataset
+
+    log = tmp_path_factory.mktemp("reads") / "pixel_reads.jsonl"
+    real = dataset._read_pixels
+
+    def spy(files, count):
+        with open(log, "a", encoding="utf-8") as fh:
+            names = [os.path.basename(f) for f in files]
+            fh.write(json.dumps([os.getpid(), names, count]) + "\n")
+        return real(files, count)
+
+    monkeypatch.setattr(dataset, "_read_pixels", spy)
+    return lambda: ([tuple(json.loads(line)) for line in log.read_text().splitlines()]
+                    if log.exists() else [])

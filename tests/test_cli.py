@@ -9,8 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import link_corpus
 from sensecomm import cli, models
 from sensecomm.cli import main, parse_args
+from sensecomm.dataset import TEST_FILE
 from sensecomm.models import ExperimentConfig, load_checkpoint
 
 
@@ -112,6 +114,41 @@ class TestTrainEval:
         assert code == 0
         payload = json.loads((tmp_path / "metrics.json").read_text())
         assert payload["checkpoint"]["seed"] == 5
+
+    def test_eval_reads_no_training_pixel(self, train_run, fake_cifar_dir,
+                                          tmp_path, pixel_reads):
+        _, out = train_run
+        code = run_cli(["eval", "--data-dir", str(fake_cifar_dir),
+                        "--checkpoint", str(out / "checkpoint.bin"),
+                        "--out", str(tmp_path)] + SMOKE)
+        assert code == 0
+        assert [files for _, files, _ in pixel_reads()] == [[TEST_FILE]]
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_deferred_read_error_exits_2_with_one_line(
+            self, command, train_run, fake_cifar_dir, tmp_path, capsys,
+            monkeypatch):
+        """A batch file that vanishes after the corpus loads fails the
+        command when its pixels are read: with ``train`` while the limits
+        are applied, with ``eval`` (no --limit-test) in the evaluation."""
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        link_corpus(fake_cifar_dir, corpus)
+        real = cli.load_cifar10
+
+        def load_then_remove(path):
+            dataset = real(path)
+            (corpus / TEST_FILE).unlink()
+            return dataset
+
+        monkeypatch.setattr(cli, "load_cifar10", load_then_remove)
+        argv = ["train"] + SMOKE if command == "train" else [
+            "eval", "--checkpoint", str(train_run[1] / "checkpoint.bin")]
+        code = exit_code(argv + ["--data-dir", str(corpus),
+                                 "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert_one_error_line(capsys)
+        assert not (tmp_path / "out" / "metrics.json").exists()
 
     def test_eval_honours_dtype(self, train_run, fake_cifar_dir, tmp_path,
                                 monkeypatch):

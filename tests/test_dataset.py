@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import write_batch_file
+from conftest import link_corpus, write_batch_file
 from sensecomm.dataset import (
     RECORD_BYTES,
     RECORDS_PER_FILE,
@@ -66,6 +66,42 @@ class TestLoader:
             write_batch_file(tmp_path / f, labels, pixels)
         with pytest.raises(CorruptDatasetError, match="label"):
             load_cifar10(tmp_path)
+
+    def test_pixels_read_on_first_use_only(self, fake_cifar_dir, pixel_reads):
+        ds = load_cifar10(fake_cifar_dir)
+        assert pixel_reads() == []
+        ds.test.images(slice(0, 2))
+        ds.test.pixels
+        assert [(files, count) for _, files, count in pixel_reads()] == [
+            ([TEST_FILE], RECORDS_PER_FILE)]
+
+    def test_read_pixels_bitwise_equal_whole_file_read(self, fake_cifar_dir):
+        def whole_files(files):
+            raw = np.concatenate([np.fromfile(fake_cifar_dir / f, np.uint8)
+                                  for f in files]).reshape(-1, RECORD_BYTES)
+            return raw[:, 1:].reshape(-1, 3, 32, 32).transpose(0, 2, 3, 1)
+
+        ds = load_cifar10(fake_cifar_dir)
+        # a prefix across a file boundary, and a whole split
+        for pixels, want in ((ds.train.subset(12_345).pixels,
+                              whole_files(TRAIN_FILES[:2])[:12_345]),
+                             (ds.test.pixels, whole_files([TEST_FILE]))):
+            assert pixels.dtype == np.uint8
+            assert np.array_equal(pixels, want)
+            # the memory stays channel-planar, as on disk
+            assert pixels.transpose(0, 3, 1, 2).flags["C_CONTIGUOUS"]
+
+    def test_prefix_read_needs_only_the_files_holding_it(self, tmp_path,
+                                                         fake_cifar_dir):
+        link_corpus(fake_cifar_dir, tmp_path)
+        ds = load_cifar10(tmp_path)
+        for f in TRAIN_FILES[1:]:
+            (tmp_path / f).unlink()
+        first = ds.train.subset(RECORDS_PER_FILE)
+        assert first.n == RECORDS_PER_FILE
+        assert np.array_equal(first.label2, ds.train.label2[:RECORDS_PER_FILE])
+        with pytest.raises(CorruptDatasetError, match=TRAIN_FILES[1]):
+            ds.train.subset(RECORDS_PER_FILE + 1)
 
     def test_labels_relabelled_consistently(self, fake_cifar_dir, fake_dataset):
         for split, files in ((fake_dataset.train, TRAIN_FILES),

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from sensecomm import harness, models
-from sensecomm.dataset import synthetic_dataset
+from sensecomm.dataset import Dataset, Split, load_cifar10, synthetic_dataset
 from sensecomm.errors import ConfigError
 from sensecomm.harness import (
     SWEEPS,
@@ -166,6 +166,19 @@ class TestRunSweep:
                   log_fn=logged.append)
         assert [line for line in logged if line.startswith("previous")] == [
             "previous pipeline alive: False"] * 4
+
+    def test_pixels_read_before_the_fork(self, fake_cifar_dir, pixel_reads,
+                                         monkeypatch):
+        """A sweep over unread splits reads their pixels in its own
+        process, so the forked workers share one copy instead of each
+        reading its own."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        ds = load_cifar10(fake_cifar_dir)
+        unread = Dataset(Split(None, ds.train.label2[:256], ds.train.files),
+                         Split(None, ds.test.label2[:128], ds.test.files))
+        run_sweep("output_size", [4], tiny_experiment(), unread)
+        assert [(pid, count) for pid, _, count in pixel_reads()] == [
+            (os.getpid(), 256), (os.getpid(), 128)]
 
 
 class TestReports:

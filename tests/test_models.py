@@ -54,10 +54,10 @@ class TestBuilders:
             shapes.append(x.shape[1:])
         assert shapes == [
             (30, 30, 8), (30, 30, 8),       # conv1 + relu
-            (28, 28, 4), (28, 28, 4),       # conv2 + relu
-            (14, 14, 4), (14, 14, 4),       # pool + dropout
-            (12, 12, 4), (12, 12, 4),       # conv3 + relu
-            (6, 6, 4), (6, 6, 4),           # pool + dropout
+            (28, 28, 4), (14, 14, 4),       # conv2 + pool
+            (14, 14, 4), (14, 14, 4),       # relu + dropout
+            (12, 12, 4), (6, 6, 4),         # conv3 + pool
+            (6, 6, 4), (6, 6, 4),           # relu + dropout
             (144,), (128,), (128,), (20,),  # flatten, dense, relu, dense
         ]
 
