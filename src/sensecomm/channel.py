@@ -78,17 +78,15 @@ class PowerNormalize:
         d y / d s = sqrt(n_c) * (I / d - s s^T / (d^2 r)),  d = r + eps
     """
 
-    def __init__(self):
-        self._s: np.ndarray | None = None
-        self._r: np.ndarray | None = None
+    _saved = None
 
     def forward(self, s: np.ndarray) -> np.ndarray:
         r = np.linalg.norm(s, axis=1, keepdims=True)
-        self._s, self._r = s, r
+        self._saved = s, r
         return s * (math.sqrt(s.shape[1]) / (r + NORM_EPS))
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        s, r = self._s, self._r
+        s, r = self._saved
         d = r + NORM_EPS
         root_n = math.sqrt(s.shape[1])
         dot = (s * grad_out).sum(axis=1, keepdims=True)

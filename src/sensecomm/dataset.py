@@ -6,9 +6,10 @@ pixel bytes channel-planar R, G, B, row-major within each plane).
 Loading checks every file and reads only the labels. A split reads its
 pixel bytes on first use, and a subset of an unread split reads only the
 records it keeps, so a command holds in memory only the records it uses,
-as those bytes. A batch leaves a split in the form the network takes:
-C-contiguous channels-last float32 images in [0, 1] and int64 labels, 1
-for vehicle and 0 for animal.
+as those bytes. Files are read in blocks of records, never whole. A
+batch leaves a split in the form the network takes: C-contiguous
+channels-last float32 images in [0, 1] and int64 labels, 1 for vehicle
+and 0 for animal.
 
 The ten original classes collapse to two: airplane, automobile, ship and
 truck become "vehicle" (label 1, a potential transmitter); the six animal
@@ -30,8 +31,9 @@ TRAIN_FILES = [f"data_batch_{i}.bin" for i in range(1, 6)]
 TEST_FILE = "test_batch.bin"
 RECORDS_PER_FILE = 10_000
 RECORD_BYTES = 3073
-IMAGE_SHAPE = (32, 32, 3)
 SOURCE_DIM = 32 * 32 * 3
+RECORD = np.dtype([("label", np.uint8), ("pixels", np.uint8, (3, 32, 32))])
+BLOCK_RECORDS = 500  # ~1.5 MB a read; larger blocks measured slower
 
 VEHICLE_CLASSES = frozenset({0, 1, 8, 9})  # airplane, automobile, ship, truck
 
@@ -88,6 +90,24 @@ class Dataset:
     test: Split
 
 
+def _blocks(path: str, count: int) -> Iterator[np.ndarray]:
+    """The first ``count`` records of a batch file as ``RECORD`` arrays of
+    up to ``BLOCK_RECORDS`` each, read in turn from one open file, so a
+    read holds one block of the file at a time. A file that cannot be
+    read, or ends early, raises CorruptDatasetError."""
+    try:
+        with open(path, "rb") as fh:
+            for start in range(0, count, BLOCK_RECORDS):
+                k = min(BLOCK_RECORDS, count - start)
+                block = np.fromfile(fh, dtype=RECORD, count=k)
+                if block.size != k:
+                    raise CorruptDatasetError(
+                        f"{path}: truncated since it was loaded")
+                yield block
+    except OSError as exc:
+        raise CorruptDatasetError(f"{path}: {exc.strerror}") from None
+
+
 def _read_labels(path: str) -> np.ndarray:
     """The vehicle/animal labels of a batch file, after checking its size
     and label bytes."""
@@ -98,7 +118,9 @@ def _read_labels(path: str) -> np.ndarray:
     if size != expected:
         raise CorruptDatasetError(
             f"{path}: expected {expected} bytes, found {size}")
-    label10 = np.fromfile(path, dtype=np.uint8)[::RECORD_BYTES]
+    # a copy: a view of the labels would keep its whole block alive
+    label10 = np.concatenate([block["label"].copy()
+                              for block in _blocks(path, RECORDS_PER_FILE)])
     if label10.max() > 9:
         raise CorruptDatasetError(f"{path}: label byte > 9")
     return relabel_binary_array(label10)
@@ -108,19 +130,14 @@ def _read_pixels(files: tuple[str, ...], count: int) -> np.ndarray:
     """The pixel bytes of the first ``count`` records of ``files``, as
     (count, 32, 32, 3) over channel-planar memory. Only the files holding
     those records are read, the last of them only up to its ``count``-th
-    record, so reading peaks at the pixels plus one file. Each fill is a
+    record, so reading peaks at the pixels plus one block. Each fill is a
     plain copy; ``Split.images`` hands batches out in C order."""
     planar = np.empty((count, 3, 32, 32), dtype=np.uint8)
-    for start, path in zip(range(0, count, RECORDS_PER_FILE), files):
-        k = min(RECORDS_PER_FILE, count - start)
-        try:
-            raw = np.fromfile(path, dtype=np.uint8, count=k * RECORD_BYTES)
-        except OSError as exc:
-            raise CorruptDatasetError(f"{path}: {exc.strerror}") from None
-        if raw.size != k * RECORD_BYTES:
-            raise CorruptDatasetError(f"{path}: truncated since it was loaded")
-        planar[start:start + k] = raw.reshape(k, RECORD_BYTES)[:, 1:].reshape(
-            k, 3, 32, 32)
+    at = 0
+    for first, path in zip(range(0, count, RECORDS_PER_FILE), files):
+        for block in _blocks(path, min(RECORDS_PER_FILE, count - first)):
+            planar[at:at + block.size] = block["pixels"]
+            at += block.size
     return planar.transpose(0, 2, 3, 1)
 
 

@@ -24,10 +24,9 @@ from .channel import (
     ChannelConfig,
     PowerNormalize,
     SensingConfig,
-    Transmission,
     sample_realization,
 )
-from .dataset import Dataset, Split, batch_indices
+from .dataset import SOURCE_DIM, Dataset, Split, batch_indices
 from .errors import ConfigError, DivergenceError
 from .nn import (
     Adam,
@@ -59,9 +58,12 @@ class ModelConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}")
-        if not isinstance(self.n_c, (int, np.integer)) or self.n_c < 1:
-            raise ConfigError(
-                f"encoder output size must be an integer >= 1, got {self.n_c!r}")
+        # a bool is an int to Python, and an n_c above the source size
+        # compresses nothing, however much memory it would take
+        if (isinstance(self.n_c, bool) or not isinstance(self.n_c, (int, np.integer))
+                or not 1 <= self.n_c <= SOURCE_DIM):
+            raise ConfigError(f"encoder output size must be an integer in "
+                              f"[1, {SOURCE_DIM}], got {self.n_c!r}")
         if self.decoder_in < 2:
             raise ConfigError(f"decoder input must be >= 2; n_c {self.n_c} "
                               f"in {self.mode} mode gives {self.decoder_in}")
@@ -112,6 +114,9 @@ class ExperimentConfig:
         for name in ("epochs", "batch_size"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        for name in ("seed", "eval_seed"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         # an infinite SNR would train without noise, a NaN one diverge
         for name in ("comm_snr_db", "vehicle_sensing_snr_db", "animal_offset_db"):
             if not math.isfinite(getattr(self, name)):
@@ -197,9 +202,6 @@ class Pipeline:
         self.decoder = build_decoder(cfg.decoder_in, rng, dtype)
         self._norm1 = PowerNormalize()
         self._norm2 = PowerNormalize()
-        self._tx_comm1: Transmission | None = None
-        self._tx_sense: Transmission | None = None
-        self._tx_comm2: Transmission | None = None
 
     def params(self) -> list[Param]:
         return (self.image_encoder.params() + self.echo_encoder.params()
@@ -216,30 +218,27 @@ class Pipeline:
         training, so ``rng`` reaches the image encoder, the one stack with
         dropout, only when ``training`` is set. Its masks come first, then
         the first-round link (joint mode only), sensing and second-round
-        link realizations."""
+        link realizations; the echo encoder draws nothing, so all three
+        links are drawn before it runs."""
         x = np.asarray(x, dtype=self.dtype)
         joint = self.cfg.mode == "joint"
 
         feat1 = self.image_encoder.forward(x, rng if training else None)
+        n, n_c = feat1.shape
+
+        def link(snr_db):
+            return sample_realization(channel_cfg.kind, snr_db, n, n_c, rng,
+                                      self.dtype)
+
+        comm1 = link(channel_cfg.snr_db) if joint else None
+        sense = link(sensing_cfg.snr_for_labels(label2))
+        comm2 = link(channel_cfg.snr_db)
+        self._saved = comm1, sense, comm2
+
         s1 = self._norm1.forward(feat1)
-
-        self._tx_comm1 = sample_realization(
-            channel_cfg.kind, channel_cfg.snr_db, s1.shape[0], s1.shape[1],
-            rng, self.dtype) if joint else None
-        snr = sensing_cfg.snr_for_labels(label2)
-        self._tx_sense = sample_realization(channel_cfg.kind, snr, s1.shape[0],
-                                            s1.shape[1], rng, self.dtype)
-
-        y_r1 = self._tx_comm1.forward(s1) if joint else None
-        y_t1 = self._tx_sense.forward(s1)
-
-        feat2 = self.echo_encoder.forward(y_t1)
-        s2 = self._norm2.forward(feat2)
-
-        self._tx_comm2 = sample_realization(channel_cfg.kind, channel_cfg.snr_db,
-                                            s2.shape[0], s2.shape[1], rng,
-                                            self.dtype)
-        y_r2 = self._tx_comm2.forward(s2)
+        y_r1 = comm1.forward(s1) if joint else None
+        feat2 = self.echo_encoder.forward(sense.forward(s1))
+        y_r2 = comm2.forward(self._norm2.forward(feat2))
 
         fused = np.concatenate([y_r1, y_r2], axis=1) if joint else y_r2
         logits = self.decoder.forward(fused)
@@ -259,13 +258,11 @@ class Pipeline:
         else:
             g_yr1, g_yr2 = None, g_fused
 
-        g_s2 = self._tx_comm2.backward(g_yr2)
-        g_feat2 = self._norm2.backward(g_s2)
-        g_yt1 = self.echo_encoder.backward(g_feat2)
-
-        g_s1 = self._tx_sense.backward(g_yt1)
+        comm1, sense, comm2 = self._saved
+        g_feat2 = self._norm2.backward(comm2.backward(g_yr2))
+        g_s1 = sense.backward(self.echo_encoder.backward(g_feat2))
         if g_yr1 is not None:
-            g_s1 = g_s1 + self._tx_comm1.backward(g_yr1)
+            g_s1 = g_s1 + comm1.backward(g_yr1)
         g_feat1 = self._norm1.backward(g_s1)
         return self.image_encoder.backward(g_feat1, input_grad=input_grad)
 

@@ -1,9 +1,10 @@
 """Differentiable layers: forward passes plus exact analytic backward passes.
 
 All layers operate on batched arrays with the sample axis first. Images are
-channels-last ``(N, H, W, C)``. Each layer caches what its backward pass
-needs during ``forward`` and exposes trainable parameters as :class:`Param`
-objects whose ``grad`` is filled in by ``backward``.
+channels-last ``(N, H, W, C)``. Each layer keeps what its backward pass
+needs in one slot, ``_saved``, which ``forward`` writes and nothing else
+does, and exposes trainable parameters as :class:`Param` objects whose
+``grad`` is filled in by ``backward``.
 
 An rng given to a layer stack's ``forward`` means training: a layer that
 draws at random (:class:`Dropout`) draws from it, and without one does not.
@@ -53,6 +54,8 @@ class Layer:
     trainable parameters in declaration order. An rng given to ``forward``
     means training: a layer draws from it, and only from it."""
 
+    _saved = None
+
     def forward(self, x: np.ndarray, rng: Rng | None = None) -> np.ndarray:
         raise NotImplementedError
 
@@ -69,17 +72,16 @@ class Dense(Layer):
     def __init__(self, in_dim: int, out_dim: int, rng: Rng, dtype=np.float32, name: str = "dense"):
         self.w = Param(glorot_uniform((in_dim, out_dim), rng, dtype), f"{name}.w")
         self.b = Param(np.zeros(out_dim, dtype=dtype), f"{name}.b")
-        self._x: np.ndarray | None = None
 
     def forward(self, x, rng=None):
         if x.ndim != 2 or x.shape[1] != self.w.value.shape[0]:
             raise ShapeError(
                 f"dense expects (N, {self.w.value.shape[0]}), got {x.shape}")
-        self._x = x
+        self._saved = x
         return x @ self.w.value + self.b.value
 
     def backward(self, grad_out, input_grad=True):
-        x = self._x
+        x = self._saved
         self.w.grad = x.T @ grad_out
         self.b.grad = grad_out.sum(axis=0)
         return grad_out @ self.w.value.T if input_grad else None
@@ -126,7 +128,7 @@ class Conv2D(Layer):
     starts i*Wo rows after image row h, so kernel row i's operand for all
     of a sample's outputs is one contiguous (Ho*Wo, kw*C) block, and the
     output is the sum of kh per-sample matmuls, one per kernel row. The row
-    windows are cached: backward's weight gradient for kernel row i is
+    windows are saved: backward's weight gradient for kernel row i is
     ``block_i^T @ g`` per sample, summed over the batch. The input gradient
     is the "full" convolution of the output gradient: pad it by kernel-1 on
     every spatial side and correlate it, through the same row windows, with
@@ -138,8 +140,6 @@ class Conv2D(Layer):
         kh, kw = kernel
         self.w = Param(glorot_uniform((kh, kw, in_channels, filters), rng, dtype), f"{name}.w")
         self.b = Param(np.zeros(filters, dtype=dtype), f"{name}.b")
-        self._rows: np.ndarray | None = None
-        self._x_shape: tuple | None = None
 
     def forward(self, x, rng=None):
         kh, kw, cin, filters = self.w.value.shape
@@ -149,19 +149,18 @@ class Conv2D(Layer):
         if h < kh or w_in < kw:
             raise ShapeError(f"kernel ({kh},{kw}) larger than input ({h},{w_in})")
         ho, wo = h - kh + 1, w_in - kw + 1
-        self._rows = _row_windows(x, kw)
-        self._x_shape = x.shape
-        out = _correlate(self._rows, self.w.value, ho, wo).reshape(n, -1)
+        self._saved = _row_windows(x, kw)
+        out = _correlate(self._saved, self.w.value, ho, wo).reshape(n, -1)
         out += np.tile(self.b.value, ho * wo)  # one long add, not Ho*Wo of F
         return out.reshape(n, ho, wo, filters)
 
     def backward(self, grad_out, input_grad=True):
         kh, kw, cin, filters = self.w.value.shape
-        n, h, w_in, _ = self._x_shape
-        ho, wo = h - kh + 1, w_in - kw + 1
-        g = grad_out.reshape(n, ho * wo, filters)
+        n, ho, wo, _ = grad_out.shape
+        h, w_in = ho + kh - 1, wo + kw - 1
+        rows, g = self._saved, grad_out.reshape(n, ho * wo, filters)
         self.w.grad = np.stack([
-            (self._rows[:, i * wo:(i + ho) * wo].transpose(0, 2, 1) @ g).sum(axis=0)
+            (rows[:, i * wo:(i + ho) * wo].transpose(0, 2, 1) @ g).sum(axis=0)
             for i in range(kh)]).reshape(kh, kw, cin, filters)
         # over the batch, then over positions: long adds, not N*Ho*Wo of F
         self.b.grad = grad_out.sum(axis=0).reshape(-1, filters).sum(axis=0)
@@ -184,14 +183,10 @@ class MaxPool2D(Layer):
     the input, one per window position in row-major order (r0c0, r0c1,
     r1c0, r1c1). No argmax index is stored: backward finds each window's
     first maximum by comparing the quarters, in that order, against the
-    cached pooled output, and routes the window's gradient there alone, so
+    saved pooled output, and routes the window's gradient there alone, so
     ties resolve deterministically to the first position. Every other
     position gets ``g * 0``, which is -0.0 where ``g`` is negative.
     """
-
-    def __init__(self):
-        self._x: np.ndarray | None = None
-        self._out: np.ndarray | None = None
 
     def _quarters(self, a: np.ndarray) -> list[np.ndarray]:
         """Strided views of ``a``, one per window position, row-major."""
@@ -205,14 +200,15 @@ class MaxPool2D(Layer):
         out = first.copy()
         for q in rest:
             np.maximum(out, q, out=out)
-        self._x, self._out = x, out
+        self._saved = x, out
         return out
 
     def backward(self, grad_out):
-        grad_x = np.zeros(self._x.shape, dtype=grad_out.dtype)
-        free = np.ones(self._out.shape, dtype=bool)
-        for q, gq in zip(self._quarters(self._x), self._quarters(grad_x)):
-            hit = q == self._out
+        x, out = self._saved
+        grad_x = np.zeros(x.shape, dtype=grad_out.dtype)
+        free = np.ones(out.shape, dtype=bool)
+        for q, gq in zip(self._quarters(x), self._quarters(grad_x)):
+            hit = q == out
             hit &= free
             np.multiply(grad_out, hit, out=gq)
             free ^= hit  # hit is a subset of free: clear the taken windows
@@ -224,20 +220,17 @@ class ReLU(Layer):
 
     NaN propagates: a NaN input gives a NaN output (and a zero gradient), so
     a poisoned network fails the loss check instead of being silently
-    cleared. Backward takes its mask from the cached output (``out > 0`` is
+    cleared. Backward takes its mask from the saved output (``out > 0`` is
     ``x > 0``) and returns ``g * mask``, which is -0.0 where a negative
     ``g`` is masked.
     """
 
-    def __init__(self):
-        self._out: np.ndarray | None = None
-
     def forward(self, x, rng=None):
-        self._out = np.maximum(x, 0, dtype=x.dtype)
-        return self._out
+        self._saved = np.maximum(x, 0, dtype=x.dtype)
+        return self._saved
 
     def backward(self, grad_out):
-        return grad_out * (self._out > 0)
+        return grad_out * (self._saved > 0)
 
 
 class Dropout(Layer):
@@ -248,34 +241,30 @@ class Dropout(Layer):
         if not 0.0 <= rate < 1.0:
             raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
         self.rate = rate
-        self._mask: np.ndarray | None = None
 
     def forward(self, x, rng=None):
         if rng is None or self.rate == 0.0:
-            self._mask = None
+            self._saved = None
             return x
         keep = (rng.uniform(size=x.shape) >= self.rate)
-        self._mask = keep.astype(x.dtype) / (1.0 - self.rate)
-        return x * self._mask
+        self._saved = keep.astype(x.dtype) / (1.0 - self.rate)
+        return x * self._saved
 
     def backward(self, grad_out):
-        if self._mask is None:
+        if self._saved is None:
             return grad_out
-        return grad_out * self._mask
+        return grad_out * self._saved
 
 
 class Flatten(Layer):
     """Row-major reshape (N, H, W, C) -> (N, H*W*C); backward is the inverse."""
 
-    def __init__(self):
-        self._x_shape: tuple | None = None
-
     def forward(self, x, rng=None):
-        self._x_shape = x.shape
+        self._saved = x.shape
         return x.reshape(x.shape[0], -1)
 
     def backward(self, grad_out):
-        return grad_out.reshape(self._x_shape)
+        return grad_out.reshape(self._saved)
 
 
 class Sequential:

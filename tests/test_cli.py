@@ -175,8 +175,12 @@ class TestTrainEval:
                         b'"tensors": []}'),
         checkpoint_head(b'{"model": {"n_c1": 4, "n_c2": 6, "mode": "joint"}, '
                         b'"tensors": []}'),
+        checkpoint_head(b'{"model": {"n_c1": true, "n_c2": true, "mode": "joint"}, '
+                        b'"tensors": []}'),
+        checkpoint_head(b'{"model": {"n_c1": 1000000000, "n_c2": 1000000000, '
+                        b'"mode": "joint"}, "tensors": []}'),
     ], ids=["five-bytes", "non-utf8-header", "no-model-key", "missing-file",
-            "float-n_c1", "unequal-sizes"])
+            "float-n_c1", "unequal-sizes", "bool-sizes", "huge-sizes"])
     def test_bad_checkpoint_fails_before_load(self, content, fake_cifar_dir,
                                               tmp_path, capsys, corpus_loads):
         ckpt = tmp_path / "checkpoint.bin"
@@ -314,10 +318,15 @@ class TestConfigFile:
         ("run.cfg", "epoch=1\n"),
         ("run.cfg", "config=other.cfg\n"),
         ("run.cfg", "output_size=1\nmode=sensing-only\n"),
+        ("run.cfg", "seed=-1\n"),
+        ("run.json", '{"eval_seed": -1}'),
+        ("run.json", '{"output_size": 100000000}'),
+        ("run.cfg", "output_size=3073\n"),
     ], ids=["format-xml", "epochs-abc", "epochs-float", "mode-bogus",
             "comm-snr-nan", "sensing-snr-inf", "comm-snr-huge-int",
             "epochs-true", "points-list", "prefix-key", "config-key",
-            "size-1-sensing-only"])
+            "size-1-sensing-only", "seed-negative", "eval-seed-negative",
+            "size-1e8", "size-above-source"])
     def test_bad_value_fails_before_load(self, name, text, fake_cifar_dir,
                                          tmp_path, capsys, corpus_loads):
         cfg = tmp_path / name

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,18 @@ class TestLoader:
         assert np.array_equal(first.label2, ds.train.label2[:RECORDS_PER_FILE])
         with pytest.raises(CorruptDatasetError, match=TRAIN_FILES[1]):
             ds.train.subset(RECORDS_PER_FILE + 1)
+
+    def test_load_holds_a_block_of_records_not_a_file(self, fake_cifar_dir):
+        """Checking the six files and reading their labels allocates the
+        480 KB of labels and one block of records at a time, never a
+        whole 30 MiB file."""
+        tracemalloc.start()
+        try:
+            load_cifar10(fake_cifar_dir)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, f"{peak / 2**20:.1f} MiB"
 
     def test_labels_relabelled_consistently(self, fake_cifar_dir, fake_dataset):
         for split, files in ((fake_dataset.train, TRAIN_FILES),

@@ -5,8 +5,8 @@ import struct
 import numpy as np
 import pytest
 
-from sensecomm.channel import ChannelConfig, SensingConfig
-from sensecomm.dataset import synthetic_dataset
+from sensecomm.channel import ChannelConfig, PowerNormalize, SensingConfig
+from sensecomm.dataset import SOURCE_DIM, synthetic_dataset
 from sensecomm.errors import ConfigError
 from sensecomm.models import (
     ExperimentConfig,
@@ -20,7 +20,15 @@ from sensecomm.models import (
     train,
 )
 from sensecomm.nn import cross_entropy, cross_entropy_logit_grad
-from sensecomm.nn.layers import Dense
+from sensecomm.nn.layers import (
+    Conv2D,
+    Dense,
+    Dropout,
+    Flatten,
+    Layer,
+    MaxPool2D,
+    ReLU,
+)
 from sensecomm.rng import Rng
 
 AWGN = ChannelConfig("awgn", 3.0)
@@ -97,6 +105,11 @@ class TestBuilders:
         assert ModelConfig(1, "joint").decoder_in == 2
         with pytest.raises(ConfigError):
             ExperimentConfig(epochs=0)
+        # a bool is an int to Python; an n_c above the source compresses nothing
+        for n_c in (True, SOURCE_DIM + 1):
+            with pytest.raises(ConfigError, match="output size"):
+                ModelConfig(n_c, "joint")
+        assert ModelConfig(SOURCE_DIM, "joint").n_c == SOURCE_DIM
 
 
 class TestPipelineForward:
@@ -173,6 +186,47 @@ class TestPipelineForward:
             losses.append(cross_entropy(probs, ds.train.label2))
         assert all(math.log(2.0) - 0.15 < lo < 1.7 for lo in losses)
         assert min(losses) < math.log(2.0) + 0.15
+
+
+# every Layer subclass, so a new one fails below until it is given an input
+SLOT_NODES = ([cls.__name__ for cls in Layer.__subclasses__()]
+              + ["PowerNormalize", "Pipeline-joint", "Pipeline-sensing_only"])
+
+
+def slot_node(name):
+    """A node of the forward graph and a call of its forward on a small
+    input; given an rng, so dropout draws a mask."""
+    x4 = Rng(5).standard_normal((2, 6, 6, 3))
+    x2 = Rng(6).standard_normal((2, 4))
+    if name.startswith("Pipeline-"):
+        pipe = Pipeline(ModelConfig(4, name.removeprefix("Pipeline-")), Rng(1))
+        x = Rng(2).uniform(size=(2, 32, 32, 3)).astype(np.float32)
+        return pipe, lambda: pipe.forward(x, np.array([0, 1]), AWGN, SENSING,
+                                          rng=Rng(3), training=True)
+    if name == "PowerNormalize":
+        norm = PowerNormalize()
+        return norm, lambda: norm.forward(x2)
+    layer, x = {"Dense": (Dense(4, 3, Rng(0), np.float64), x2),
+                "Conv2D": (Conv2D(3, 2, (3, 3), Rng(0), np.float64), x4),
+                "MaxPool2D": (MaxPool2D(), x4),
+                "ReLU": (ReLU(), x4),
+                "Dropout": (Dropout(0.5), x4),
+                "Flatten": (Flatten(), x4)}[name]
+    return layer, lambda: layer.forward(x, Rng(7))
+
+
+class TestSavedSlot:
+    @pytest.mark.parametrize("name", SLOT_NODES)
+    def test_forward_writes_only_saved(self, name):
+        """A forward keeps what its backward needs in ``_saved`` and
+        changes no other attribute of its node."""
+        node, forward = slot_node(name)
+        before = dict(vars(node))
+        forward()
+        after = vars(node)
+        changed = {k for k in before.keys() | after.keys()
+                   if before.get(k) is not after.get(k)}
+        assert changed == {"_saved"}, sorted(changed)
 
 
 class TestPipelineBackward:
