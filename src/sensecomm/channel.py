@@ -76,13 +76,17 @@ class PowerNormalize:
     normalization, which projects out the radial component:
 
         d y / d s = sqrt(n_c) * (I / d - s s^T / (d^2 r)),  d = r + eps
+
+    As with a layer, an rng given to ``forward`` means a backward follows:
+    only then does it save ``(s, r)``. It draws nothing from it.
     """
 
     _saved = None
 
-    def forward(self, s: np.ndarray) -> np.ndarray:
+    def forward(self, s: np.ndarray, rng: Rng | None = None) -> np.ndarray:
         r = np.linalg.norm(s, axis=1, keepdims=True)
-        self._saved = s, r
+        if rng is not None:
+            self._saved = s, r
         return s * (math.sqrt(s.shape[1]) / (r + NORM_EPS))
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
@@ -113,6 +117,12 @@ def sample_realization(kind: str, snr_db, n_samples: int, n_c: int,
     sigma = np.broadcast_to(np.asarray(noise_std(snr_db)), (n_samples,))
     noise = (rng.standard_normal((n_samples, n_c)) * sigma[:, None]).astype(dtype)
     return Transmission(gain, noise)
+
+
+def normals_per_sample(kind: str, n_c: int, links: int) -> int:
+    """Standard normals that ``links`` calls of :func:`sample_realization`
+    draw per sample: n_c of noise each, plus 2 of gain on Rayleigh."""
+    return links * (n_c + 2 if kind == "rayleigh" else n_c)
 
 
 @dataclass

@@ -14,7 +14,10 @@ from __future__ import annotations
 
 import json
 import math
+import multiprocessing
+import os
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +27,7 @@ from .channel import (
     ChannelConfig,
     PowerNormalize,
     SensingConfig,
+    normals_per_sample,
     sample_realization,
 )
 from .dataset import SOURCE_DIM, Dataset, Split, batch_indices
@@ -214,16 +218,20 @@ class Pipeline:
         transmit / decode and return class probabilities.
 
         The true label feeds only the sensing reflection, where it selects
-        the class-dependent SNR. An rng given to a layer stack means
-        training, so ``rng`` reaches the image encoder, the one stack with
-        dropout, only when ``training`` is set. Its masks come first, then
-        the first-round link (joint mode only), sensing and second-round
-        link realizations; the echo encoder draws nothing, so all three
-        links are drawn before it runs."""
+        the class-dependent SNR. An rng given to a layer stack or a norm
+        means training, and that a backward follows, so ``rng`` reaches
+        them only when ``training`` is set; then every node, and the
+        pipeline its three links, saves what ``backward`` needs. Without
+        ``training`` no attribute is written, and a ``backward`` after it
+        reads stale state. The image encoder's dropout masks come first,
+        then the first-round link (joint mode only), sensing and
+        second-round link realizations; the echo encoder and the decoder
+        draw nothing, so all three links are drawn before they run."""
         x = np.asarray(x, dtype=self.dtype)
         joint = self.cfg.mode == "joint"
+        train_rng = rng if training else None
 
-        feat1 = self.image_encoder.forward(x, rng if training else None)
+        feat1 = self.image_encoder.forward(x, train_rng)
         n, n_c = feat1.shape
 
         def link(snr_db):
@@ -233,15 +241,16 @@ class Pipeline:
         comm1 = link(channel_cfg.snr_db) if joint else None
         sense = link(sensing_cfg.snr_for_labels(label2))
         comm2 = link(channel_cfg.snr_db)
-        self._saved = comm1, sense, comm2
+        if training:
+            self._saved = comm1, sense, comm2
 
-        s1 = self._norm1.forward(feat1)
+        s1 = self._norm1.forward(feat1, train_rng)
         y_r1 = comm1.forward(s1) if joint else None
-        feat2 = self.echo_encoder.forward(sense.forward(s1))
-        y_r2 = comm2.forward(self._norm2.forward(feat2))
+        feat2 = self.echo_encoder.forward(sense.forward(s1), train_rng)
+        y_r2 = comm2.forward(self._norm2.forward(feat2, train_rng))
 
         fused = np.concatenate([y_r1, y_r2], axis=1) if joint else y_r2
-        logits = self.decoder.forward(fused)
+        logits = self.decoder.forward(fused, train_rng)
         return softmax(logits)
 
     def backward(self, grad_logits: np.ndarray,
@@ -270,7 +279,8 @@ class Pipeline:
                 channel_cfg: ChannelConfig, sensing_cfg: SensingConfig,
                 rng: Rng) -> np.ndarray:
         """Inference pass: dropout disabled, one sampled realization per call.
-        Returns the predicted labels."""
+        Returns the predicted labels. It saves nothing, so it is reentrant:
+        threads may run it at once on one pipeline, each with its own rng."""
         probs = self.forward(x, label2, channel_cfg, sensing_cfg, rng=rng)
         return probs.argmax(axis=1)
 
@@ -278,12 +288,40 @@ class Pipeline:
 def predict_split(pipeline: Pipeline, split: Split, channel_cfg: ChannelConfig,
                   sensing_cfg: SensingConfig, eval_seed: int) -> np.ndarray:
     """Predicted labels for a whole split under a fixed evaluation seed,
-    one fresh channel realization per sample."""
-    rng = Rng(eval_seed)
+    one fresh channel realization per sample.
+
+    The ``EVAL_BATCH`` batches run in contiguous chunks of whole batches,
+    one per CPU in the process's affinity mask, each on its own thread. A
+    process that ``multiprocessing`` started, such as a sweep worker, runs
+    them serially, since its siblings hold the other CPUs. Each chunk draws
+    from its own ``Rng(eval_seed)``, after drawing and dropping the normals
+    of the samples before its first batch, so every batch gets the draws of
+    a serial pass and the labels are the same at any CPU count."""
+    batches = list(batch_indices(split.n, EVAL_BATCH))
+    links = 3 if pipeline.cfg.mode == "joint" else 2
+    batch_normals = EVAL_BATCH * normals_per_sample(
+        channel_cfg.kind, pipeline.cfg.n_c, links)
+    workers = (1 if multiprocessing.parent_process() is not None
+               else len(os.sched_getaffinity(0)))
+    n_chunks = max(1, min(workers, len(batches)))
+    bounds = [len(batches) * k // n_chunks for k in range(n_chunks + 1)]
+    split.pixels  # read before the fan-out, so the threads share one read
     out = np.empty(split.n, dtype=np.int64)
-    for idx in batch_indices(split.n, EVAL_BATCH):
-        out[idx] = pipeline.predict(split.images(idx), split.label2[idx],
-                                    channel_cfg, sensing_cfg, rng)
+
+    def run(first: int, end: int):
+        rng = Rng(eval_seed)
+        for _ in range(first):  # one whole batch's draws at a time
+            rng.standard_normal(batch_normals)
+        for idx in batches[first:end]:
+            out[idx] = pipeline.predict(split.images(idx), split.label2[idx],
+                                        channel_cfg, sensing_cfg, rng)
+
+    if n_chunks == 1:
+        run(0, len(batches))
+    else:
+        with ThreadPoolExecutor(n_chunks) as pool:
+            for future in [pool.submit(run, *b) for b in zip(bounds, bounds[1:])]:
+                future.result()
     return out
 
 
@@ -365,7 +403,9 @@ def save_checkpoint(pipeline: Pipeline, path: str, seed: int | None = None):
 
 def load_checkpoint(path: str, dtype=np.float32) -> tuple[Pipeline, dict]:
     """Read a checkpoint into a pipeline of ``dtype``. A file that cannot
-    be opened or does not hold exactly this model raises ConfigError."""
+    be opened or does not hold exactly this model raises ConfigError; one
+    whose header declares other than the bytes that follow it does so
+    before any pipeline is built."""
     try:
         fh = open(path, "rb")
     except OSError as exc:
@@ -379,6 +419,8 @@ def load_checkpoint(path: str, dtype=np.float32) -> tuple[Pipeline, dict]:
             header = json.loads(fh.read(hlen).decode("utf-8"))
             model = header["model"]
             cfg = ModelConfig(n_c=model["n_c1"], mode=model["mode"])
+            # n_c2 gets n_c1's checks, so that no bool passes as 1 below
+            ModelConfig(n_c=model["n_c2"], mode=model["mode"])
             tensors = [(meta["name"], meta["shape"]) for meta in header["tensors"]]
         except (struct.error, UnicodeDecodeError, json.JSONDecodeError,
                 KeyError, TypeError) as exc:
@@ -387,6 +429,19 @@ def load_checkpoint(path: str, dtype=np.float32) -> tuple[Pipeline, dict]:
         if model != {"n_c1": cfg.n_c, "n_c2": cfg.n_c, "mode": cfg.mode}:
             raise ConfigError(f"{path}: model {model} is not two encoders of "
                               "one size n_c1 = n_c2")
+        if not all(isinstance(shape, list)
+                   and all(type(d) is int and d > 0 for d in shape)
+                   for _, shape in tensors):
+            raise ConfigError(f"{path}: a tensor shape is not a list of "
+                              "positive integers")
+        declared = 4 * sum(math.prod(shape) for _, shape in tensors)
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if declared > left:
+            raise ConfigError(f"{path}: truncated tensor data ({left} bytes, "
+                              f"the header declares {declared})")
+        if declared < left:
+            raise ConfigError(f"{path}: trailing bytes after the last tensor "
+                              f"({left - declared})")
         pipeline = Pipeline(cfg, Rng(0), dtype)
         params = pipeline.params()
         if len(tensors) != len(params):
@@ -399,9 +454,5 @@ def load_checkpoint(path: str, dtype=np.float32) -> tuple[Pipeline, dict]:
             if list(p.value.shape) != shape:
                 raise ConfigError(f"{path}: tensor {name} shape mismatch")
             buf = fh.read(4 * p.value.size)
-            if len(buf) != 4 * p.value.size:
-                raise ConfigError(f"{path}: truncated tensor data")
             p.value = np.frombuffer(buf, dtype="<f4").reshape(p.value.shape).astype(dtype)
-        if fh.read(1):
-            raise ConfigError(f"{path}: trailing bytes after the last tensor")
     return pipeline, header

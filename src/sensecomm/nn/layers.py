@@ -1,13 +1,16 @@
 """Differentiable layers: forward passes plus exact analytic backward passes.
 
 All layers operate on batched arrays with the sample axis first. Images are
-channels-last ``(N, H, W, C)``. Each layer keeps what its backward pass
-needs in one slot, ``_saved``, which ``forward`` writes and nothing else
-does, and exposes trainable parameters as :class:`Param` objects whose
-``grad`` is filled in by ``backward``.
+channels-last ``(N, H, W, C)``. Each layer exposes trainable parameters as
+:class:`Param` objects whose ``grad`` is filled in by ``backward``.
 
-An rng given to a layer stack's ``forward`` means training: a layer that
-draws at random (:class:`Dropout`) draws from it, and without one does not.
+An rng given to ``forward`` means training, and that a backward follows: a
+layer that draws at random (:class:`Dropout`) draws from it, and every
+layer keeps what its backward needs in one slot, ``_saved``, which only
+``forward`` writes. A forward without an rng draws nothing and writes no
+attribute at all, so any number of threads may run one on the same layer;
+a ``backward`` after it reads the state of the last forward that had an
+rng.
 """
 
 from __future__ import annotations
@@ -52,7 +55,9 @@ class Param:
 class Layer:
     """Base layer. Subclasses override forward/backward; params() lists
     trainable parameters in declaration order. An rng given to ``forward``
-    means training: a layer draws from it, and only from it."""
+    means training: a layer draws from it, and only from it, and saves what
+    its backward needs in ``_saved``. Without one, ``forward`` writes
+    nothing, and a ``backward`` after it reads stale state."""
 
     _saved = None
 
@@ -77,7 +82,8 @@ class Dense(Layer):
         if x.ndim != 2 or x.shape[1] != self.w.value.shape[0]:
             raise ShapeError(
                 f"dense expects (N, {self.w.value.shape[0]}), got {x.shape}")
-        self._saved = x
+        if rng is not None:
+            self._saved = x
         return x @ self.w.value + self.b.value
 
     def backward(self, grad_out, input_grad=True):
@@ -127,12 +133,13 @@ class Conv2D(Layer):
     kh*kw times of a full window matrix. In that buffer image row h + i
     starts i*Wo rows after image row h, so kernel row i's operand for all
     of a sample's outputs is one contiguous (Ho*Wo, kw*C) block, and the
-    output is the sum of kh per-sample matmuls, one per kernel row. The row
-    windows are saved: backward's weight gradient for kernel row i is
-    ``block_i^T @ g`` per sample, summed over the batch. The input gradient
-    is the "full" convolution of the output gradient: pad it by kernel-1 on
-    every spatial side and correlate it, through the same row windows, with
-    the kernel flipped in (kh, kw) and its channel axes swapped.
+    output is the sum of kh per-sample matmuls, one per kernel row. Given
+    an rng, forward saves the row windows: backward's weight gradient for
+    kernel row i is ``block_i^T @ g`` per sample, summed over the batch.
+    The input gradient is the "full" convolution of the output gradient:
+    pad it by kernel-1 on every spatial side and correlate it, through the
+    same row windows, with the kernel flipped in (kh, kw) and its channel
+    axes swapped.
     """
 
     def __init__(self, in_channels: int, filters: int, kernel: tuple[int, int],
@@ -149,8 +156,10 @@ class Conv2D(Layer):
         if h < kh or w_in < kw:
             raise ShapeError(f"kernel ({kh},{kw}) larger than input ({h},{w_in})")
         ho, wo = h - kh + 1, w_in - kw + 1
-        self._saved = _row_windows(x, kw)
-        out = _correlate(self._saved, self.w.value, ho, wo).reshape(n, -1)
+        rows = _row_windows(x, kw)
+        if rng is not None:
+            self._saved = rows
+        out = _correlate(rows, self.w.value, ho, wo).reshape(n, -1)
         out += np.tile(self.b.value, ho * wo)  # one long add, not Ho*Wo of F
         return out.reshape(n, ho, wo, filters)
 
@@ -200,7 +209,8 @@ class MaxPool2D(Layer):
         out = first.copy()
         for q in rest:
             np.maximum(out, q, out=out)
-        self._saved = x, out
+        if rng is not None:
+            self._saved = x, out
         return out
 
     def backward(self, grad_out):
@@ -226,8 +236,10 @@ class ReLU(Layer):
     """
 
     def forward(self, x, rng=None):
-        self._saved = np.maximum(x, 0, dtype=x.dtype)
-        return self._saved
+        out = np.maximum(x, 0, dtype=x.dtype)
+        if rng is not None:
+            self._saved = out
+        return out
 
     def backward(self, grad_out):
         return grad_out * (self._saved > 0)
@@ -243,7 +255,9 @@ class Dropout(Layer):
         self.rate = rate
 
     def forward(self, x, rng=None):
-        if rng is None or self.rate == 0.0:
+        if rng is None:
+            return x
+        if self.rate == 0.0:
             self._saved = None
             return x
         keep = (rng.uniform(size=x.shape) >= self.rate)
@@ -260,7 +274,8 @@ class Flatten(Layer):
     """Row-major reshape (N, H, W, C) -> (N, H*W*C); backward is the inverse."""
 
     def forward(self, x, rng=None):
-        self._saved = x.shape
+        if rng is not None:
+            self._saved = x.shape
         return x.reshape(x.shape[0], -1)
 
     def backward(self, grad_out):
@@ -275,7 +290,9 @@ class Sequential:
 
     def forward(self, x, rng=None):
         """An rng given to a layer stack means training: each dropout layer
-        draws its mask from it, in layer order."""
+        draws its mask from it, in layer order, and every layer saves what
+        ``backward`` needs. Without one the stack draws and saves nothing,
+        and a ``backward`` after it reads stale state."""
         for layer in self.layers:
             x = layer.forward(x, rng)
         return x

@@ -111,13 +111,14 @@ def projection_check(forward: Callable[[np.ndarray], np.ndarray],
 
 def _layer(make, shape: tuple, seed: int) -> GradCheckReport:
     """A layer built from ``Rng(seed)``, fed the next standard-normal draws
-    of that stream and projected onto draws from ``Rng(seed + 1)``."""
+    of that stream and projected onto draws from ``Rng(seed + 1)``. Its
+    forward is given the stream, so it saves what backward needs."""
     rng = Rng(seed)
     layer = make(rng)
     x = rng.standard_normal(shape)
     proj = Rng(seed + 1).standard_normal(layer.forward(x).shape)
-    return projection_check(layer.forward, layer.backward, x, proj,
-                            layer.params())
+    return projection_check(lambda x: layer.forward(x, rng), layer.backward,
+                            x, proj, layer.params())
 
 
 def _same_shape(forward, backward, shape: tuple, seed: int) -> GradCheckReport:
@@ -139,9 +140,10 @@ def _softmax_cross_entropy() -> GradCheckReport:
 
 def _pipeline(mode: str, kind: str, seed: int = 101) -> GradCheckReport:
     """End-to-end check of the cross-entropy at batch 2 and n_c 4: dropout
-    off, sampled coordinates per parameter tensor. Each pass draws its
-    channel realizations from a fresh ``Rng(seed + 10_000)``, so every pass
-    sees the same ones.
+    off, sampled coordinates per parameter tensor. Each pass is a training
+    pass, so that it saves what backward needs, at dropout rate 0, so that
+    it draws no mask. It draws its channel realizations from a fresh
+    ``Rng(seed + 10_000)``, so every pass sees the same ones.
 
     The seed pins an operating point where no relu or pooling unit sits
     within the finite-difference step of its kink; central differences are
@@ -149,6 +151,9 @@ def _pipeline(mode: str, kind: str, seed: int = 101) -> GradCheckReport:
     """
     rng = Rng(seed)
     pipeline = Pipeline(ModelConfig(n_c=4, mode=mode), rng, dtype=np.float64)
+    for layer in pipeline.image_encoder.layers:
+        if isinstance(layer, Dropout):
+            layer.rate = 0.0
     x = rng.uniform(0.0, 1.0, size=(2, 32, 32, 3))
     labels = np.array([0, 1])
     channel_cfg = ChannelConfig(kind=kind, snr_db=3.0)
@@ -156,7 +161,7 @@ def _pipeline(mode: str, kind: str, seed: int = 101) -> GradCheckReport:
 
     def probs(x):
         return pipeline.forward(x, labels, channel_cfg, sensing_cfg,
-                                rng=Rng(seed + 10_000))
+                                rng=Rng(seed + 10_000), training=True)
 
     return projection_check(
         lambda x: cross_entropy(probs(x), labels),
@@ -183,7 +188,8 @@ def run_gradient_checks() -> list[tuple[str, GradCheckReport]]:
          _same_shape(lambda x: dropout.forward(x, Rng(99)),
                      dropout.backward, (2, 20), 16)),
         ("softmax_cross_entropy", _softmax_cross_entropy()),
-        ("power_normalize", _same_shape(norm.forward, norm.backward, (3, 8), 18)),
+        ("power_normalize",
+         _same_shape(lambda s: norm.forward(s, Rng(18)), norm.backward, (3, 8), 18)),
         ("channel_awgn", _same_shape(awgn.forward, awgn.backward, (3, 6), 19)),
         ("channel_rayleigh",
          _same_shape(rayleigh.forward, rayleigh.backward, (3, 6), 19)),

@@ -199,7 +199,7 @@ def test_c09_oracle_equivalence():
         g = rng.standard_normal((2, h // 2, w // 2, 3))
         layer = MaxPool2D()
         out, gx = maxpool_oracle(x, g)
-        assert np.array_equal(layer.forward(x), out)
+        assert np.array_equal(layer.forward(x, rng), out)
         assert np.array_equal(layer.backward(g), gx)
 
     p = Param(np.array([1.0]))

@@ -42,7 +42,7 @@ class TestNormalizePower:
         layer = PowerNormalize()
         x = rng.standard_normal((2, 6))
         proj = rng.standard_normal((2, 6))
-        layer.forward(x)
+        layer.forward(x, rng)
         grad = layer.backward(proj)
         eps = 1e-6
         flat = x.reshape(-1)

@@ -13,7 +13,15 @@ from conftest import link_corpus
 from sensecomm import cli, models
 from sensecomm.cli import main, parse_args
 from sensecomm.dataset import TEST_FILE
-from sensecomm.models import ExperimentConfig, load_checkpoint
+from sensecomm.models import (
+    ExperimentConfig,
+    ModelConfig,
+    Pipeline,
+    load_checkpoint,
+    save_checkpoint,
+)
+from sensecomm.rng import Rng
+from test_models import rewrite_checkpoint
 
 
 def run_cli(argv):
@@ -41,6 +49,15 @@ def corpus_loads(monkeypatch):
 def checkpoint_head(header: bytes) -> bytes:
     """The magic and length-prefixed ``header`` of a checkpoint file."""
     return b"SCM1" + struct.pack("<I", len(header)) + header
+
+
+def saved_with_model(n_c: int, **model):
+    """A writer of a saved joint ``n_c``-symbol checkpoint whose header's
+    model entry is updated with ``model``."""
+    def write(path):
+        save_checkpoint(Pipeline(ModelConfig(n_c, "joint"), Rng(0)), path)
+        rewrite_checkpoint(path, lambda header: header["model"].update(model))
+    return write
 
 
 def assert_one_error_line(capsys):
@@ -179,16 +196,24 @@ class TestTrainEval:
                         b'"tensors": []}'),
         checkpoint_head(b'{"model": {"n_c1": 1000000000, "n_c2": 1000000000, '
                         b'"mode": "joint"}, "tensors": []}'),
+        saved_with_model(1, n_c2=True),
+        saved_with_model(4, n_c2=4.0),
     ], ids=["five-bytes", "non-utf8-header", "no-model-key", "missing-file",
-            "float-n_c1", "unequal-sizes", "bool-sizes", "huge-sizes"])
+            "float-n_c1", "unequal-sizes", "bool-sizes", "huge-sizes",
+            "bool-n_c2", "float-n_c2"])
     def test_bad_checkpoint_fails_before_load(self, content, fake_cifar_dir,
                                               tmp_path, capsys, corpus_loads):
         ckpt = tmp_path / "checkpoint.bin"
-        if content is not None:
+        if callable(content):
+            content(ckpt)
+        elif content is not None:
             ckpt.write_bytes(content)
         out = tmp_path / "out"
+        # no --output-size: the checkpoint alone must be refused, not its
+        # size's disagreement with a flag
         code = exit_code(["eval", "--data-dir", str(fake_cifar_dir),
-                          "--checkpoint", str(ckpt), "--out", str(out)] + SMOKE)
+                          "--checkpoint", str(ckpt), "--out", str(out)]
+                         + SMOKE[2:])
         assert code == 2
         assert_one_error_line(capsys)
         assert corpus_loads == []
@@ -259,7 +284,32 @@ def outputs_at_blas_threads(threads, argv, out, names):
     return [(out / name).read_bytes() for name in names]
 
 
+PIN_ONE_CPU = """
+import os, sys
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from sensecomm import cli
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
 class TestThreadCount:
+    def test_eval_cpu_count_leaves_metrics_byte_identical(
+            self, train_run, fake_cifar_dir, tmp_path):
+        """Pinned to one CPU, eval runs its four batches on one thread;
+        unpinned, on one thread per CPU. The report is the same."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        argv = ["eval", "--data-dir", str(fake_cifar_dir), "--checkpoint",
+                str(train_run[1] / "checkpoint.bin"), "--limit-test", "1000"]
+        reports = []
+        for name, launch in (("pinned", ["-c", PIN_ONE_CPU]),
+                             ("unpinned", ["-m", "sensecomm"])):
+            subprocess.run([sys.executable, *launch, *argv,
+                            "--out", str(tmp_path / name)],
+                           env=dict(os.environ, PYTHONPATH=src), check=True,
+                           capture_output=True, timeout=300)
+            reports.append((tmp_path / name / "metrics.json").read_bytes())
+        assert reports[0] == reports[1]
+
     def test_blas_threads_leave_outputs_byte_identical(self, fake_cifar_dir,
                                                         tmp_path):
         argv = ["train", "--data-dir", str(fake_cifar_dir)] + SMOKE

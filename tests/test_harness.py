@@ -180,6 +180,20 @@ class TestRunSweep:
         assert [(pid, count) for pid, _, count in pixel_reads()] == [
             (os.getpid(), 256), (os.getpid(), 128)]
 
+    def test_workers_evaluate_serially(self, monkeypatch):
+        """A sweep worker's CPUs are taken by its siblings, so it runs
+        its evaluations' batches on one thread, not one thread per CPU."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a sweep worker started an eval thread pool")
+
+        monkeypatch.setattr(models, "ThreadPoolExecutor", no_pool)
+        # three eval batches: a process of its own would run two chunks
+        corpus = synthetic_dataset(64, 600, seed=61)
+        sweep = run_sweep("output_size", [4], tiny_experiment(), corpus)
+        assert len(sweep.per_point) == 1
+
 
 class TestReports:
     def stub_sweep(self):

@@ -166,7 +166,7 @@ class TestDense:
         rng = Rng(4)
         layer = Dense(6, 3, rng, np.float64)
         x = rng.standard_normal((5, 6))
-        layer.forward(x)
+        layer.forward(x, rng)
         g = rng.standard_normal((5, 3))
         gx = layer.backward(g)
         assert np.allclose(layer.w.grad, x.T @ g)
@@ -228,7 +228,7 @@ class TestConv2D:
         rng = Rng(6)
         layer = Conv2D(shape[3], 3, kernel, rng, np.float64)
         x = conv_input(rng, shape, layout)
-        g = rng.standard_normal(layer.forward(x).shape)
+        g = rng.standard_normal(layer.forward(x, rng).shape)
         gx, gw, gb = conv_backward_oracle(x, layer.w.value, g)
         assert np.max(np.abs(layer.backward(g) - gx)) < 1e-12
         assert np.max(np.abs(layer.w.grad - gw)) < 1e-12
@@ -238,7 +238,7 @@ class TestConv2D:
         rng = Rng(7)
         layer = Conv2D(2, 3, (3, 3), rng, np.float64)
         x = rng.standard_normal((2, 6, 5, 2))
-        g = rng.standard_normal(layer.forward(x).shape)
+        g = rng.standard_normal(layer.forward(x, rng).shape)
         layer.backward(g)
         w_grad, b_grad = layer.w.grad, layer.b.grad
         assert layer.backward(g, input_grad=False) is None
@@ -265,7 +265,7 @@ class TestMaxPool:
     def test_constant_ties_route_to_first(self):
         layer = MaxPool2D()
         x = np.full((1, 4, 4, 1), 7.0)
-        out = layer.forward(x)
+        out = layer.forward(x, Rng(0))
         assert np.all(out == 7.0)
         g = layer.backward(np.ones_like(out))
         expected = np.zeros((1, 4, 4, 1))
@@ -280,7 +280,7 @@ class TestMaxPool:
     def test_odd_input_truncates(self):
         layer = MaxPool2D()
         x = np.arange(25, dtype=np.float64).reshape(1, 5, 5, 1)
-        out = layer.forward(x)
+        out = layer.forward(x, Rng(0))
         assert out.shape == (1, 2, 2, 1)
         g = layer.backward(np.ones_like(out))
         assert g.shape == x.shape
@@ -291,7 +291,7 @@ class TestMaxPool:
         x = tie_pattern_batch(dtype)
         g = (np.arange(15 * 3, dtype=dtype).reshape(15, 1, 1, 3) - 20.0) / 7
         layer = MaxPool2D()
-        out = layer.forward(x)
+        out = layer.forward(x, Rng(0))
         want_out, want_gx = maxpool_oracle(x, g)
         assert np.array_equal(out, want_out)
         assert np.array_equal(layer.backward(g), want_gx)
@@ -304,7 +304,7 @@ class TestMaxPool:
         g = rng.standard_normal((shape[0], shape[1] // 2, shape[2] // 2,
                                  shape[3])).astype(dtype)
         layer = MaxPool2D()
-        out = layer.forward(x)
+        out = layer.forward(x, Rng(0))
         want_out, want_gx = maxpool_oracle(x, g)
         assert np.array_equal(out, want_out)
         assert np.array_equal(layer.backward(g), want_gx)
@@ -312,7 +312,7 @@ class TestMaxPool:
     def test_gradient_goes_to_argmax(self):
         layer = MaxPool2D()
         x = np.array([[1.0, 5.0], [2.0, 3.0]]).reshape(1, 2, 2, 1)
-        layer.forward(x)
+        layer.forward(x, Rng(0))
         g = layer.backward(np.full((1, 1, 1, 1), 4.0))
         assert g[0, 0, 1, 0] == 4.0
         assert g.sum() == 4.0
@@ -329,13 +329,13 @@ class TestActivations:
 
     def test_relu_backward_masks(self):
         layer = ReLU()
-        layer.forward(np.array([[-1.0, 0.0, 2.0]]))
+        layer.forward(np.array([[-1.0, 0.0, 2.0]]), Rng(0))
         g = layer.backward(np.array([[5.0, 5.0, 5.0]]))
         assert np.array_equal(g, [[0.0, 0.0, 5.0]])  # subgradient at 0 is 0
 
     def test_relu_backward_masked_negative_gradient_equals_zero(self):
         layer = ReLU()
-        layer.forward(np.array([[-1.0, 0.0, 2.0]]))
+        layer.forward(np.array([[-1.0, 0.0, 2.0]]), Rng(0))
         g = layer.backward(np.array([[-5.0, -5.0, -5.0]]))
         # the masked entries may be -0.0, which must compare equal to 0
         assert np.array_equal(g, [[0.0, 0.0, -5.0]])
@@ -349,7 +349,7 @@ class TestActivations:
     def test_forward_and_backward_keep_dtype(self, make_layer, dtype):
         x = Rng(3).standard_normal((2, 5, 6, 3)).astype(dtype)
         layer = make_layer(dtype)
-        out = layer.forward(x)
+        out = layer.forward(x, Rng(0))
         assert out.dtype == dtype
         assert layer.backward(np.ones_like(out)).dtype == dtype
 
@@ -413,7 +413,7 @@ class TestFlatten:
     def test_round_trip_identity(self):
         layer = Flatten()
         x = Rng(4).standard_normal((3, 4, 5, 2))
-        assert np.array_equal(layer.backward(layer.forward(x)), x)
+        assert np.array_equal(layer.backward(layer.forward(x, Rng(0))), x)
 
     def test_1x1x3_order(self):
         x = np.array([1.0, 2.0, 3.0]).reshape(1, 1, 1, 3)

@@ -1,12 +1,21 @@
 import json
 import math
+import os
 import struct
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from sensecomm.channel import ChannelConfig, PowerNormalize, SensingConfig
-from sensecomm.dataset import SOURCE_DIM, synthetic_dataset
+from sensecomm.channel import (
+    ChannelConfig,
+    PowerNormalize,
+    SensingConfig,
+    normals_per_sample,
+)
+from sensecomm.dataset import SOURCE_DIM, load_cifar10, synthetic_dataset
 from sensecomm.errors import ConfigError
 from sensecomm.models import (
     ExperimentConfig,
@@ -16,6 +25,7 @@ from sensecomm.models import (
     build_echo_encoder,
     build_image_encoder,
     load_checkpoint,
+    predict_split,
     save_checkpoint,
     train,
 )
@@ -40,15 +50,22 @@ def layer_sizes(net):
 
 
 class CountingRng(Rng):
-    """An Rng that records the size of every uniform draw made from it."""
+    """An Rng that records the size of every uniform and every standard
+    normal draw made from it."""
 
     def __init__(self, seed):
         super().__init__(seed)
         self.uniform_sizes = []
+        self.normal_sizes = []
 
     def uniform(self, low=0.0, high=1.0, size=None):
         out = super().uniform(low, high, size)
         self.uniform_sizes.append(np.size(out))
+        return out
+
+    def standard_normal(self, size=None):
+        out = super().standard_normal(size)
+        self.normal_sizes.append(np.size(out))
         return out
 
 
@@ -193,26 +210,36 @@ SLOT_NODES = ([cls.__name__ for cls in Layer.__subclasses__()]
               + ["PowerNormalize", "Pipeline-joint", "Pipeline-sensing_only"])
 
 
-def slot_node(name):
+def slot_node(name, training=True):
     """A node of the forward graph and a call of its forward on a small
-    input; given an rng, so dropout draws a mask."""
+    input. In training it is given an rng, so dropout draws a mask; a
+    pipeline draws its links from one either way."""
     x4 = Rng(5).standard_normal((2, 6, 6, 3))
     x2 = Rng(6).standard_normal((2, 4))
+    rng = Rng(7) if training else None
     if name.startswith("Pipeline-"):
         pipe = Pipeline(ModelConfig(4, name.removeprefix("Pipeline-")), Rng(1))
         x = Rng(2).uniform(size=(2, 32, 32, 3)).astype(np.float32)
         return pipe, lambda: pipe.forward(x, np.array([0, 1]), AWGN, SENSING,
-                                          rng=Rng(3), training=True)
+                                          rng=Rng(3), training=training)
     if name == "PowerNormalize":
         norm = PowerNormalize()
-        return norm, lambda: norm.forward(x2)
+        return norm, lambda: norm.forward(x2, rng)
     layer, x = {"Dense": (Dense(4, 3, Rng(0), np.float64), x2),
                 "Conv2D": (Conv2D(3, 2, (3, 3), Rng(0), np.float64), x4),
                 "MaxPool2D": (MaxPool2D(), x4),
                 "ReLU": (ReLU(), x4),
                 "Dropout": (Dropout(0.5), x4),
                 "Flatten": (Flatten(), x4)}[name]
-    return layer, lambda: layer.forward(x, Rng(7))
+    return layer, lambda: layer.forward(x, rng)
+
+
+def graph_nodes(node):
+    """``node`` and, for a pipeline, every node its forward runs."""
+    if not isinstance(node, Pipeline):
+        return [node]
+    return ([node, node._norm1, node._norm2] + node.image_encoder.layers
+            + node.echo_encoder.layers + node.decoder.layers)
 
 
 class TestSavedSlot:
@@ -228,6 +255,80 @@ class TestSavedSlot:
                    if before.get(k) is not after.get(k)}
         assert changed == {"_saved"}, sorted(changed)
 
+    @pytest.mark.parametrize("name", SLOT_NODES)
+    def test_forward_without_rng_writes_nothing(self, name):
+        """A forward that no backward follows saves nothing, in the node
+        or in any node it runs, so threads can share the node."""
+        node, forward = slot_node(name, training=False)
+        nodes = graph_nodes(node)
+        before = [dict(vars(n)) for n in nodes]
+        forward()
+        for n, attrs in zip(nodes, before):
+            assert vars(n) == attrs, type(n).__name__
+
+
+@pytest.fixture(scope="module")
+def eval_split():
+    """Four eval batches: three whole ones and a part."""
+    return synthetic_dataset(1, 1000, seed=50).test
+
+
+class TestPredictSplit:
+    @pytest.mark.parametrize("mode, links", [("joint", 3), ("sensing_only", 2)])
+    @pytest.mark.parametrize("kind", ["awgn", "rayleigh"])
+    def test_normals_per_sample_counts_one_predict(self, kind, mode, links):
+        pipe = Pipeline(ModelConfig(5, mode), Rng(51))
+        x = Rng(52).uniform(size=(3, 32, 32, 3)).astype(np.float32)
+        rng = CountingRng(53)
+        pipe.predict(x, np.array([0, 1, 1]), ChannelConfig(kind, 3.0),
+                     SENSING, rng)
+        assert sum(rng.normal_sizes) == 3 * normals_per_sample(kind, 5, links)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("mode", ["joint", "sensing_only"])
+    @pytest.mark.parametrize("kind", ["awgn", "rayleigh"])
+    def test_labels_equal_at_any_cpu_count(self, kind, mode, dtype,
+                                           eval_split, monkeypatch):
+        """The four batches in one, two and three chunks give the same
+        labels: every chunk skips exactly the draws of the samples before
+        it. One chunk runs on the calling thread, more on a thread each,
+        and the threads switch as often as the interpreter allows."""
+        # an init whose labels mix both classes in every mode and kind
+        pipe = Pipeline(ModelConfig(4, mode), Rng(56), dtype)
+        channel = ChannelConfig(kind, 3.0)
+        on_main, real = [], Pipeline.predict
+
+        def predict(self, *args):
+            on_main.append(threading.current_thread() is threading.main_thread())
+            return real(self, *args)
+
+        monkeypatch.setattr(Pipeline, "predict", predict)
+        labels, interval = [], sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as it can
+        try:
+            for cpus in (1, 2, 3):
+                monkeypatch.setattr(os, "sched_getaffinity",
+                                    lambda pid, cpus=cpus: set(range(cpus)))
+                on_main.clear()
+                labels.append(predict_split(pipe, eval_split, channel,
+                                            SENSING, 55))
+                assert on_main == [cpus == 1] * 4
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(labels[0], labels[1])
+        assert np.array_equal(labels[0], labels[2])
+        # the labels depend on the draws, so a chunk that skips wrong shows
+        other = predict_split(pipe, eval_split, channel, SENSING, 59)
+        assert not np.array_equal(labels[0], other)
+
+    def test_lazy_split_read_once_by_two_threads(self, fake_cifar_dir,
+                                                pixel_reads, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        test = load_cifar10(fake_cifar_dir).test
+        predict_split(Pipeline(ModelConfig(4, "joint"), Rng(57)), test, AWGN,
+                      SENSING, 58)
+        assert [count for _, _, count in pixel_reads()] == [test.n]
+
 
 class TestPipelineBackward:
     @pytest.mark.parametrize("mode", ["joint", "sensing_only"])
@@ -235,7 +336,8 @@ class TestPipelineBackward:
         pipe = Pipeline(ModelConfig(6, mode), Rng(15))
         x = Rng(16).uniform(size=(4, 32, 32, 3)).astype(np.float32)
         labels = np.array([0, 1, 1, 0])
-        probs = pipe.forward(x, labels, AWGN, SENSING, rng=Rng(17))
+        probs = pipe.forward(x, labels, AWGN, SENSING, rng=Rng(17),
+                             training=True)
         grad = cross_entropy_logit_grad(probs, labels)
 
         grad_x = pipe.backward(grad)
@@ -369,6 +471,28 @@ class TestCheckpoint:
     def test_trailing_bytes_rejected(self, saved):
         rewrite_checkpoint(saved, extra=b"\x00" * 4)
         with pytest.raises(ConfigError, match="trailing"):
+            load_checkpoint(saved)
+
+    def test_largest_header_without_data_fails_before_build(self, saved):
+        """A header at the largest n_c over no tensor data is refused by
+        its byte count, not after building a pipeline of ~85M parameters."""
+        rewrite_checkpoint(saved, lambda h: h["model"].update(
+            n_c1=SOURCE_DIM, n_c2=SOURCE_DIM), payload_end=0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match="truncated"):
+                load_checkpoint(saved)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize("shape", [[4.0, 4], [0, 4], -4, [True, 4]])
+    def test_bad_tensor_shape_rejected(self, saved, shape):
+        def reshape(header):
+            header["tensors"][0]["shape"] = shape
+        rewrite_checkpoint(saved, reshape)
+        with pytest.raises(ConfigError, match="positive integers"):
             load_checkpoint(saved)
 
 
