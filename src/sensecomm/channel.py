@@ -119,12 +119,6 @@ def sample_realization(kind: str, snr_db, n_samples: int, n_c: int,
     return Transmission(gain, noise)
 
 
-def normals_per_sample(kind: str, n_c: int, links: int) -> int:
-    """Standard normals that ``links`` calls of :func:`sample_realization`
-    draw per sample: n_c of noise each, plus 2 of gain on Rayleigh."""
-    return links * (n_c + 2 if kind == "rayleigh" else n_c)
-
-
 @dataclass
 class Transmission:
     """Applies y = h*s + n for one sampled realization; backward is h * grad.

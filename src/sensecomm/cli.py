@@ -172,11 +172,6 @@ def parse_args(argv=None) -> argparse.Namespace:
             if getattr(args, f.name) is not None})
     except (ConfigError, OSError, UnicodeDecodeError) as exc:
         parser.error(str(exc))
-    existing = os.path.abspath(args.out)  # its nearest existing ancestor
-    while not os.path.exists(existing):
-        existing = os.path.dirname(existing)
-    if not os.path.isdir(existing):
-        parser.error(f"--out {args.out}: {existing} is not a directory")
     return args
 
 
@@ -187,12 +182,17 @@ def _require(args, name: str):
 
 
 def _load_data(args):
-    """The corpus with the limits applied. A limited split's pixels are
-    read here, the others' on first use; ``eval`` reads no training
-    sample."""
+    """The corpus with the limits applied. The ``--out`` directory is made
+    first, so that one that cannot be made fails before the corpus loads.
+    A limited split's pixels are read here, the others' on first use;
+    ``eval`` reads no training sample."""
     _require(args, "data_dir")
     if not os.path.isdir(args.data_dir):
         args.parser.error(f"data directory not found: {args.data_dir}")
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        args.parser.error(f"--out: {exc}")
     try:
         dataset = load_cifar10(args.data_dir)
     except CorruptDatasetError as exc:
@@ -218,7 +218,6 @@ def _parse_points(raw: str | None, sweep: harness.Sweep) -> list:
 def _cmd_train(args) -> int:
     cfg = args.cfg
     dataset = _load_data(args)
-    os.makedirs(args.out, exist_ok=True)
     started = time.monotonic()
     pipeline, result = run_experiment(cfg, dataset, log_fn=print)
     runtime = time.monotonic() - started
@@ -244,7 +243,6 @@ def _cmd_eval(args) -> int:
     started = time.monotonic()
     metrics = evaluate(pipeline, dataset.test, cfg)
     runtime = time.monotonic() - started
-    os.makedirs(args.out, exist_ok=True)
     report = os.path.join(args.out, f"metrics.{args.format}")
     result = {"config": asdict(cfg), "metrics": asdict(metrics),
               "checkpoint": {"path": args.checkpoint, "seed": header.get("seed")},
@@ -259,7 +257,6 @@ def _cmd_sweep(args) -> int:
     points = _parse_points(args.points, sweep)
     sweep.configs(args.cfg, points)  # a bad point fails before the corpus loads
     dataset = _load_data(args)
-    os.makedirs(args.out, exist_ok=True)
     started = time.monotonic()
     result = run_sweep(args.sweep, points, args.cfg, dataset, log_fn=print)
     runtime = time.monotonic() - started

@@ -27,7 +27,6 @@ from .channel import (
     ChannelConfig,
     PowerNormalize,
     SensingConfig,
-    normals_per_sample,
     sample_realization,
 )
 from .dataset import SOURCE_DIM, Dataset, Split, batch_indices
@@ -290,39 +289,30 @@ def predict_split(pipeline: Pipeline, split: Split, channel_cfg: ChannelConfig,
     """Predicted labels for a whole split under a fixed evaluation seed,
     one fresh channel realization per sample.
 
-    The ``EVAL_BATCH`` batches run in contiguous chunks of whole batches,
-    one per CPU in the process's affinity mask, each on its own thread. A
-    process that ``multiprocessing`` started, such as a sweep worker, runs
-    them serially, since its siblings hold the other CPUs. Each chunk draws
-    from its own ``Rng(eval_seed)``, after drawing and dropping the normals
-    of the samples before its first batch, so every batch gets the draws of
-    a serial pass and the labels are the same at any CPU count."""
+    Each ``EVAL_BATCH`` batch draws from a stream of its own, so its labels
+    do not depend on which thread runs it. The batches run on one thread
+    per CPU in the process's affinity mask. A process that
+    ``multiprocessing`` started, such as a sweep worker, runs them
+    serially, since its siblings hold the other CPUs."""
     batches = list(batch_indices(split.n, EVAL_BATCH))
-    links = 3 if pipeline.cfg.mode == "joint" else 2
-    batch_normals = EVAL_BATCH * normals_per_sample(
-        channel_cfg.kind, pipeline.cfg.n_c, links)
+    # one level below the seed's children: train() draws from
+    # Rng(seed).split(3), and at eval_seed == seed a plain split would hand
+    # the first three batches its init, shuffle and noise streams
+    rngs = Rng(eval_seed).split(1)[0].split(len(batches))
     workers = (1 if multiprocessing.parent_process() is not None
-               else len(os.sched_getaffinity(0)))
-    n_chunks = max(1, min(workers, len(batches)))
-    bounds = [len(batches) * k // n_chunks for k in range(n_chunks + 1)]
+               else min(len(os.sched_getaffinity(0)), len(batches)))
     split.pixels  # read before the fan-out, so the threads share one read
-    out = np.empty(split.n, dtype=np.int64)
 
-    def run(first: int, end: int):
-        rng = Rng(eval_seed)
-        for _ in range(first):  # one whole batch's draws at a time
-            rng.standard_normal(batch_normals)
-        for idx in batches[first:end]:
-            out[idx] = pipeline.predict(split.images(idx), split.label2[idx],
-                                        channel_cfg, sensing_cfg, rng)
+    def run(idx: np.ndarray, rng: Rng) -> np.ndarray:
+        return pipeline.predict(split.images(idx), split.label2[idx],
+                                channel_cfg, sensing_cfg, rng)
 
-    if n_chunks == 1:
-        run(0, len(batches))
+    if workers <= 1:
+        labels = list(map(run, batches, rngs))
     else:
-        with ThreadPoolExecutor(n_chunks) as pool:
-            for future in [pool.submit(run, *b) for b in zip(bounds, bounds[1:])]:
-                future.result()
-    return out
+        with ThreadPoolExecutor(workers) as pool:
+            labels = list(pool.map(run, batches, rngs))
+    return np.concatenate(labels)
 
 
 def accuracy_on(pipeline: Pipeline, split: Split, channel_cfg: ChannelConfig,

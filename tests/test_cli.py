@@ -108,6 +108,17 @@ def train_run(fake_cifar_dir, tmp_path_factory):
     return code, out
 
 
+def out_argv(command, data_dir, run, out):
+    """A smoke run of ``command`` into ``out``; eval reads ``run``'s
+    checkpoint."""
+    argv = [command, "--data-dir", str(data_dir), "--out", str(out)]
+    if command == "eval":
+        argv += ["--checkpoint", str(run / "checkpoint.bin")]
+    if command == "sweep-output-size":
+        argv += ["--points", "2"]
+    return argv + SMOKE
+
+
 class TestTrainEval:
     def test_train_writes_checkpoint_and_metrics(self, train_run):
         code, out = train_run
@@ -252,16 +263,22 @@ class TestTrainEval:
         _, run = train_run
         out = tmp_path / "out"
         out.write_text("kept\n")
-        argv = [command, "--data-dir", str(fake_cifar_dir), "--out", str(out / below)]
-        if command == "eval":
-            argv += ["--checkpoint", str(run / "checkpoint.bin")]
-        if command == "sweep-output-size":
-            argv += ["--points", "2"]
-        assert exit_code(argv + SMOKE) == 2
+        assert exit_code(out_argv(command, fake_cifar_dir, run, out / below)) == 2
         assert_one_error_line(capsys)
         assert corpus_loads == []
         assert out.read_text() == "kept\n"
         assert os.listdir(tmp_path) == ["out"]
+
+    @pytest.mark.parametrize("command", ["train", "eval", "sweep-output-size"])
+    def test_out_name_too_long_fails_before_load(self, command, train_run,
+                                                 fake_cifar_dir, tmp_path,
+                                                 capsys, corpus_loads):
+        _, run = train_run
+        out = tmp_path / ("x" * 300)
+        assert exit_code(out_argv(command, fake_cifar_dir, run, out)) == 2
+        assert_one_error_line(capsys)
+        assert corpus_loads == []
+        assert os.listdir(tmp_path) == []
 
     def test_train_rerun_metrics_byte_identical(self, train_run, fake_cifar_dir,
                                                 tmp_path):

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import os
@@ -13,7 +14,6 @@ from sensecomm.channel import (
     ChannelConfig,
     PowerNormalize,
     SensingConfig,
-    normals_per_sample,
 )
 from sensecomm.dataset import SOURCE_DIM, load_cifar10, synthetic_dataset
 from sensecomm.errors import ConfigError
@@ -50,22 +50,15 @@ def layer_sizes(net):
 
 
 class CountingRng(Rng):
-    """An Rng that records the size of every uniform and every standard
-    normal draw made from it."""
+    """An Rng that records the size of every uniform draw made from it."""
 
     def __init__(self, seed):
         super().__init__(seed)
         self.uniform_sizes = []
-        self.normal_sizes = []
 
     def uniform(self, low=0.0, high=1.0, size=None):
         out = super().uniform(low, high, size)
         self.uniform_sizes.append(np.size(out))
-        return out
-
-    def standard_normal(self, size=None):
-        out = super().standard_normal(size)
-        self.normal_sizes.append(np.size(out))
         return out
 
 
@@ -274,25 +267,16 @@ def eval_split():
 
 
 class TestPredictSplit:
-    @pytest.mark.parametrize("mode, links", [("joint", 3), ("sensing_only", 2)])
-    @pytest.mark.parametrize("kind", ["awgn", "rayleigh"])
-    def test_normals_per_sample_counts_one_predict(self, kind, mode, links):
-        pipe = Pipeline(ModelConfig(5, mode), Rng(51))
-        x = Rng(52).uniform(size=(3, 32, 32, 3)).astype(np.float32)
-        rng = CountingRng(53)
-        pipe.predict(x, np.array([0, 1, 1]), ChannelConfig(kind, 3.0),
-                     SENSING, rng)
-        assert sum(rng.normal_sizes) == 3 * normals_per_sample(kind, 5, links)
-
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("mode", ["joint", "sensing_only"])
     @pytest.mark.parametrize("kind", ["awgn", "rayleigh"])
     def test_labels_equal_at_any_cpu_count(self, kind, mode, dtype,
                                            eval_split, monkeypatch):
-        """The four batches in one, two and three chunks give the same
-        labels: every chunk skips exactly the draws of the samples before
-        it. One chunk runs on the calling thread, more on a thread each,
-        and the threads switch as often as the interpreter allows."""
+        """The four batches on one, two and three threads give the same
+        labels: each batch draws from its own stream, whichever thread
+        runs it. One CPU runs them on the calling thread, more on a thread
+        per CPU, and the threads switch as often as the interpreter
+        allows."""
         # an init whose labels mix both classes in every mode and kind
         pipe = Pipeline(ModelConfig(4, mode), Rng(56), dtype)
         channel = ChannelConfig(kind, 3.0)
@@ -317,9 +301,32 @@ class TestPredictSplit:
             sys.setswitchinterval(interval)
         assert np.array_equal(labels[0], labels[1])
         assert np.array_equal(labels[0], labels[2])
-        # the labels depend on the draws, so a chunk that skips wrong shows
+        # the labels depend on the draws, so a batch on a wrong stream shows
         other = predict_split(pipe, eval_split, channel, SENSING, 59)
         assert not np.array_equal(labels[0], other)
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_each_batch_has_a_stream_no_training_shares(self, cpus, eval_split,
+                                                         monkeypatch):
+        """The four batches draw from four distinct streams, and at an eval
+        seed equal to the training seed none of them is one of the init,
+        shuffle and noise streams that ``train`` draws from."""
+        seed, first = 60, []
+        real = Pipeline.predict
+
+        def predict(self, x, label2, channel_cfg, sensing_cfg, rng):
+            first.append((rng, copy.deepcopy(rng).standard_normal(8)))
+            return real(self, x, label2, channel_cfg, sensing_cfg, rng)
+
+        monkeypatch.setattr(Pipeline, "predict", predict)
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)))
+        predict_split(Pipeline(ModelConfig(4, "joint"), Rng(61)), eval_split,
+                      AWGN, SENSING, seed)
+        assert len({id(rng) for rng, _ in first}) == 4
+        draws = [d for _, d in first]
+        draws += [r.standard_normal(8) for r in Rng(seed).split(3)]
+        assert len({d.tobytes() for d in draws}) == 7
 
     def test_lazy_split_read_once_by_two_threads(self, fake_cifar_dir,
                                                 pixel_reads, monkeypatch):
