@@ -11,12 +11,12 @@ h = sqrt(a^2 + b^2) / sqrt(2) with a, b standard normal, so E[h^2] = 1 and
 the configured SNR holds on average. No equalization is applied at the
 receiver; robustness to fading is left to the learned decoder.
 
-Signal power is pinned to 1 per element by :class:`PowerNormalize` before
-every transmission, which makes sigma = 10^(-snr_db / 20) the correct noise
-scale for a given SNR. :func:`sample_realization` draws one realization
-(h, n) per sample and returns it as a :class:`Transmission`, whose backward
-treats it as a constant, so the input gradient is just h times the
-upstream gradient.
+Signal power is pinned to 1 per element by :class:`PowerNormalize`, the
+last layer of each encoder, before every transmission, which makes
+sigma = 10^(-snr_db / 20) the correct noise scale for a given SNR.
+:func:`sample_realization` draws one realization (h, n) per sample and
+returns it as a :class:`Transmission`, whose backward treats it as a
+constant, so the input gradient is just h times the upstream gradient.
 
 The sensing reflection is the same mechanics with a class-dependent SNR:
 vehicles reflect at the configured maximum, animals a fixed number of dB
@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
+from .nn import Layer
 from .rng import Rng
 
 NORM_EPS = 1e-12  # added to the L2 norm so all-zero signals stay finite
@@ -69,7 +70,7 @@ def noise_std(snr_db) -> np.ndarray | float:
     return 10.0 ** (-np.asarray(snr_db, dtype=np.float64) / 20.0)
 
 
-class PowerNormalize:
+class PowerNormalize(Layer):
     """Scale each row to unit average per-element power: s * sqrt(n_c)/||s||.
 
     Differentiable; backward applies the exact Jacobian of the (eps-guarded)
@@ -77,11 +78,8 @@ class PowerNormalize:
 
         d y / d s = sqrt(n_c) * (I / d - s s^T / (d^2 r)),  d = r + eps
 
-    As with a layer, an rng given to ``forward`` means a backward follows:
-    only then does it save ``(s, r)``. It draws nothing from it.
+    Given an rng, forward saves ``(s, r)``; it draws nothing from it.
     """
-
-    _saved = None
 
     def forward(self, s: np.ndarray, rng: Rng | None = None) -> np.ndarray:
         r = np.linalg.norm(s, axis=1, keepdims=True)

@@ -25,7 +25,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, fields, replace
 
 from . import harness
-from .dataset import load_cifar10
+from .dataset import check_corpus, load_cifar10
 from .errors import ConfigError, CorruptDatasetError, DivergenceError
 from .harness import (
     SWEEPS,
@@ -103,10 +103,12 @@ def build_parser() -> argparse.ArgumentParser:
         # a sweep always writes both report formats
         p.add_argument("--format", choices=["json", "csv"],
                        default="json")
-    p_train.set_defaults(run=_cmd_train, parser=p_train)
+    # the files each command writes in --out, in the order it writes them
+    p_train.set_defaults(run=_cmd_train, parser=p_train,
+                         outputs=("checkpoint.bin", "metrics.{format}"))
     p_eval.add_argument("--checkpoint",
                         help="checkpoint file written by train (required)")
-    p_eval.set_defaults(run=_cmd_eval, parser=p_eval)
+    p_eval.set_defaults(run=_cmd_eval, parser=p_eval, outputs=("metrics.{format}",))
 
     for name, sweep in SWEEPS.items():
         p_sweep = sub.add_parser(f"sweep-{name.replace('_', '-')}",
@@ -116,7 +118,9 @@ def build_parser() -> argparse.ArgumentParser:
             "--points",
             help=f"comma-separated {sweep.point_type.__name__} points "
                  f"(default: {','.join(map(str, sweep.points))})")
-        p_sweep.set_defaults(run=_cmd_sweep, parser=p_sweep, sweep=name)
+        p_sweep.set_defaults(run=_cmd_sweep, parser=p_sweep, sweep=name,
+                             outputs=(f"sweep_{sweep.stem}.json",
+                                      f"sweep_{sweep.stem}.csv"))
 
     p_check = sub.add_parser("gradcheck",
                              help="finite-difference checks per layer and end to end")
@@ -182,25 +186,29 @@ def _require(args, name: str):
 
 
 def _load_data(args):
-    """The corpus with the limits applied. The ``--out`` directory is made
-    first, so that one that cannot be made fails before the corpus loads.
-    A limited split's pixels are read here, the others' on first use;
-    ``eval`` reads no training sample."""
+    """The corpus with the limits applied, and the paths of the command's
+    output files. The corpus files are checked, and ``--out`` made, before
+    the corpus loads, in that order, so a missing corpus leaves no ``--out``
+    behind. A limited split's pixels are read here, the others' on first
+    use; ``eval`` reads no training sample."""
     _require(args, "data_dir")
     if not os.path.isdir(args.data_dir):
         args.parser.error(f"data directory not found: {args.data_dir}")
+    check_corpus(args.data_dir)
+    outputs = [os.path.join(args.out, name.format(**vars(args)))
+               for name in args.outputs]
+    for path in outputs:
+        if os.path.isdir(path):
+            args.parser.error(f"--out: {path} is a directory")
     try:
         os.makedirs(args.out, exist_ok=True)
     except OSError as exc:
         args.parser.error(f"--out: {exc}")
-    try:
-        dataset = load_cifar10(args.data_dir)
-    except CorruptDatasetError as exc:
-        args.parser.error(str(exc))
+    dataset = load_cifar10(args.data_dir)
     if args.command != "eval":
         dataset.train = dataset.train.subset(args.limit_train)
     dataset.test = dataset.test.subset(args.limit_test)
-    return dataset
+    return dataset, outputs
 
 
 def _parse_points(raw: str | None, sweep: harness.Sweep) -> list:
@@ -217,13 +225,11 @@ def _parse_points(raw: str | None, sweep: harness.Sweep) -> list:
 
 def _cmd_train(args) -> int:
     cfg = args.cfg
-    dataset = _load_data(args)
+    dataset, (ckpt, report) = _load_data(args)
     started = time.monotonic()
     pipeline, result = run_experiment(cfg, dataset, log_fn=print)
     runtime = time.monotonic() - started
-    ckpt = os.path.join(args.out, "checkpoint.bin")
     save_checkpoint(pipeline, ckpt, seed=cfg.seed)
-    report = os.path.join(args.out, f"metrics.{args.format}")
     emit_report(result, report, args.format)
     metrics = harness.Metrics(**result["metrics"])
     print(summary_line(metrics, runtime))
@@ -239,11 +245,10 @@ def _cmd_eval(args) -> int:
         if given is not None and given != saved:
             args.parser.error(f"{flag} {given} differs from the checkpoint's {saved}")
     cfg = replace(args.cfg, n_c=pipeline.cfg.n_c, mode=pipeline.cfg.mode)
-    dataset = _load_data(args)
+    dataset, (report,) = _load_data(args)
     started = time.monotonic()
     metrics = evaluate(pipeline, dataset.test, cfg)
     runtime = time.monotonic() - started
-    report = os.path.join(args.out, f"metrics.{args.format}")
     result = {"config": asdict(cfg), "metrics": asdict(metrics),
               "checkpoint": {"path": args.checkpoint, "seed": header.get("seed")},
               "seeds": {"eval": cfg.eval_seed}}
@@ -256,17 +261,16 @@ def _cmd_sweep(args) -> int:
     sweep = SWEEPS[args.sweep]
     points = _parse_points(args.points, sweep)
     sweep.configs(args.cfg, points)  # a bad point fails before the corpus loads
-    dataset = _load_data(args)
+    dataset, (json_report, csv_report) = _load_data(args)
     started = time.monotonic()
     result = run_sweep(args.sweep, points, args.cfg, dataset, log_fn=print)
     runtime = time.monotonic() - started
-    base = os.path.join(args.out, f"sweep_{sweep.stem}")
-    emit_report(result, base + ".json", "json")
-    emit_report(result, base + ".csv", "csv")
+    emit_report(result, json_report, "json")
+    emit_report(result, csv_report, "csv")
     print(f"{len(points)} points  joint={['%.4f' % a for a in result.joint_accuracy]}  "
           f"sensing={['%.4f' % a for a in result.sensing_accuracy]}  "
           f"runtime={runtime:.1f}s")
-    print(f"wrote {base}.json and {base}.csv")
+    print(f"wrote {json_report} and {csv_report}")
     return 0
 
 

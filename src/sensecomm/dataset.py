@@ -108,16 +108,21 @@ def _blocks(path: str, count: int) -> Iterator[np.ndarray]:
         raise CorruptDatasetError(f"{path}: {exc.strerror}") from None
 
 
-def _read_labels(path: str) -> np.ndarray:
-    """The vehicle/animal labels of a batch file, after checking its size
-    and label bytes."""
-    if not os.path.isfile(path):
-        raise CorruptDatasetError(f"missing dataset file: {path}")
+def check_corpus(directory: str):
+    """Check that the six batch files are in ``directory`` at their full
+    size, without reading them; raise CorruptDatasetError if not."""
     expected = RECORDS_PER_FILE * RECORD_BYTES
-    size = os.path.getsize(path)
-    if size != expected:
-        raise CorruptDatasetError(
-            f"{path}: expected {expected} bytes, found {size}")
+    for name in TRAIN_FILES + [TEST_FILE]:
+        path = os.path.join(directory, name)
+        if not os.path.isfile(path):
+            raise CorruptDatasetError(f"missing dataset file: {path}")
+        size = os.path.getsize(path)
+        if size != expected:
+            raise CorruptDatasetError(f"{path}: expected {expected} bytes, found {size}")
+
+
+def _read_labels(path: str) -> np.ndarray:
+    """The vehicle/animal labels of a batch file, after checking its label bytes."""
     # a copy: a view of the labels would keep its whole block alive
     label10 = np.concatenate([block["label"].copy()
                               for block in _blocks(path, RECORDS_PER_FILE)])
@@ -149,6 +154,7 @@ def load_cifar10(directory: str) -> Dataset:
         files = tuple(os.path.join(directory, f) for f in names)
         return Split(None, np.concatenate([_read_labels(f) for f in files]), files)
 
+    check_corpus(directory)
     return Dataset(train=split(TRAIN_FILES), test=split([TEST_FILE]))
 
 

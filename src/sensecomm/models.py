@@ -144,7 +144,7 @@ class ExperimentConfig:
 
 
 def build_image_encoder(n_c: int, rng: Rng, dtype=np.float32) -> Sequential:
-    """Convolutional encoder 32x32x3 -> n_c (final activation linear).
+    """Convolutional encoder 32x32x3 -> n_c, ending in power normalization.
 
     ReLU follows each max-pool: max is monotone, so the two orders give the
     same values, and ReLU then sees a quarter of the elements."""
@@ -163,18 +163,20 @@ def build_image_encoder(n_c: int, rng: Rng, dtype=np.float32) -> Sequential:
         Dense(144, 128, rng, dtype, name="image_encoder.dense1"),
         ReLU(),
         Dense(128, n_c, rng, dtype, name="image_encoder.dense2"),
+        PowerNormalize(),
     ])
 
 
 def build_echo_encoder(n_c: int, rng: Rng, dtype=np.float32) -> Sequential:
     """Dense encoder for the reflected signal: n_c -> n_c, every layer n_c
-    wide."""
+    wide, ending in power normalization like the image encoder."""
     return Sequential([
         Dense(n_c, n_c, rng, dtype, name="echo_encoder.dense1"),
         ReLU(),
         Dense(n_c, n_c, rng, dtype, name="echo_encoder.dense2"),
         ReLU(),
         Dense(n_c, n_c, rng, dtype, name="echo_encoder.dense3"),
+        PowerNormalize(),
     ])
 
 
@@ -203,8 +205,6 @@ class Pipeline:
         self.image_encoder = build_image_encoder(cfg.n_c, rng, dtype)
         self.echo_encoder = build_echo_encoder(cfg.n_c, rng, dtype)
         self.decoder = build_decoder(cfg.decoder_in, rng, dtype)
-        self._norm1 = PowerNormalize()
-        self._norm2 = PowerNormalize()
 
     def params(self) -> list[Param]:
         return (self.image_encoder.params() + self.echo_encoder.params()
@@ -217,9 +217,9 @@ class Pipeline:
         transmit / decode and return class probabilities.
 
         The true label feeds only the sensing reflection, where it selects
-        the class-dependent SNR. An rng given to a layer stack or a norm
-        means training, and that a backward follows, so ``rng`` reaches
-        them only when ``training`` is set; then every node, and the
+        the class-dependent SNR. An rng given to a layer stack means
+        training, and that a backward follows, so ``rng`` reaches the three
+        stacks only when ``training`` is set; then every layer, and the
         pipeline its three links, saves what ``backward`` needs. Without
         ``training`` no attribute is written, and a ``backward`` after it
         reads stale state. The image encoder's dropout masks come first,
@@ -230,8 +230,8 @@ class Pipeline:
         joint = self.cfg.mode == "joint"
         train_rng = rng if training else None
 
-        feat1 = self.image_encoder.forward(x, train_rng)
-        n, n_c = feat1.shape
+        s1 = self.image_encoder.forward(x, train_rng)
+        n, n_c = s1.shape
 
         def link(snr_db):
             return sample_realization(channel_cfg.kind, snr_db, n, n_c, rng,
@@ -243,12 +243,9 @@ class Pipeline:
         if training:
             self._saved = comm1, sense, comm2
 
-        s1 = self._norm1.forward(feat1, train_rng)
-        y_r1 = comm1.forward(s1) if joint else None
-        feat2 = self.echo_encoder.forward(sense.forward(s1), train_rng)
-        y_r2 = comm2.forward(self._norm2.forward(feat2, train_rng))
-
-        fused = np.concatenate([y_r1, y_r2], axis=1) if joint else y_r2
+        s2 = self.echo_encoder.forward(sense.forward(s1), train_rng)
+        y_r2 = comm2.forward(s2)
+        fused = np.concatenate([comm1.forward(s1), y_r2], axis=1) if joint else y_r2
         logits = self.decoder.forward(fused, train_rng)
         return softmax(logits)
 
@@ -259,20 +256,14 @@ class Pipeline:
         to the input image, or None when ``input_grad`` is false: training
         has no use for it, and skipping it spares the image encoder's first
         convolution its input-gradient pass."""
-        g_fused = self.decoder.backward(grad_logits)
-        if self.cfg.mode == "joint":
-            n_c = self.cfg.n_c
-            g_yr1, g_yr2 = g_fused[:, :n_c], g_fused[:, n_c:]
-        else:
-            g_yr1, g_yr2 = None, g_fused
-
         comm1, sense, comm2 = self._saved
-        g_feat2 = self._norm2.backward(comm2.backward(g_yr2))
-        g_s1 = sense.backward(self.echo_encoder.backward(g_feat2))
-        if g_yr1 is not None:
-            g_s1 = g_s1 + comm1.backward(g_yr1)
-        g_feat1 = self._norm1.backward(g_s1)
-        return self.image_encoder.backward(g_feat1, input_grad=input_grad)
+        g_fused = self.decoder.backward(grad_logits)
+        n_c = self.cfg.n_c  # comm2's signal is the last n_c in either mode
+        g_s1 = sense.backward(self.echo_encoder.backward(
+            comm2.backward(g_fused[:, -n_c:])))
+        if comm1 is not None:
+            g_s1 = g_s1 + comm1.backward(g_fused[:, :n_c])
+        return self.image_encoder.backward(g_s1, input_grad=input_grad)
 
     def predict(self, x: np.ndarray, label2: np.ndarray,
                 channel_cfg: ChannelConfig, sensing_cfg: SensingConfig,

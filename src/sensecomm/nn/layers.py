@@ -2,7 +2,8 @@
 
 All layers operate on batched arrays with the sample axis first. Images are
 channels-last ``(N, H, W, C)``. Each layer exposes trainable parameters as
-:class:`Param` objects whose ``grad`` is filled in by ``backward``.
+:class:`Param` objects whose ``grad`` is filled in by ``backward``. The
+channel's ``PowerNormalize`` is a layer too, the last of each encoder.
 
 An rng given to ``forward`` means training, and that a backward follows: a
 layer that draws at random (:class:`Dropout`) draws from it, and every
@@ -53,11 +54,9 @@ class Param:
 
 
 class Layer:
-    """Base layer. Subclasses override forward/backward; params() lists
-    trainable parameters in declaration order. An rng given to ``forward``
-    means training: a layer draws from it, and only from it, and saves what
-    its backward needs in ``_saved``. Without one, ``forward`` writes
-    nothing, and a ``backward`` after it reads stale state."""
+    """Base layer. Subclasses override forward/backward, with the rng rule
+    of the module docstring; params() lists trainable parameters in
+    declaration order."""
 
     _saved = None
 
@@ -289,10 +288,9 @@ class Sequential:
         self.layers = layers
 
     def forward(self, x, rng=None):
-        """An rng given to a layer stack means training: each dropout layer
-        draws its mask from it, in layer order, and every layer saves what
-        ``backward`` needs. Without one the stack draws and saves nothing,
-        and a ``backward`` after it reads stale state."""
+        """Run the layers in order, each with ``rng``: given one, the dropout
+        layers draw their masks from it in that order and every layer, the
+        power normalization too, saves what ``backward`` needs."""
         for layer in self.layers:
             x = layer.forward(x, rng)
         return x

@@ -10,20 +10,20 @@ streams are consumed relative to each other.
 from __future__ import annotations
 
 import numpy as np
+from numpy.random import SeedSequence
 
 
 class Rng:
-    """Thin wrapper around ``numpy.random.Generator`` keyed by an integer seed."""
+    """Thin wrapper around ``numpy.random.Generator``, keyed by a seed."""
 
-    def __init__(self, seed: int, _seq: np.random.SeedSequence | None = None):
-        self.seed = int(seed)
-        self._seq = np.random.SeedSequence(self.seed) if _seq is None else _seq
+    def __init__(self, seed: int | SeedSequence):
+        self._seq = seed if isinstance(seed, SeedSequence) else SeedSequence(int(seed))
         self._gen = np.random.Generator(np.random.PCG64(self._seq))
 
     def split(self, n: int) -> list["Rng"]:
         """Derive ``n`` independent child streams. Repeated calls keep spawning
         fresh children; the sequence depends only on the seed and call order."""
-        return [Rng(self.seed, _seq=s) for s in self._seq.spawn(n)]
+        return [Rng(s) for s in self._seq.spawn(n)]
 
     def uniform(self, low: float = 0.0, high: float = 1.0, size=None) -> np.ndarray:
         return self._gen.uniform(low, high, size)

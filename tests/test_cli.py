@@ -280,6 +280,37 @@ class TestTrainEval:
         assert corpus_loads == []
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("command", ["train", "eval", "sweep-output-size"])
+    def test_missing_corpus_file_leaves_no_out(self, command, train_run,
+                                               fake_cifar_dir, tmp_path, capsys,
+                                               corpus_loads):
+        """The six files are checked, without reading them, before ``--out``
+        is made, so a corpus without its test file leaves nothing behind."""
+        _, run = train_run
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        link_corpus(fake_cifar_dir, corpus)
+        (corpus / TEST_FILE).unlink()
+        out = tmp_path / "out"
+        assert exit_code(out_argv(command, corpus, run, out)) == 2
+        assert not out.exists()
+        assert_one_error_line(capsys)
+        assert corpus_loads == []
+
+    @pytest.mark.parametrize("command, name", [
+        ("train", "checkpoint.bin"), ("eval", "metrics.json"),
+        ("sweep-output-size", "sweep_size.csv")])
+    def test_output_file_that_is_a_directory_fails_before_load(
+            self, command, name, train_run, fake_cifar_dir, tmp_path, capsys,
+            corpus_loads):
+        _, run = train_run
+        (tmp_path / name).mkdir()
+        assert exit_code(out_argv(command, fake_cifar_dir, run, tmp_path)) == 2
+        assert_one_error_line(capsys)
+        assert corpus_loads == []
+        assert os.listdir(tmp_path) == [name]
+        assert os.listdir(tmp_path / name) == []
+
     def test_train_rerun_metrics_byte_identical(self, train_run, fake_cifar_dir,
                                                 tmp_path):
         _, out = train_run

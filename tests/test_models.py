@@ -77,6 +77,7 @@ class TestBuilders:
             (12, 12, 4), (6, 6, 4),         # conv3 + pool
             (6, 6, 4), (6, 6, 4),           # relu + dropout
             (144,), (128,), (128,), (20,),  # flatten, dense, relu, dense
+            (20,),                          # power normalization
         ]
 
     def test_image_encoder_param_count(self):
@@ -86,9 +87,22 @@ class TestBuilders:
 
     def test_image_encoder_final_layer_small_output(self):
         net = build_image_encoder(4, Rng(0))
-        final = net.layers[-1]
+        final = net.layers[-2]  # the last is the power normalization
         assert final.w.value.shape == (128, 4)
         assert final.w.value.size + final.b.value.size == 128 * 4 + 4
+
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    def test_encoders_end_in_unit_power(self, training):
+        """Each encoder's last layer scales every output row to squared
+        norm n_c, one unit of power per symbol, in a training forward and
+        in an eval forward alike."""
+        rng = Rng(9) if training else None
+        image = Rng(8).uniform(size=(3, 32, 32, 3)).astype(np.float32)
+        echo = Rng(10).standard_normal((3, 6)).astype(np.float32)
+        for net, x in ((build_image_encoder(6, Rng(0)), image),
+                       (build_echo_encoder(6, Rng(1)), echo)):
+            out = net.forward(x, rng)
+            assert np.allclose((out ** 2).sum(axis=1), 6.0, rtol=1e-5)
 
     def test_echo_encoder_default_widths(self):
         net = build_echo_encoder(20, Rng(0))
@@ -200,7 +214,7 @@ class TestPipelineForward:
 
 # every Layer subclass, so a new one fails below until it is given an input
 SLOT_NODES = ([cls.__name__ for cls in Layer.__subclasses__()]
-              + ["PowerNormalize", "Pipeline-joint", "Pipeline-sensing_only"])
+              + ["Pipeline-joint", "Pipeline-sensing_only"])
 
 
 def slot_node(name, training=True):
@@ -231,8 +245,8 @@ def graph_nodes(node):
     """``node`` and, for a pipeline, every node its forward runs."""
     if not isinstance(node, Pipeline):
         return [node]
-    return ([node, node._norm1, node._norm2] + node.image_encoder.layers
-            + node.echo_encoder.layers + node.decoder.layers)
+    return ([node] + node.image_encoder.layers + node.echo_encoder.layers
+            + node.decoder.layers)
 
 
 class TestSavedSlot:
