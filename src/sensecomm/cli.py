@@ -188,9 +188,10 @@ def _require(args, name: str):
 def _load_data(args):
     """The corpus with the limits applied, and the paths of the command's
     output files. The corpus files are checked, and ``--out`` made, before
-    the corpus loads, in that order, so a missing corpus leaves no ``--out``
-    behind. A limited split's pixels are read here, the others' on first
-    use; ``eval`` reads no training sample."""
+    the corpus loads, in that order; a corpus that is missing, or found
+    corrupt as it loads, leaves none of the directories behind that were
+    made for ``--out``. A limited split's pixels are read here, the others'
+    on first use; ``eval`` reads no training sample."""
     _require(args, "data_dir")
     if not os.path.isdir(args.data_dir):
         args.parser.error(f"data directory not found: {args.data_dir}")
@@ -200,11 +201,20 @@ def _load_data(args):
     for path in outputs:
         if os.path.isdir(path):
             args.parser.error(f"--out: {path} is a directory")
+    made, path = [], os.path.abspath(args.out)
+    while not os.path.exists(path):  # the directories makedirs will make
+        made.append(path)
+        path = os.path.dirname(path)
     try:
         os.makedirs(args.out, exist_ok=True)
     except OSError as exc:
         args.parser.error(f"--out: {exc}")
-    dataset = load_cifar10(args.data_dir)
+    try:
+        dataset = load_cifar10(args.data_dir)
+    except CorruptDatasetError:
+        for path in made:  # leaf first
+            os.rmdir(path)
+        raise
     if args.command != "eval":
         dataset.train = dataset.train.subset(args.limit_train)
     dataset.test = dataset.test.subset(args.limit_test)

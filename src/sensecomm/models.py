@@ -19,6 +19,7 @@ import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import zip_longest
 
 import numpy as np
 
@@ -43,6 +44,7 @@ from .nn import (
     Sequential,
     cross_entropy,
     cross_entropy_logit_grad,
+    share_buffers,
     softmax,
 )
 from .rng import Rng
@@ -378,8 +380,8 @@ def save_checkpoint(pipeline: Pipeline, path: str, seed: int | None = None):
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        for p in params:
-            fh.write(np.ascontiguousarray(p.value, dtype="<f4").tobytes())
+        fh.write(np.concatenate([p.value.ravel() for p in params],
+                                dtype="<f4").tobytes())
 
 
 def load_checkpoint(path: str, dtype=np.float32) -> tuple[Pipeline, dict]:
@@ -425,15 +427,13 @@ def load_checkpoint(path: str, dtype=np.float32) -> tuple[Pipeline, dict]:
                               f"({left - declared})")
         pipeline = Pipeline(cfg, Rng(0), dtype)
         params = pipeline.params()
-        if len(tensors) != len(params):
-            raise ConfigError(f"{path}: {len(tensors)} tensors, "
-                              f"the model has {len(params)}")
-        for p, (name, shape) in zip(params, tensors):
-            if name != p.name:
-                raise ConfigError(
-                    f"{path}: tensor {name!r} where {p.name!r} belongs")
-            if list(p.value.shape) != shape:
-                raise ConfigError(f"{path}: tensor {name} shape mismatch")
-            buf = fh.read(4 * p.value.size)
-            p.value = np.frombuffer(buf, dtype="<f4").reshape(p.value.shape).astype(dtype)
+        model_tensors = [(p.name, list(p.value.shape)) for p in params]
+        if tensors != model_tensors:
+            got, want = next(pair for pair in zip_longest(tensors, model_tensors)
+                             if pair[0] != pair[1])
+            raise ConfigError(f"{path}: the header lists {len(tensors)} tensors, "
+                              f"the model has {len(params)}; the first that "
+                              f"differs is {got}, where {want} belongs")
+        values, _ = share_buffers(params)
+        values[...] = np.frombuffer(fh.read(declared), dtype="<f4")
     return pipeline, header

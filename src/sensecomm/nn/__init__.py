@@ -10,6 +10,7 @@ from .layers import (
     Sequential,
     compute_fans,
     glorot_uniform,
+    share_buffers,
     softmax,
 )
 from .losses import LOG_CLAMP, cross_entropy, cross_entropy_logit_grad
@@ -31,5 +32,6 @@ __all__ = [
     "cross_entropy",
     "cross_entropy_logit_grad",
     "glorot_uniform",
+    "share_buffers",
     "softmax",
 ]

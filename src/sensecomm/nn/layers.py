@@ -2,7 +2,7 @@
 
 All layers operate on batched arrays with the sample axis first. Images are
 channels-last ``(N, H, W, C)``. Each layer exposes trainable parameters as
-:class:`Param` objects whose ``grad`` is filled in by ``backward``. The
+:class:`Param` objects, and ``backward`` writes into their ``grad``. The
 channel's ``PowerNormalize`` is a layer too, the last of each encoder.
 
 An rng given to ``forward`` means training, and that a backward follows: a
@@ -45,12 +45,29 @@ def glorot_uniform(shape, rng: Rng, dtype=np.float32) -> np.ndarray:
 
 
 class Param:
-    """A trainable array plus the gradient from the latest backward pass."""
+    """A trainable array plus the gradient from the latest backward pass.
+
+    ``grad`` starts as zeros of ``value``'s shape, and ``backward`` writes
+    into it. Once :func:`share_buffers` has made ``value`` and ``grad``
+    views of buffers shared with other params, as ``Adam`` does, neither
+    may be rebound: write into them, with ``[...] =`` or ``out=``."""
 
     def __init__(self, value: np.ndarray, name: str = ""):
         self.value = value
-        self.grad: np.ndarray | None = None
+        self.grad = np.zeros_like(value)
         self.name = name
+
+
+def share_buffers(params: list[Param]) -> tuple[np.ndarray, np.ndarray]:
+    """Copy the params' values into one flat buffer and their gradients
+    into another, in order, make each ``value`` and ``grad`` a view of its
+    slice, and return the two buffers."""
+    values = np.concatenate([p.value.ravel() for p in params])
+    grads = np.concatenate([p.grad.ravel() for p in params])
+    ends = np.cumsum([p.value.size for p in params])[:-1]
+    for p, v, g in zip(params, np.split(values, ends), np.split(grads, ends)):
+        p.value, p.grad = v.reshape(p.value.shape), g.reshape(p.value.shape)
+    return values, grads
 
 
 class Layer:
@@ -87,8 +104,8 @@ class Dense(Layer):
 
     def backward(self, grad_out, input_grad=True):
         x = self._saved
-        self.w.grad = x.T @ grad_out
-        self.b.grad = grad_out.sum(axis=0)
+        np.matmul(x.T, grad_out, out=self.w.grad)
+        grad_out.sum(axis=0, out=self.b.grad)
         return grad_out @ self.w.value.T if input_grad else None
 
     def params(self):
@@ -167,11 +184,12 @@ class Conv2D(Layer):
         n, ho, wo, _ = grad_out.shape
         h, w_in = ho + kh - 1, wo + kw - 1
         rows, g = self._saved, grad_out.reshape(n, ho * wo, filters)
-        self.w.grad = np.stack([
-            (rows[:, i * wo:(i + ho) * wo].transpose(0, 2, 1) @ g).sum(axis=0)
-            for i in range(kh)]).reshape(kh, kw, cin, filters)
+        grad_w = self.w.grad.reshape(kh, kw * cin, filters)
+        for i in range(kh):
+            (rows[:, i * wo:(i + ho) * wo].transpose(0, 2, 1) @ g).sum(
+                axis=0, out=grad_w[i])
         # over the batch, then over positions: long adds, not N*Ho*Wo of F
-        self.b.grad = grad_out.sum(axis=0).reshape(-1, filters).sum(axis=0)
+        grad_out.sum(axis=0).reshape(-1, filters).sum(axis=0, out=self.b.grad)
         if not input_grad:
             return None
         padded = np.zeros((n, h + kh - 1, w_in + kw - 1, filters), grad_out.dtype)

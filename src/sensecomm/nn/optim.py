@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DivergenceError
-from .layers import Param
+from .layers import Param, share_buffers
 
 LR = 0.001
 BETA1 = 0.9
@@ -14,29 +14,31 @@ EPS = 1e-7
 
 
 class Adam:
-    """Standard Adam. Moments are kept per parameter in the parameter dtype;
-    the update is p -= LR * m_hat / (sqrt(v_hat) + EPS).
+    """Standard Adam over the whole model at once: every param's value and
+    gradient become views of one buffer each (:func:`share_buffers`), and
+    the moments are two more buffers like them, in the parameter dtype. The
+    update is p -= LR * m_hat / (sqrt(v_hat) + EPS), elementwise, so it is
+    bitwise the one a loop over the tensors would make.
     """
 
     def __init__(self, params: list[Param]):
         self.params = params
         self.t = 0
-        self.m = [np.zeros_like(p.value) for p in params]
-        self.v = [np.zeros_like(p.value) for p in params]
+        self.values, self.grads = share_buffers(params)
+        self.m = np.zeros_like(self.values)
+        self.v = np.zeros_like(self.values)
 
     def step(self):
         self.t += 1
-        bc1 = 1.0 - BETA1 ** self.t
-        bc2 = 1.0 - BETA2 ** self.t
-        for i, p in enumerate(self.params):
-            g = p.grad
-            if g is None:
-                raise DivergenceError(f"no gradient for {p.name} at step {self.t}")
-            if not np.all(np.isfinite(g)):
-                raise DivergenceError(
-                    f"non-finite gradient in {p.name} at step {self.t}")
-            self.m[i] = BETA1 * self.m[i] + (1.0 - BETA1) * g
-            self.v[i] = BETA2 * self.v[i] + (1.0 - BETA2) * (g * g)
-            m_hat = self.m[i] / bc1
-            v_hat = self.v[i] / bc2
-            p.value -= LR * m_hat / (np.sqrt(v_hat) + EPS)
+        g = self.grads
+        if not np.all(np.isfinite(g)):
+            bad = next(p for p in self.params if not np.all(np.isfinite(p.grad)))
+            raise DivergenceError(
+                f"non-finite gradient in {bad.name} at step {self.t}")
+        self.m *= BETA1
+        self.m += (1.0 - BETA1) * g
+        self.v *= BETA2
+        self.v += (1.0 - BETA2) * (g * g)
+        m_hat = self.m / (1.0 - BETA1 ** self.t)
+        v_hat = self.v / (1.0 - BETA2 ** self.t)
+        self.values -= LR * m_hat / (np.sqrt(v_hat) + EPS)

@@ -297,6 +297,26 @@ class TestTrainEval:
         assert_one_error_line(capsys)
         assert corpus_loads == []
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_bad_label_byte_leaves_no_out(self, command, train_run,
+                                          fake_cifar_dir, tmp_path, capsys):
+        """A corpus of the right file sizes is found corrupt only as its
+        labels are read, after ``--out`` is made; the directories made for
+        ``--out`` are removed again."""
+        _, run = train_run
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        link_corpus(fake_cifar_dir, corpus)
+        blob = bytearray((corpus / TEST_FILE).read_bytes())
+        blob[0] = 11
+        (corpus / TEST_FILE).unlink()
+        (corpus / TEST_FILE).write_bytes(bytes(blob))
+        out = tmp_path / "missing" / "out"
+        assert exit_code(out_argv(command, corpus, run, out)) == 2
+        assert_one_error_line(capsys)
+        assert not out.exists() and not out.parent.exists()
+        assert os.listdir(tmp_path) == ["corpus"]
+
     @pytest.mark.parametrize("command, name", [
         ("train", "checkpoint.bin"), ("eval", "metrics.json"),
         ("sweep-output-size", "sweep_size.csv")])

@@ -240,7 +240,7 @@ class TestConv2D:
         x = rng.standard_normal((2, 6, 5, 2))
         g = rng.standard_normal(layer.forward(x, rng).shape)
         layer.backward(g)
-        w_grad, b_grad = layer.w.grad, layer.b.grad
+        w_grad, b_grad = layer.w.grad.copy(), layer.b.grad.copy()
         assert layer.backward(g, input_grad=False) is None
         assert np.array_equal(layer.w.grad, w_grad)
         assert np.array_equal(layer.b.grad, b_grad)

@@ -363,7 +363,7 @@ class TestPipelineBackward:
 
         grad_x = pipe.backward(grad)
         assert grad_x.shape == x.shape
-        with_input = [p.grad for p in pipe.params()]
+        with_input = [p.grad.copy() for p in pipe.params()]
         assert pipe.backward(grad, input_grad=False) is None
         for p, expected in zip(pipe.params(), with_input):
             assert np.array_equal(p.grad, expected), p.name
@@ -437,6 +437,23 @@ class TestCheckpoint:
         p_orig = pipe.forward(x, labels, AWGN, SENSING, rng=Rng(42))
         p_load = loaded.forward(x, labels, AWGN, SENSING, rng=Rng(42))
         assert np.allclose(p_orig, p_load, atol=1e-7)
+
+    @pytest.mark.parametrize("mode", ["joint", "sensing_only"])
+    def test_save_load_save_is_byte_equal(self, tmp_path, mode):
+        """A float32 pipeline saved, loaded and saved again writes the same
+        bytes; loaded as float64, every value is the payload's, cast."""
+        pipe = Pipeline(ModelConfig(6, mode), Rng(45))
+        draw = Rng(46)
+        for p in pipe.params():  # biases start at zero: make them count
+            p.value[...] = draw.standard_normal(p.value.shape)
+        first, second = tmp_path / "first.bin", tmp_path / "second.bin"
+        save_checkpoint(pipe, first, seed=7)
+        save_checkpoint(load_checkpoint(first)[0], second, seed=7)
+        assert first.read_bytes() == second.read_bytes()
+        wide, _ = load_checkpoint(first, np.float64)
+        for a, b in zip(pipe.params(), wide.params()):
+            assert b.value.dtype == np.float64
+            assert b.value.tobytes() == a.value.astype(np.float64).tobytes(), a.name
 
     def test_header_is_pinned(self, tmp_path):
         """The on-disk header of a 4-symbol joint model: both encoder sizes
