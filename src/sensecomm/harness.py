@@ -24,7 +24,8 @@ import numpy as np
 
 from .dataset import Dataset, SOURCE_DIM, Split
 from .errors import ConfigError
-from .models import MODES, ExperimentConfig, Pipeline, predict_split, train
+from .models import (MODES, ExperimentConfig, Pipeline, predict_split, train,
+                     write_atomic)
 
 
 @dataclass
@@ -248,7 +249,8 @@ def sweep_csv(sweep: SweepResult) -> str:
 
 
 def emit_report(result, path: str, fmt: str = "json"):
-    """Write a result (experiment dict or SweepResult) as JSON or CSV."""
+    """Write a result (experiment dict or SweepResult) as JSON or CSV,
+    replacing ``path`` whole (``write_atomic``)."""
     if fmt == "json":
         payload = to_json(result)
     elif fmt == "csv":
@@ -264,8 +266,7 @@ def emit_report(result, path: str, fmt: str = "json"):
             payload = buf.getvalue()
     else:
         raise ConfigError(f"unknown report format {fmt!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(payload)
+    write_atomic(path, payload.encode("utf-8"))
 
 
 def summary_line(metrics: Metrics, runtime_s: float) -> str:

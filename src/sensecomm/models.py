@@ -53,6 +53,10 @@ MODES = ("joint", "sensing_only")
 DTYPES = ("float32", "float64")
 
 EVAL_BATCH = 256  # fixed so the eval-seed noise stream is reproducible
+# The most rows an eval forward runs through the image encoder at once. Its
+# layers are row-wise, so the pieces give the whole batch's features bit
+# for bit, while a thread holds a quarter of a batch's conv working set.
+ENCODE_CHUNK = 64
 
 
 @dataclass
@@ -227,12 +231,22 @@ class Pipeline:
         reads stale state. The image encoder's dropout masks come first,
         then the first-round link (joint mode only), sensing and
         second-round link realizations; the echo encoder and the decoder
-        draw nothing, so all three links are drawn before they run."""
+        draw nothing, so all three links are drawn before they run.
+
+        Without ``training`` the image encoder runs over balanced pieces of
+        at most ``ENCODE_CHUNK`` rows, to bound the memory it holds; the
+        links, the echo encoder and the decoder see the whole batch. A
+        larger batch is never cut into a 1-row piece, whose products
+        numpy computes another way, with other rounding."""
         x = np.asarray(x, dtype=self.dtype)
         joint = self.cfg.mode == "joint"
         train_rng = rng if training else None
 
-        s1 = self.image_encoder.forward(x, train_rng)
+        if training:
+            s1 = self.image_encoder.forward(x, rng)
+        else:
+            pieces = np.array_split(x, math.ceil(len(x) / ENCODE_CHUNK))
+            s1 = np.concatenate([self.image_encoder.forward(p) for p in pieces])
         n, n_c = s1.shape
 
         def link(snr_db):
@@ -272,7 +286,9 @@ class Pipeline:
                 rng: Rng) -> np.ndarray:
         """Inference pass: dropout disabled, one sampled realization per call.
         Returns the predicted labels. It saves nothing, so it is reentrant:
-        threads may run it at once on one pipeline, each with its own rng."""
+        threads may run it at once on one pipeline, each with its own rng.
+        The image features are computed ``ENCODE_CHUNK`` rows at a time;
+        the labels are those of one whole-batch pass, bit for bit."""
         probs = self.forward(x, label2, channel_cfg, sensing_cfg, rng=rng)
         return probs.argmax(axis=1)
 
@@ -286,7 +302,9 @@ def predict_split(pipeline: Pipeline, split: Split, channel_cfg: ChannelConfig,
     do not depend on which thread runs it. The batches run on one thread
     per CPU in the process's affinity mask. A process that
     ``multiprocessing`` started, such as a sweep worker, runs them
-    serially, since its siblings hold the other CPUs."""
+    serially, since its siblings hold the other CPUs. Within a batch,
+    ``Pipeline.predict`` bounds each thread's memory by running the image
+    encoder ``ENCODE_CHUNK`` rows at a time."""
     batches = list(batch_indices(split.n, EVAL_BATCH))
     # one level below the seed's children: train() draws from
     # Rng(seed).split(3), and at eval_seed == seed a plain split would hand
@@ -367,6 +385,21 @@ def train(dataset: Dataset, cfg: ExperimentConfig,
 CHECKPOINT_MAGIC = b"SCM1"
 
 
+def write_atomic(path, data: bytes):
+    """Write ``data`` to a temporary file beside ``path``, then rename it
+    over ``path``. A write that fails leaves the old file as it was and no
+    temporary file; a process killed midway may leave the temporary one."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def save_checkpoint(pipeline: Pipeline, path: str, seed: int | None = None):
     params = pipeline.params()
     header = {
@@ -376,12 +409,9 @@ def save_checkpoint(pipeline: Pipeline, path: str, seed: int | None = None):
         "tensors": [{"name": p.name, "shape": list(p.value.shape)} for p in params],
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        fh.write(np.concatenate([p.value.ravel() for p in params],
-                                dtype="<f4").tobytes())
+    payload = np.concatenate([p.value.ravel() for p in params], dtype="<f4")
+    write_atomic(path, b"".join([CHECKPOINT_MAGIC, struct.pack("<I", len(blob)),
+                                 blob, payload.tobytes()]))
 
 
 def load_checkpoint(path: str, dtype=np.float32) -> tuple[Pipeline, dict]:

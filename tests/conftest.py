@@ -102,3 +102,35 @@ def pixel_reads(monkeypatch, tmp_path_factory):
     monkeypatch.setattr(dataset, "_read_pixels", spy)
     return lambda: ([tuple(json.loads(line)) for line in log.read_text().splitlines()]
                     if log.exists() else [])
+
+
+@pytest.fixture
+def fail_writes_midway(monkeypatch):
+    """Call the fixture to make every later file write of ``models`` and
+    ``harness``, where checkpoints and reports are written, put half its
+    bytes on disk, then raise as a full disk would."""
+    from sensecomm import harness, models
+
+    class HalfWriter:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[:len(data) // 2])
+            self.fh.flush()
+            raise OSError(28, "No space left on device")
+
+    def half_open(*args, **kwargs):
+        return HalfWriter(open(*args, **kwargs))
+
+    def arm():
+        for module in (models, harness):
+            monkeypatch.setattr(module, "open", half_open, raising=False)
+
+    return arm

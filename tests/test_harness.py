@@ -224,6 +224,20 @@ class TestReports:
         emit_report(self.stub_sweep(), path, "csv")
         assert path.read_text().count("\n") == 3
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_failed_write_keeps_the_old_report(self, tmp_path, fmt,
+                                               fail_writes_midway):
+        """A report write that fails midway leaves the earlier report's
+        bytes and no temporary file."""
+        path = tmp_path / f"sweep.{fmt}"
+        emit_report(self.stub_sweep(), path, fmt)
+        before = path.read_bytes()
+        fail_writes_midway()
+        with pytest.raises(OSError, match="No space"):
+            emit_report(replace(self.stub_sweep(), seeds=[5, 5]), path, fmt)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == [path.name]
+
     def test_unwritable_path_raises(self, tmp_path):
         with pytest.raises(OSError):
             emit_report(self.stub_sweep(), tmp_path / "no_dir" / "x.json", "json")

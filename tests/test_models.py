@@ -15,9 +15,17 @@ from sensecomm.channel import (
     PowerNormalize,
     SensingConfig,
 )
-from sensecomm.dataset import SOURCE_DIM, load_cifar10, synthetic_dataset
+from sensecomm.dataset import (
+    SOURCE_DIM,
+    batch_indices,
+    load_cifar10,
+    synthetic_dataset,
+)
+from sensecomm import models
 from sensecomm.errors import ConfigError
 from sensecomm.models import (
+    ENCODE_CHUNK,
+    EVAL_BATCH,
     ExperimentConfig,
     ModelConfig,
     Pipeline,
@@ -42,6 +50,7 @@ from sensecomm.nn.layers import (
 from sensecomm.rng import Rng
 
 AWGN = ChannelConfig("awgn", 3.0)
+RAYLEIGH = ChannelConfig("rayleigh", 3.0)
 SENSING = SensingConfig(-3.0, 6.0)
 
 
@@ -351,6 +360,88 @@ class TestPredictSplit:
         assert [count for _, _, count in pixel_reads()] == [test.n]
 
 
+def encoder_rows(pipe, monkeypatch):
+    """Spy on the image encoder: the list it returns gets the row count of
+    every batch or piece the encoder is given."""
+    rows, real = [], pipe.image_encoder.forward
+
+    def forward(x, rng=None):
+        rows.append(len(x))
+        return real(x, rng)
+
+    monkeypatch.setattr(pipe.image_encoder, "forward", forward)
+    return rows
+
+
+class TestEncodeChunks:
+    """An eval forward runs the image encoder over pieces of at most
+    ``ENCODE_CHUNK`` rows. Its outputs are bitwise those of a reference
+    pass that runs the encoder over the whole batch: ``ENCODE_CHUNK``
+    raised to ``EVAL_BATCH``, which the spy shows as one piece."""
+
+    SIZES = [1, 2, 63, 64, 65, 127, 129, 256]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("mode", ["joint", "sensing_only"])
+    def test_predict_is_bitwise_the_whole_batch_pass(self, mode, dtype,
+                                                     monkeypatch):
+        pipe = Pipeline(ModelConfig(20, mode), Rng(70), dtype)
+        rows = encoder_rows(pipe, monkeypatch)
+        x = Rng(71).uniform(size=(256, 32, 32, 3)).astype(np.float32)
+        labels = (Rng(72).uniform(size=256) < 0.4).astype(np.int64)
+
+        def outputs(n):
+            probs = pipe.forward(x[:n], labels[:n], RAYLEIGH, SENSING, rng=Rng(n))
+            hat = pipe.predict(x[:n], labels[:n], RAYLEIGH, SENSING, Rng(n))
+            return probs.tobytes(), hat.tobytes()
+
+        for n in self.SIZES:
+            rows.clear()
+            chunked = outputs(n)
+            assert sum(rows) == 2 * n and max(rows) <= ENCODE_CHUNK, (n, rows)
+            # a 1-row piece would take numpy's GEMV path, with other rounding
+            assert n == 1 or min(rows) > 1, (n, rows)
+            rows.clear()
+            with monkeypatch.context() as whole:
+                whole.setattr(models, "ENCODE_CHUNK", EVAL_BATCH)
+                assert outputs(n) == chunked, n
+            assert rows == [n, n]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("mode", ["joint", "sensing_only"])
+    def test_predict_split_is_bitwise_the_whole_batch_pass(self, mode, dtype,
+                                                           eval_split,
+                                                           monkeypatch):
+        pipe = Pipeline(ModelConfig(20, mode), Rng(73), dtype)
+        for n in self.SIZES + [eval_split.n]:
+            split = eval_split.subset(n)
+            chunked = predict_split(pipe, split, RAYLEIGH, SENSING, 74)
+            with monkeypatch.context() as whole:
+                whole.setattr(models, "ENCODE_CHUNK", EVAL_BATCH)
+                rows = encoder_rows(pipe, whole)
+                reference = predict_split(pipe, split, RAYLEIGH, SENSING, 74)
+            assert sorted(rows) == sorted(map(len, batch_indices(n, EVAL_BATCH)))
+            assert chunked.tobytes() == reference.tobytes(), n
+
+    @pytest.mark.parametrize("dtype, bound_mib", [(np.float32, 16),
+                                                  (np.float64, 40)])
+    def test_predict_memory_is_bounded(self, dtype, bound_mib):
+        """One 256-sample predict allocates at most a few pieces' worth.
+        The image encoder over the whole batch peaked at 32.8 MiB in
+        float32 and 71.7 MiB in float64; in 64-row pieces, 8.2 and
+        22.5 MiB."""
+        pipe = Pipeline(ModelConfig(20, "joint"), Rng(75), dtype)
+        x = Rng(76).uniform(size=(256, 32, 32, 3)).astype(np.float32)
+        labels = (Rng(77).uniform(size=256) < 0.4).astype(np.int64)
+        tracemalloc.start()
+        try:
+            pipe.predict(x, labels, AWGN, SENSING, Rng(78))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_mib * 2**20, peak / 2**20
+
+
 class TestPipelineBackward:
     @pytest.mark.parametrize("mode", ["joint", "sensing_only"])
     def test_input_grad_flag_leaves_param_grads_bitwise(self, mode):
@@ -485,6 +576,16 @@ class TestCheckpoint:
         path = tmp_path / "model.bin"
         save_checkpoint(Pipeline(ModelConfig(4, "joint"), Rng(44)), path)
         return path
+
+    def test_failed_save_keeps_the_old_file(self, saved, fail_writes_midway):
+        """A save that fails midway leaves the earlier checkpoint's bytes
+        and no temporary file."""
+        before = saved.read_bytes()
+        fail_writes_midway()
+        with pytest.raises(OSError, match="No space"):
+            save_checkpoint(Pipeline(ModelConfig(6, "joint"), Rng(45)), saved)
+        assert saved.read_bytes() == before
+        assert os.listdir(saved.parent) == [saved.name]
 
     def test_missing_tensor_rejected(self, saved):
         # drop the last tensor from both header and payload: everything that
