@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .nn import Layer
+from .nn.layers import Layer
 from .rng import Rng
 
 NORM_EPS = 1e-12  # added to the L2 norm so all-zero signals stay finite

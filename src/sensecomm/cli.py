@@ -187,11 +187,12 @@ def _require(args, name: str):
 
 def _load_data(args):
     """The corpus with the limits applied, and the paths of the command's
-    output files. The corpus files are checked, and ``--out`` made, before
-    the corpus loads, in that order; a corpus that is missing, or found
-    corrupt as it loads, leaves none of the directories behind that were
-    made for ``--out``. A limited split's pixels are read here, the others'
-    on first use; ``eval`` reads no training sample."""
+    output files. The corpus files are checked, and ``--out`` made and
+    found writable, before the corpus loads, in that order; a corpus that
+    is missing, or found corrupt as it loads, leaves none of the
+    directories behind that were made for ``--out``. A limited split's
+    pixels are read here, the others' on first use; ``eval`` reads no
+    training sample."""
     _require(args, "data_dir")
     if not os.path.isdir(args.data_dir):
         args.parser.error(f"data directory not found: {args.data_dir}")
@@ -209,6 +210,8 @@ def _load_data(args):
         os.makedirs(args.out, exist_ok=True)
     except OSError as exc:
         args.parser.error(f"--out: {exc}")
+    if not os.access(args.out, os.W_OK | os.X_OK):
+        args.parser.error(f"--out: {args.out} is not writable")
     try:
         dataset = load_cifar10(args.data_dir)
     except CorruptDatasetError:

@@ -32,8 +32,7 @@ from .channel import (
 )
 from .dataset import SOURCE_DIM, Dataset, Split, batch_indices
 from .errors import ConfigError, DivergenceError
-from .nn import (
-    Adam,
+from .nn.layers import (
     Conv2D,
     Dense,
     Dropout,
@@ -42,11 +41,11 @@ from .nn import (
     Param,
     ReLU,
     Sequential,
-    cross_entropy,
-    cross_entropy_logit_grad,
     share_buffers,
     softmax,
 )
+from .nn.losses import cross_entropy, cross_entropy_logit_grad
+from .nn.optim import Adam
 from .rng import Rng
 
 MODES = ("joint", "sensing_only")

@@ -274,9 +274,6 @@ class Dropout(Layer):
     def forward(self, x, rng=None):
         if rng is None:
             return x
-        if self.rate == 0.0:
-            self._saved = None
-            return x
         keep = (rng.uniform(size=x.shape) >= self.rate)
         self._saved = keep.astype(x.dtype) / (1.0 - self.rate)
         return x * self._saved

@@ -9,12 +9,12 @@ not amplify finite-difference noise:
     rel = |analytic - fd| / max(|analytic|, |fd|, 1e-4)
 
 All checks run in 64-bit (at 32-bit the difference quotient itself is
-noise) with dropout disabled, and random draws are frozen by reseeding: the
-dropout mask and every channel realization come from a fresh stream with
-the same seed on each evaluation, so the difference quotients are
-meaningful. Layer checks are exhaustive over every coordinate; the
-end-to-end check samples a fixed random subset of coordinates per tensor to
-stay fast.
+noise), the end-to-end ones with the image encoder's dropout layers
+removed, and random draws are frozen by reseeding: the dropout mask and
+every channel realization come from a fresh stream with the same seed on
+each evaluation, so the difference quotients are meaningful. Layer checks
+are exhaustive over every coordinate; the end-to-end check samples a fixed
+random subset of coordinates per tensor to stay fast.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .channel import (
     sample_realization,
 )
 from .models import ModelConfig, Pipeline
-from .nn import (
+from .nn.layers import (
     Conv2D,
     Dense,
     Dropout,
@@ -39,10 +39,9 @@ from .nn import (
     MaxPool2D,
     Param,
     ReLU,
-    cross_entropy,
-    cross_entropy_logit_grad,
     softmax,
 )
+from .nn.losses import cross_entropy, cross_entropy_logit_grad
 from .rng import Rng
 
 FD_STEP = 1e-5
@@ -139,11 +138,12 @@ def _softmax_cross_entropy() -> GradCheckReport:
 
 
 def _pipeline(mode: str, kind: str, seed: int = 101) -> GradCheckReport:
-    """End-to-end check of the cross-entropy at batch 2 and n_c 4: dropout
-    off, sampled coordinates per parameter tensor. Each pass is a training
-    pass, so that it saves what backward needs, at dropout rate 0, so that
-    it draws no mask. It draws its channel realizations from a fresh
-    ``Rng(seed + 10_000)``, so every pass sees the same ones.
+    """End-to-end check of the cross-entropy at batch 2 and n_c 4, sampled
+    coordinates per parameter tensor. Each pass is a training pass, so that
+    it saves what backward needs, through an image encoder without its
+    dropout layers, so that it draws no mask. It draws its channel
+    realizations from a fresh ``Rng(seed + 10_000)``, so every pass sees
+    the same ones.
 
     The seed pins an operating point where no relu or pooling unit sits
     within the finite-difference step of its kink; central differences are
@@ -151,9 +151,9 @@ def _pipeline(mode: str, kind: str, seed: int = 101) -> GradCheckReport:
     """
     rng = Rng(seed)
     pipeline = Pipeline(ModelConfig(n_c=4, mode=mode), rng, dtype=np.float64)
-    for layer in pipeline.image_encoder.layers:
-        if isinstance(layer, Dropout):
-            layer.rate = 0.0
+    encoder = pipeline.image_encoder
+    encoder.layers = [layer for layer in encoder.layers
+                      if not isinstance(layer, Dropout)]
     x = rng.uniform(0.0, 1.0, size=(2, 32, 32, 3))
     labels = np.array([0, 1])
     channel_cfg = ChannelConfig(kind=kind, snr_db=3.0)

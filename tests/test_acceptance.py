@@ -24,7 +24,8 @@ from sensecomm.harness import (
     sweep_output_size,
     to_json,
 )
-from sensecomm.nn import Adam, Conv2D, Dense, MaxPool2D, Param
+from sensecomm.nn.layers import Conv2D, Dense, MaxPool2D, Param
+from sensecomm.nn.optim import Adam
 from sensecomm.rng import Rng
 from sensecomm.selfcheck import run_gradient_checks
 from test_layers import conv_oracle, dense_oracle, maxpool_oracle

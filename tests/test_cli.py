@@ -281,6 +281,23 @@ class TestTrainEval:
         assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("command", ["train", "eval", "sweep-output-size"])
+    def test_unwritable_out_fails_before_load(self, command, train_run,
+                                              fake_cifar_dir, tmp_path, capsys,
+                                              corpus_loads, monkeypatch):
+        """An existing ``--out`` that cannot be written to. Root may write
+        to a 0555 directory, so ``os.access`` is made to say it may not."""
+        _, run = train_run
+        out = tmp_path / "out"
+        out.mkdir()
+        real = os.access
+        monkeypatch.setattr(os, "access", lambda path, mode: (
+            os.path.abspath(path) != str(out) and real(path, mode)))
+        assert exit_code(out_argv(command, fake_cifar_dir, run, out)) == 2
+        assert_one_error_line(capsys)
+        assert corpus_loads == []
+        assert os.listdir(out) == []
+
+    @pytest.mark.parametrize("command", ["train", "eval", "sweep-output-size"])
     def test_missing_corpus_file_leaves_no_out(self, command, train_run,
                                                fake_cifar_dir, tmp_path, capsys,
                                                corpus_loads):

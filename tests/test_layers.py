@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+import sensecomm.nn
 from sensecomm.errors import ConfigError, ShapeError
-from sensecomm.nn import (
+from sensecomm.nn.layers import (
     Conv2D,
     Dense,
     Dropout,
@@ -366,6 +367,12 @@ class TestActivations:
         p = softmax(x)
         assert np.max(np.abs(p.sum(axis=1) - 1.0)) < 1e-9
         assert np.all((p >= 0) & (p <= 1))
+
+
+def test_nn_package_names_only_its_modules():
+    """Each layer, loss and optimizer has one import spelling: its module's."""
+    public = {name for name in vars(sensecomm.nn) if not name.startswith("_")}
+    assert public <= {"layers", "losses", "optim"}, public
 
 
 class TestDropout:

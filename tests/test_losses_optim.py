@@ -5,8 +5,9 @@ import pytest
 
 from sensecomm.errors import DivergenceError
 from sensecomm.models import ModelConfig, Pipeline
-from sensecomm.nn import LOG_CLAMP, Adam, Param, cross_entropy, cross_entropy_logit_grad
-from sensecomm.nn.optim import BETA1, BETA2, EPS, LR
+from sensecomm.nn.layers import Param
+from sensecomm.nn.losses import LOG_CLAMP, cross_entropy, cross_entropy_logit_grad
+from sensecomm.nn.optim import BETA1, BETA2, EPS, LR, Adam
 from sensecomm.rng import Rng
 
 

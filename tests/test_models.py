@@ -37,7 +37,6 @@ from sensecomm.models import (
     save_checkpoint,
     train,
 )
-from sensecomm.nn import cross_entropy, cross_entropy_logit_grad
 from sensecomm.nn.layers import (
     Conv2D,
     Dense,
@@ -47,6 +46,7 @@ from sensecomm.nn.layers import (
     MaxPool2D,
     ReLU,
 )
+from sensecomm.nn.losses import cross_entropy, cross_entropy_logit_grad
 from sensecomm.rng import Rng
 
 AWGN = ChannelConfig("awgn", 3.0)
@@ -285,7 +285,7 @@ class TestSavedSlot:
 
 @pytest.fixture(scope="module")
 def eval_split():
-    """Four eval batches: three whole ones and a part."""
+    """Several eval batches, the last of them partial."""
     return synthetic_dataset(1, 1000, seed=50).test
 
 
@@ -295,7 +295,7 @@ class TestPredictSplit:
     @pytest.mark.parametrize("kind", ["awgn", "rayleigh"])
     def test_labels_equal_at_any_cpu_count(self, kind, mode, dtype,
                                            eval_split, monkeypatch):
-        """The four batches on one, two and three threads give the same
+        """The eval batches on one, two and three threads give the same
         labels: each batch draws from its own stream, whichever thread
         runs it. One CPU runs them on the calling thread, more on a thread
         per CPU, and the threads switch as often as the interpreter
@@ -304,6 +304,7 @@ class TestPredictSplit:
         pipe = Pipeline(ModelConfig(4, mode), Rng(56), dtype)
         channel = ChannelConfig(kind, 3.0)
         on_main, real = [], Pipeline.predict
+        n_batches = len(list(batch_indices(eval_split.n, EVAL_BATCH)))
 
         def predict(self, *args):
             on_main.append(threading.current_thread() is threading.main_thread())
@@ -319,7 +320,7 @@ class TestPredictSplit:
                 on_main.clear()
                 labels.append(predict_split(pipe, eval_split, channel,
                                             SENSING, 55))
-                assert on_main == [cpus == 1] * 4
+                assert on_main == [cpus == 1] * n_batches
         finally:
             sys.setswitchinterval(interval)
         assert np.array_equal(labels[0], labels[1])
@@ -331,9 +332,9 @@ class TestPredictSplit:
     @pytest.mark.parametrize("cpus", [1, 3])
     def test_each_batch_has_a_stream_no_training_shares(self, cpus, eval_split,
                                                          monkeypatch):
-        """The four batches draw from four distinct streams, and at an eval
-        seed equal to the training seed none of them is one of the init,
-        shuffle and noise streams that ``train`` draws from."""
+        """The eval batches draw from as many distinct streams, and at an
+        eval seed equal to the training seed none of them is one of the
+        init, shuffle and noise streams that ``train`` draws from."""
         seed, first = 60, []
         real = Pipeline.predict
 
@@ -346,10 +347,11 @@ class TestPredictSplit:
                             lambda pid: set(range(cpus)))
         predict_split(Pipeline(ModelConfig(4, "joint"), Rng(61)), eval_split,
                       AWGN, SENSING, seed)
-        assert len({id(rng) for rng, _ in first}) == 4
+        n_batches = len(list(batch_indices(eval_split.n, EVAL_BATCH)))
+        assert len({id(rng) for rng, _ in first}) == n_batches
         draws = [d for _, d in first]
         draws += [r.standard_normal(8) for r in Rng(seed).split(3)]
-        assert len({d.tobytes() for d in draws}) == 7
+        assert len({d.tobytes() for d in draws}) == n_batches + 3
 
     def test_lazy_split_read_once_by_two_threads(self, fake_cifar_dir,
                                                 pixel_reads, monkeypatch):
@@ -377,7 +379,8 @@ class TestEncodeChunks:
     """An eval forward runs the image encoder over pieces of at most
     ``ENCODE_CHUNK`` rows. Its outputs are bitwise those of a reference
     pass that runs the encoder over the whole batch: ``ENCODE_CHUNK``
-    raised to ``EVAL_BATCH``, which the spy shows as one piece."""
+    raised to the largest batch given, which the spy shows as one
+    piece."""
 
     SIZES = [1, 2, 63, 64, 65, 127, 129, 256]
 
@@ -403,7 +406,7 @@ class TestEncodeChunks:
             assert n == 1 or min(rows) > 1, (n, rows)
             rows.clear()
             with monkeypatch.context() as whole:
-                whole.setattr(models, "ENCODE_CHUNK", EVAL_BATCH)
+                whole.setattr(models, "ENCODE_CHUNK", max(self.SIZES))
                 assert outputs(n) == chunked, n
             assert rows == [n, n]
 
