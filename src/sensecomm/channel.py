@@ -78,7 +78,8 @@ class PowerNormalize(Layer):
 
         d y / d s = sqrt(n_c) * (I / d - s s^T / (d^2 r)),  d = r + eps
 
-    Given an rng, forward saves ``(s, r)``; it draws nothing from it.
+    Given an rng, forward saves ``(s, r)``, and backward consumes them; it
+    draws nothing from the rng.
     """
 
     def forward(self, s: np.ndarray, rng: Rng | None = None) -> np.ndarray:
@@ -88,7 +89,7 @@ class PowerNormalize(Layer):
         return s * (math.sqrt(s.shape[1]) / (r + NORM_EPS))
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        s, r = self._saved
+        (s, r), self._saved = self._saved, None
         d = r + NORM_EPS
         root_n = math.sqrt(s.shape[1])
         dot = (s * grad_out).sum(axis=1, keepdims=True)

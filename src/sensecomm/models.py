@@ -226,11 +226,11 @@ class Pipeline:
         training, and that a backward follows, so ``rng`` reaches the three
         stacks only when ``training`` is set; then every layer, and the
         pipeline its three links, saves what ``backward`` needs. Without
-        ``training`` no attribute is written, and a ``backward`` after it
-        reads stale state. The image encoder's dropout masks come first,
-        then the first-round link (joint mode only), sensing and
-        second-round link realizations; the echo encoder and the decoder
-        draw nothing, so all three links are drawn before they run.
+        ``training`` no attribute is written, and no ``backward`` may
+        follow. The image encoder's dropout masks come first, then the
+        first-round link (joint mode only), sensing and second-round link
+        realizations; the echo encoder and the decoder draw nothing, so all
+        three links are drawn before they run.
 
         Without ``training`` the image encoder runs over balanced pieces of
         at most ``ENCODE_CHUNK`` rows, to bound the memory it holds; the
@@ -270,8 +270,12 @@ class Pipeline:
         filling every parameter gradient. Returns the gradient with respect
         to the input image, or None when ``input_grad`` is false: training
         has no use for it, and skipping it spares the image encoder's first
-        convolution its input-gradient pass."""
-        comm1, sense, comm2 = self._saved
+        convolution its input-gradient pass.
+
+        It consumes what the training forward saved, the links' and every
+        layer's but ReLU's, freeing each layer's activations as it passes
+        them, so each backward needs a training forward of its own."""
+        (comm1, sense, comm2), self._saved = self._saved, None
         g_fused = self.decoder.backward(grad_logits)
         n_c = self.cfg.n_c  # comm2's signal is the last n_c in either mode
         g_s1 = sense.backward(self.echo_encoder.backward(
@@ -377,8 +381,10 @@ def train(dataset: Dataset, cfg: ExperimentConfig,
 # --- checkpoint format ------------------------------------------------------
 #
 # magic "SCM1", u32 header length, UTF-8 JSON header, then each parameter
-# tensor as little-endian float32 in declaration order. The header carries
-# the model config, tensor names/shapes, and the training seed. The model
+# tensor in declaration order, as little-endian floats of the model's dtype.
+# The header carries the model config, tensor names/shapes, the payload's
+# dtype ("<f4" or "<f8") and the training seed. A header without a dtype
+# is "<f4", which every checkpoint held before the key was added. The model
 # config gives the encoder sizes as "n_c1" and "n_c2", which must be equal.
 
 CHECKPOINT_MAGIC = b"SCM1"
@@ -401,22 +407,25 @@ def write_atomic(path, data: bytes):
 
 def save_checkpoint(pipeline: Pipeline, path: str, seed: int | None = None):
     params = pipeline.params()
+    dtype = np.dtype(pipeline.dtype).newbyteorder("<").str
     header = {
+        "dtype": dtype,
         "model": {"n_c1": pipeline.cfg.n_c, "n_c2": pipeline.cfg.n_c,
                   "mode": pipeline.cfg.mode},
         "seed": seed,
         "tensors": [{"name": p.name, "shape": list(p.value.shape)} for p in params],
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    payload = np.concatenate([p.value.ravel() for p in params], dtype="<f4")
+    payload = np.concatenate([p.value.ravel() for p in params], dtype=dtype)
     write_atomic(path, b"".join([CHECKPOINT_MAGIC, struct.pack("<I", len(blob)),
                                  blob, payload.tobytes()]))
 
 
 def load_checkpoint(path: str, dtype=np.float32) -> tuple[Pipeline, dict]:
-    """Read a checkpoint into a pipeline of ``dtype``. A file that cannot
-    be opened or does not hold exactly this model raises ConfigError; one
-    whose header declares other than the bytes that follow it does so
+    """Read a checkpoint into a pipeline of ``dtype``, casting the stored
+    payload into it. A file that cannot be opened or does not hold exactly
+    this model raises ConfigError; one whose header names an unknown
+    payload dtype or declares other than the bytes that follow it does so
     before any pipeline is built."""
     try:
         fh = open(path, "rb")
@@ -434,6 +443,7 @@ def load_checkpoint(path: str, dtype=np.float32) -> tuple[Pipeline, dict]:
             # n_c2 gets n_c1's checks, so that no bool passes as 1 below
             ModelConfig(n_c=model["n_c2"], mode=model["mode"])
             tensors = [(meta["name"], meta["shape"]) for meta in header["tensors"]]
+            stored = header.get("dtype", "<f4")
         except (struct.error, UnicodeDecodeError, json.JSONDecodeError,
                 KeyError, TypeError) as exc:
             raise ConfigError(f"{path}: malformed checkpoint header "
@@ -441,12 +451,16 @@ def load_checkpoint(path: str, dtype=np.float32) -> tuple[Pipeline, dict]:
         if model != {"n_c1": cfg.n_c, "n_c2": cfg.n_c, "mode": cfg.mode}:
             raise ConfigError(f"{path}: model {model} is not two encoders of "
                               "one size n_c1 = n_c2")
+        if stored not in ("<f4", "<f8"):
+            raise ConfigError(f"{path}: unknown tensor dtype {stored!r}, "
+                              "expected '<f4' or '<f8'")
         if not all(isinstance(shape, list)
                    and all(type(d) is int and d > 0 for d in shape)
                    for _, shape in tensors):
             raise ConfigError(f"{path}: a tensor shape is not a list of "
                               "positive integers")
-        declared = 4 * sum(math.prod(shape) for _, shape in tensors)
+        declared = np.dtype(stored).itemsize * sum(
+            math.prod(shape) for _, shape in tensors)
         left = os.fstat(fh.fileno()).st_size - fh.tell()
         if declared > left:
             raise ConfigError(f"{path}: truncated tensor data ({left} bytes, "
@@ -464,5 +478,5 @@ def load_checkpoint(path: str, dtype=np.float32) -> tuple[Pipeline, dict]:
                               f"the model has {len(params)}; the first that "
                               f"differs is {got}, where {want} belongs")
         values, _ = share_buffers(params)
-        values[...] = np.frombuffer(fh.read(declared), dtype="<f4")
+        values[...] = np.frombuffer(fh.read(declared), dtype=stored)
     return pipeline, header

@@ -60,6 +60,15 @@ def saved_with_model(n_c: int, **model):
     return write
 
 
+def saved_with_header(**entries):
+    """A writer of a saved joint 4-symbol checkpoint whose header is
+    updated with ``entries``."""
+    def write(path):
+        save_checkpoint(Pipeline(ModelConfig(4, "joint"), Rng(0)), path)
+        rewrite_checkpoint(path, lambda header: header.update(entries))
+    return write
+
+
 def assert_one_error_line(capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:"), err
@@ -209,9 +218,10 @@ class TestTrainEval:
                         b'"mode": "joint"}, "tensors": []}'),
         saved_with_model(1, n_c2=True),
         saved_with_model(4, n_c2=4.0),
+        saved_with_header(dtype="<f2"),
     ], ids=["five-bytes", "non-utf8-header", "no-model-key", "missing-file",
             "float-n_c1", "unequal-sizes", "bool-sizes", "huge-sizes",
-            "bool-n_c2", "float-n_c2"])
+            "bool-n_c2", "float-n_c2", "dtype-f2"])
     def test_bad_checkpoint_fails_before_load(self, content, fake_cifar_dir,
                                               tmp_path, capsys, corpus_loads):
         ckpt = tmp_path / "checkpoint.bin"

@@ -242,6 +242,7 @@ class TestConv2D:
         g = rng.standard_normal(layer.forward(x, rng).shape)
         layer.backward(g)
         w_grad, b_grad = layer.w.grad.copy(), layer.b.grad.copy()
+        layer.forward(x, rng)  # a backward consumes its forward's windows
         assert layer.backward(g, input_grad=False) is None
         assert np.array_equal(layer.w.grad, w_grad)
         assert np.array_equal(layer.b.grad, b_grad)
