@@ -14,9 +14,10 @@ receiver; robustness to fading is left to the learned decoder.
 Signal power is pinned to 1 per element by :class:`PowerNormalize`, the
 last layer of each encoder, before every transmission, which makes
 sigma = 10^(-snr_db / 20) the correct noise scale for a given SNR.
-:func:`sample_realization` draws one realization (h, n) per sample and
-returns it as a :class:`Transmission`, whose backward treats it as a
-constant, so the input gradient is just h times the upstream gradient.
+:func:`sample_realization` draws one realization (h, n) per sample, keyed
+by the sample's position, and returns it as a :class:`Transmission`,
+whose backward treats it as a constant, so the input gradient is just h
+times the upstream gradient.
 
 The sensing reflection is the same mechanics with a class-dependent SNR:
 vehicles reflect at the configured maximum, animals a fixed number of dB
@@ -33,7 +34,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .nn.layers import Layer
-from .rng import Rng
+from .rng import EVAL, Rng
 
 NORM_EPS = 1e-12  # added to the L2 norm so all-zero signals stay finite
 
@@ -97,24 +98,27 @@ class PowerNormalize(Layer):
 
 
 def sample_realization(kind: str, snr_db, n_samples: int, n_c: int,
-                       rng: Rng, dtype=np.float32) -> Transmission:
+                       rng: Rng, dtype=np.float32, link: int = 0, start: int = 0,
+                       domain: int = EVAL) -> Transmission:
     """Draw one (gain, noise) realization per transmission in the batch,
     as the transmission that applies it.
 
     ``snr_db`` may be a scalar or a per-sample vector (class-dependent
-    sensing SNRs). AWGN draws only the (N, n_c) noise normals. Rayleigh
-    first draws (N, 2) gain normals, then the noise, so the same ``rng``
-    gives the two kinds different noise.
+    sensing SNRs). Row ``i`` is sample ``start + i`` of ``link`` in
+    ``domain``: its ``n_c + 2`` keyed normals (:meth:`Rng.keyed_normals`)
+    give the Rayleigh gain from the first two and the noise from the rest,
+    so a sample's realization does not depend on its batch, and AWGN and
+    Rayleigh share their noise.
     """
+    if kind not in CHANNEL_KINDS:
+        raise ConfigError(f"unknown channel kind {kind!r}")
+    z = rng.keyed_normals(domain, link, start, (n_samples, n_c + 2))
     if kind == "awgn":
         gain = np.ones(n_samples, dtype=dtype)
-    elif kind == "rayleigh":
-        ab = rng.standard_normal((n_samples, 2))
-        gain = (np.sqrt(ab[:, 0] ** 2 + ab[:, 1] ** 2) / np.sqrt(2.0)).astype(dtype)
     else:
-        raise ConfigError(f"unknown channel kind {kind!r}")
+        gain = (np.sqrt(z[:, 0] ** 2 + z[:, 1] ** 2) / np.sqrt(2.0)).astype(dtype)
     sigma = np.broadcast_to(np.asarray(noise_std(snr_db)), (n_samples,))
-    noise = (rng.standard_normal((n_samples, n_c)) * sigma[:, None]).astype(dtype)
+    noise = (z[:, 2:] * sigma[:, None]).astype(dtype)
     return Transmission(gain, noise)
 
 

@@ -46,12 +46,12 @@ from .nn.layers import (
 )
 from .nn.losses import cross_entropy, cross_entropy_logit_grad
 from .nn.optim import Adam
-from .rng import Rng
+from .rng import EVAL, TRAIN, Rng
 
 MODES = ("joint", "sensing_only")
 DTYPES = ("float32", "float64")
 
-EVAL_BATCH = 256  # fixed so the eval-seed noise stream is reproducible
+EVAL_BATCH = 256  # samples per eval task; no draw depends on it
 # The most rows an eval forward runs through the image encoder at once. Its
 # layers are row-wise, so the pieces give the whole batch's features bit
 # for bit, while a thread holds a quarter of a batch's conv working set.
@@ -217,51 +217,54 @@ class Pipeline:
 
     def forward(self, x: np.ndarray, label2: np.ndarray,
                 channel_cfg: ChannelConfig, sensing_cfg: SensingConfig,
-                rng: Rng, training: bool = False) -> np.ndarray:
+                rng: Rng, start: int = 0, dropout: Rng | None = None
+                ) -> np.ndarray:
         """Run one batch through encode / transmit / reflect / re-encode /
         transmit / decode and return class probabilities.
 
         The true label feeds only the sensing reflection, where it selects
-        the class-dependent SNR. An rng given to a layer stack means
-        training, and that a backward follows, so ``rng`` reaches the three
-        stacks only when ``training`` is set; then every layer, and the
-        pipeline its three links, saves what ``backward`` needs. Without
-        ``training`` no attribute is written, and no ``backward`` may
-        follow. The image encoder's dropout masks come first, then the
-        first-round link (joint mode only), sensing and second-round link
-        realizations; the echo encoder and the decoder draw nothing, so all
-        three links are drawn before they run.
+        the class-dependent SNR. Row ``i`` is sample ``start + i``: its
+        first-round (joint mode only), sensing and second-round
+        realizations are links 0, 1 and 2 of ``rng``'s keyed draws, the
+        same in either mode.
 
-        Without ``training`` the image encoder runs over balanced pieces of
+        A ``dropout`` rng means training, and that a backward follows: the
+        three stacks get it, the links are drawn in the ``TRAIN`` domain,
+        and every layer, and the pipeline its three links, saves what
+        ``backward`` needs. Without it the links are drawn in the ``EVAL``
+        domain, no attribute is written, and no ``backward`` may follow.
+
+        Without ``dropout`` the image encoder runs over balanced pieces of
         at most ``ENCODE_CHUNK`` rows, to bound the memory it holds; the
         links, the echo encoder and the decoder see the whole batch. A
         larger batch is never cut into a 1-row piece, whose products
         numpy computes another way, with other rounding."""
         x = np.asarray(x, dtype=self.dtype)
         joint = self.cfg.mode == "joint"
-        train_rng = rng if training else None
+        training = dropout is not None
 
         if training:
-            s1 = self.image_encoder.forward(x, rng)
+            s1 = self.image_encoder.forward(x, dropout)
         else:
             pieces = np.array_split(x, math.ceil(len(x) / ENCODE_CHUNK))
             s1 = np.concatenate([self.image_encoder.forward(p) for p in pieces])
         n, n_c = s1.shape
 
-        def link(snr_db):
+        def link(index, snr_db):
             return sample_realization(channel_cfg.kind, snr_db, n, n_c, rng,
-                                      self.dtype)
+                                      self.dtype, index, start,
+                                      TRAIN if training else EVAL)
 
-        comm1 = link(channel_cfg.snr_db) if joint else None
-        sense = link(sensing_cfg.snr_for_labels(label2))
-        comm2 = link(channel_cfg.snr_db)
+        comm1 = link(0, channel_cfg.snr_db) if joint else None
+        sense = link(1, sensing_cfg.snr_for_labels(label2))
+        comm2 = link(2, channel_cfg.snr_db)
         if training:
             self._saved = comm1, sense, comm2
 
-        s2 = self.echo_encoder.forward(sense.forward(s1), train_rng)
+        s2 = self.echo_encoder.forward(sense.forward(s1), dropout)
         y_r2 = comm2.forward(s2)
         fused = np.concatenate([comm1.forward(s1), y_r2], axis=1) if joint else y_r2
-        logits = self.decoder.forward(fused, train_rng)
+        logits = self.decoder.forward(fused, dropout)
         return softmax(logits)
 
     def backward(self, grad_logits: np.ndarray,
@@ -286,46 +289,44 @@ class Pipeline:
 
     def predict(self, x: np.ndarray, label2: np.ndarray,
                 channel_cfg: ChannelConfig, sensing_cfg: SensingConfig,
-                rng: Rng) -> np.ndarray:
-        """Inference pass: dropout disabled, one sampled realization per call.
-        Returns the predicted labels. It saves nothing, so it is reentrant:
-        threads may run it at once on one pipeline, each with its own rng.
+                rng: Rng, start: int = 0) -> np.ndarray:
+        """Inference pass: dropout disabled, the evaluation-domain
+        realizations of samples ``start`` onwards. Returns the predicted
+        labels. It saves nothing, so it is reentrant: threads may run it at
+        once on one pipeline and one rng.
         The image features are computed ``ENCODE_CHUNK`` rows at a time;
         the labels are those of one whole-batch pass, bit for bit."""
-        probs = self.forward(x, label2, channel_cfg, sensing_cfg, rng=rng)
+        probs = self.forward(x, label2, channel_cfg, sensing_cfg, rng, start)
         return probs.argmax(axis=1)
 
 
 def predict_split(pipeline: Pipeline, split: Split, channel_cfg: ChannelConfig,
                   sensing_cfg: SensingConfig, eval_seed: int) -> np.ndarray:
     """Predicted labels for a whole split under a fixed evaluation seed,
-    one fresh channel realization per sample.
+    one channel realization per sample, keyed by its index in the split.
 
-    Each ``EVAL_BATCH`` batch draws from a stream of its own, so its labels
-    do not depend on which thread runs it. The batches run on one thread
-    per CPU in the process's affinity mask. A process that
-    ``multiprocessing`` started, such as a sweep worker, runs them
-    serially, since its siblings hold the other CPUs. Within a batch,
-    ``Pipeline.predict`` bounds each thread's memory by running the image
-    encoder ``ENCODE_CHUNK`` rows at a time."""
+    The split runs in ``EVAL_BATCH`` batches, one thread per CPU in the
+    process's affinity mask; a sample's draws do not depend on its batch,
+    so neither do the labels. A process that ``multiprocessing`` started,
+    such as a sweep worker, runs them serially, since its siblings hold
+    the other CPUs. Within a batch, ``Pipeline.predict`` bounds each
+    thread's memory by running the image encoder ``ENCODE_CHUNK`` rows at
+    a time."""
     batches = list(batch_indices(split.n, EVAL_BATCH))
-    # one level below the seed's children: train() draws from
-    # Rng(seed).split(3), and at eval_seed == seed a plain split would hand
-    # the first three batches its init, shuffle and noise streams
-    rngs = Rng(eval_seed).split(1)[0].split(len(batches))
+    rng = Rng(eval_seed)
     workers = (1 if multiprocessing.parent_process() is not None
                else min(len(os.sched_getaffinity(0)), len(batches)))
     split.pixels  # read before the fan-out, so the threads share one read
 
-    def run(idx: np.ndarray, rng: Rng) -> np.ndarray:
+    def run(idx: np.ndarray) -> np.ndarray:
         return pipeline.predict(split.images(idx), split.label2[idx],
-                                channel_cfg, sensing_cfg, rng)
+                                channel_cfg, sensing_cfg, rng, int(idx[0]))
 
     if workers <= 1:
-        labels = list(map(run, batches, rngs))
+        labels = list(map(run, batches))
     else:
         with ThreadPoolExecutor(workers) as pool:
-            labels = list(pool.map(run, batches, rngs))
+            labels = list(pool.map(run, batches))
     return np.concatenate(labels)
 
 
@@ -341,12 +342,14 @@ def train(dataset: Dataset, cfg: ExperimentConfig,
           log_fn=None) -> tuple[Pipeline, list[dict], np.ndarray]:
     """Train all three networks jointly.
 
-    Each batch draws fresh channel and sensing realizations, runs the full
-    forward pass, and applies one Adam step to every parameter. History
+    Each batch draws the channel and sensing realizations of its samples'
+    positions in the run, counted across epochs, runs the full forward
+    pass, and applies one Adam step to every parameter. History
     records per-epoch mean training loss and test accuracy; the last
     epoch's test predictions are returned too.
     """
-    init_rng, shuffle_rng, noise_rng = Rng(cfg.seed).split(3)
+    init_rng, shuffle_rng, dropout_rng = Rng(cfg.seed).split(3)
+    channel_rng, seen = Rng(cfg.seed), 0
     channel_cfg, sensing_cfg = cfg.channel(), cfg.sensing()
     pipeline = Pipeline(cfg.model(), init_rng, cfg.np_dtype)
     adam = Adam(pipeline.params())
@@ -358,7 +361,8 @@ def train(dataset: Dataset, cfg: ExperimentConfig,
             x = dataset.train.images(idx)
             y = dataset.train.label2[idx]
             probs = pipeline.forward(x, y, channel_cfg, sensing_cfg,
-                                     rng=noise_rng, training=True)
+                                     channel_rng, start=seen, dropout=dropout_rng)
+            seen += len(idx)
             loss = cross_entropy(probs, y)
             if not np.isfinite(loss):
                 raise DivergenceError(

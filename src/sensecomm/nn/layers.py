@@ -302,8 +302,6 @@ class Dropout(Layer):
 
     def backward(self, grad_out):
         mask, self._saved = self._saved, None
-        if mask is None:
-            return grad_out
         return grad_out * mask
 
 

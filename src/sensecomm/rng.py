@@ -1,16 +1,19 @@
 """Seeded random streams with a strict reproducibility contract.
 
-Every source of randomness (weight init, shuffling, dropout masks, channel
-realizations) pulls from an ``Rng``. Identical seeds give identical draw
-sequences; ``split`` derives independent child streams deterministically, so
-two runs with the same seed are bitwise reproducible regardless of how the
-streams are consumed relative to each other.
+Weight init, shuffling and dropout masks draw from ``Rng`` streams.
+Identical seeds give identical draw sequences; ``split`` derives
+independent child streams deterministically, so two runs with the same
+seed are bitwise reproducible regardless of how the streams are consumed
+relative to each other. Channel realizations are not drawn in turn but
+keyed by sample: see :meth:`Rng.keyed_normals`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from numpy.random import SeedSequence
+
+TRAIN, EVAL = 0, 1
 
 
 class Rng:
@@ -33,3 +36,23 @@ class Rng:
 
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
+
+    def keyed_normals(self, domain: int, link: int, start: int,
+                      shape: tuple[int, int]) -> np.ndarray:
+        """Normals for samples ``start`` to ``start + n`` of one link, row
+        ``i`` for sample ``start + i``, keyed by this stream's seed,
+        ``domain`` (``TRAIN`` or ``EVAL``) and ``link``, and by nothing
+        else. Philox under that key gives each sample ``w`` words, rounded
+        up to whole four-word blocks, and Box-Muller turns them into
+        normals. A ``split`` child shares its root's seed, so it raises."""
+        if self._seq.spawn_key:
+            raise ValueError("keyed normals need a root Rng, not a split child")
+        n, w = shape
+        k = -(-w // 4) * 4  # words per sample, whole Philox blocks
+        key = SeedSequence([self._seq.entropy, domain, link]).generate_state(2, np.uint64)
+        bits = np.random.Philox(key=key)
+        bits.advance(start * k // 4)
+        u = np.random.Generator(bits).random((n, k // 2, 2))
+        r = np.sqrt(-2.0 * np.log1p(-u[..., 0]))
+        t = (2.0 * np.pi) * u[..., 1]
+        return np.stack([r * np.cos(t), r * np.sin(t)], axis=-1).reshape(n, k)[:, :w]

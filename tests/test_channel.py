@@ -118,6 +118,12 @@ class TestApplyChannel:
         assert np.array_equal(r1.gain, r2.gain)
         assert np.array_equal(r1.noise, r2.noise)
 
+    def test_awgn_and_rayleigh_share_noise(self):
+        awgn = sample_realization("awgn", 3.0, 8, 10, Rng(15), np.float64)
+        rayleigh = sample_realization("rayleigh", 3.0, 8, 10, Rng(15), np.float64)
+        assert np.array_equal(awgn.noise, rayleigh.noise)
+        assert not np.array_equal(awgn.gain, rayleigh.gain)
+
     def test_backward_is_gain_times_upstream(self):
         tx = sample_realization("rayleigh", 0.0, 4, 6, Rng(16), np.float64)
         g = Rng(17).standard_normal((4, 6))

@@ -381,8 +381,15 @@ class TestDropout:
         x = Rng(0).standard_normal((4, 9))
         layer = Dropout(0.5)
         assert layer.forward(x) is x
+
+    def test_second_backward_raises(self):
+        # a backward consumes the mask its forward saved, as in every layer
+        layer = Dropout(0.5)
+        layer.forward(Rng(2).standard_normal((4, 9)), Rng(3))
         g = Rng(4).standard_normal((4, 9))
-        assert layer.backward(g) is g
+        layer.backward(g)
+        with pytest.raises(TypeError):
+            layer.backward(g)
 
     def test_mask_from_rng(self):
         # the mask is the rng's next uniforms against the rate, scaled by

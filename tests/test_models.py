@@ -1,4 +1,3 @@
-import copy
 import json
 import math
 import os
@@ -203,7 +202,7 @@ class TestPipelineForward:
         x = Rng(19).uniform(size=(3, 32, 32, 3)).astype(np.float32)
         rng = CountingRng(20)
         pipe.forward(x, np.array([0, 1, 1]), AWGN, SENSING, rng=rng,
-                     training=training)
+                     dropout=rng if training else None)
         assert rng.uniform_sizes == sizes
 
     def test_untrained_loss_near_chance_level(self):
@@ -215,7 +214,8 @@ class TestPipelineForward:
         for seed in (21, 22, 23):
             pipe = Pipeline(ModelConfig(20, "joint"), Rng(seed))
             probs = pipe.forward(ds.train.images(), ds.train.label2, AWGN,
-                                 SENSING, rng=Rng(seed + 100), training=True)
+                                 SENSING, rng=Rng(seed + 100),
+                                 dropout=Rng(seed + 100))
             losses.append(cross_entropy(probs, ds.train.label2))
         assert all(math.log(2.0) - 0.15 < lo < 1.7 for lo in losses)
         assert min(losses) < math.log(2.0) + 0.15
@@ -237,7 +237,8 @@ def slot_node(name, training=True):
         pipe = Pipeline(ModelConfig(4, name.removeprefix("Pipeline-")), Rng(1))
         x = Rng(2).uniform(size=(2, 32, 32, 3)).astype(np.float32)
         return pipe, lambda: pipe.forward(x, np.array([0, 1]), AWGN, SENSING,
-                                          rng=Rng(3), training=training)
+                                          rng=Rng(3),
+                                          dropout=Rng(3) if training else None)
     if name == "PowerNormalize":
         norm = PowerNormalize()
         return norm, lambda: norm.forward(x2, rng)
@@ -306,9 +307,9 @@ class TestPredictSplit:
     def test_labels_equal_at_any_cpu_count(self, kind, mode, dtype,
                                            eval_split, monkeypatch):
         """The eval batches on one, two and three threads give the same
-        labels: each batch draws from its own stream, whichever thread
-        runs it. One CPU runs them on the calling thread, more on a thread
-        per CPU, and the threads switch as often as the interpreter
+        labels: each sample's draws are keyed by its index, whichever
+        thread runs it. One CPU runs them on the calling thread, more on a
+        thread per CPU, and the threads switch as often as the interpreter
         allows."""
         # an init whose labels mix both classes in every mode and kind
         pipe = Pipeline(ModelConfig(4, mode), Rng(56), dtype)
@@ -335,33 +336,25 @@ class TestPredictSplit:
             sys.setswitchinterval(interval)
         assert np.array_equal(labels[0], labels[1])
         assert np.array_equal(labels[0], labels[2])
-        # the labels depend on the draws, so a batch on a wrong stream shows
+        # the labels depend on the draws, so a sample on wrong draws shows
         other = predict_split(pipe, eval_split, channel, SENSING, 59)
         assert not np.array_equal(labels[0], other)
 
-    @pytest.mark.parametrize("cpus", [1, 3])
-    def test_each_batch_has_a_stream_no_training_shares(self, cpus, eval_split,
-                                                         monkeypatch):
-        """The eval batches draw from as many distinct streams, and at an
-        eval seed equal to the training seed none of them is one of the
-        init, shuffle and noise streams that ``train`` draws from."""
-        seed, first = 60, []
-        real = Pipeline.predict
-
-        def predict(self, x, label2, channel_cfg, sensing_cfg, rng):
-            first.append((rng, copy.deepcopy(rng).standard_normal(8)))
-            return real(self, x, label2, channel_cfg, sensing_cfg, rng)
-
-        monkeypatch.setattr(Pipeline, "predict", predict)
-        monkeypatch.setattr(os, "sched_getaffinity",
-                            lambda pid: set(range(cpus)))
-        predict_split(Pipeline(ModelConfig(4, "joint"), Rng(61)), eval_split,
-                      AWGN, SENSING, seed)
-        n_batches = len(list(batch_indices(eval_split.n, EVAL_BATCH)))
-        assert len({id(rng) for rng, _ in first}) == n_batches
-        draws = [d for _, d in first]
-        draws += [r.standard_normal(8) for r in Rng(seed).split(3)]
-        assert len({d.tobytes() for d in draws}) == n_batches + 3
+    def test_labels_equal_at_any_eval_batch(self, eval_split, monkeypatch):
+        """Eval batches of 64, 256 and 1,000 samples on one, two and three
+        CPUs give the same labels: a sample's draws are keyed by its index
+        in the split, not by its batch."""
+        pipe = Pipeline(ModelConfig(4, "joint"), Rng(56))
+        labels = []
+        for batch in (64, 256, 1000):
+            monkeypatch.setattr(models, "EVAL_BATCH", batch)
+            for cpus in (1, 2, 3):
+                monkeypatch.setattr(os, "sched_getaffinity",
+                                    lambda pid, cpus=cpus: set(range(cpus)))
+                labels.append(predict_split(pipe, eval_split, RAYLEIGH,
+                                            SENSING, 55))
+        for other in labels[1:]:
+            assert np.array_equal(labels[0], other)
 
     def test_lazy_split_read_once_by_two_threads(self, fake_cifar_dir,
                                                 pixel_reads, monkeypatch):
@@ -464,7 +457,7 @@ class TestPipelineBackward:
 
         def forward():  # the same draws each time
             return pipe.forward(x, labels, AWGN, SENSING, rng=Rng(17),
-                                training=True)
+                                dropout=Rng(17))
 
         grad = cross_entropy_logit_grad(forward(), labels)
         grad_x = pipe.backward(grad)
@@ -489,7 +482,7 @@ class TestPipelineBackward:
         tracemalloc.start()
         try:
             probs = pipe.forward(x, labels, AWGN, SENSING, rng=Rng(21),
-                                 training=True)
+                                 dropout=Rng(21))
             pipe.backward(cross_entropy_logit_grad(probs, labels),
                           input_grad=False)
             peak = tracemalloc.get_traced_memory()[1]
@@ -535,6 +528,46 @@ class TestTraining:
         train(ds, cfg)
         # one training batch and one eval batch
         assert seen == [(np.dtype(np.float32), np.dtype(np.float64))] * 2
+
+
+def test_both_modes_see_the_same_draws(monkeypatch):
+    """At one seed, joint and sensing-only draw bitwise-equal sensing and
+    second-round realizations and dropout masks, in a training step and in
+    the evaluation after it; joint mode adds its first-round link."""
+    ds = synthetic_dataset(64, 8, seed=33)
+    real_sample, real_dropout = models.sample_realization, Dropout.forward
+
+    def draws(mode):
+        links, masks = [], []
+
+        def sample(*args, **kwargs):
+            links.append(real_sample(*args, **kwargs))
+            return links[-1]
+
+        def dropout(self, x, rng=None):
+            out = real_dropout(self, x, rng)
+            if rng is not None:
+                masks.append(self._saved.copy())
+            return out
+
+        with monkeypatch.context() as spy:
+            spy.setattr(models, "sample_realization", sample)
+            spy.setattr(Dropout, "forward", dropout)
+            train(ds, ExperimentConfig("rayleigh", n_c=4, epochs=1,
+                                       seed=34, eval_seed=35, mode=mode))
+        return links, masks
+
+    joint, joint_masks = draws("joint")
+    sensing, sensing_masks = draws("sensing_only")
+    # one training forward, then one eval forward
+    assert len(joint) == 6 and len(sensing) == 4
+    del joint[::3]  # the first-round links
+    for a, b in zip(joint, sensing, strict=True):
+        assert np.array_equal(a.gain, b.gain)
+        assert np.array_equal(a.noise, b.noise)
+    assert len(joint_masks) == 2
+    for a, b in zip(joint_masks, sensing_masks, strict=True):
+        assert np.array_equal(a, b)
 
 
 def rewrite_checkpoint(path, edit_header=None, payload_end=None, extra=b""):
