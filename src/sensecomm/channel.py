@@ -79,8 +79,10 @@ class PowerNormalize(Layer):
 
         d y / d s = sqrt(n_c) * (I / d - s s^T / (d^2 r)),  d = r + eps
 
-    Given an rng, forward saves ``(s, r)``, and backward consumes them; it
-    draws nothing from the rng.
+    An all-zero row (r = 0) is sent at zero power and carries no signal, so
+    it gets a zero gradient, as ReLU does at its kink. Given an rng,
+    forward saves ``(s, r)``, and backward consumes them; it draws nothing
+    from the rng.
     """
 
     def forward(self, s: np.ndarray, rng: Rng | None = None) -> np.ndarray:
@@ -94,7 +96,8 @@ class PowerNormalize(Layer):
         d = r + NORM_EPS
         root_n = math.sqrt(s.shape[1])
         dot = (s * grad_out).sum(axis=1, keepdims=True)
-        return root_n * (grad_out / d - s * (dot / (d * d * np.maximum(r, NORM_EPS))))
+        grad_in = root_n * (grad_out / d - s * (dot / (d * d * np.maximum(r, NORM_EPS))))
+        return np.where(r == 0, 0.0, grad_in)
 
 
 def sample_realization(kind: str, snr_db, n_samples: int, n_c: int,

@@ -190,9 +190,9 @@ def _load_data(args):
     output files. The corpus files are checked, and ``--out`` made and
     found writable, before the corpus loads, in that order; a corpus that
     is missing, or found corrupt as it loads, leaves none of the
-    directories behind that were made for ``--out``. A limited split's
-    pixels are read here, the others' on first use; ``eval`` reads no
-    training sample."""
+    directories behind that were made for ``--out``. No pixel is read
+    here: each batch reads its own records, and ``eval`` reads no training
+    sample."""
     _require(args, "data_dir")
     if not os.path.isdir(args.data_dir):
         args.parser.error(f"data directory not found: {args.data_dir}")
@@ -218,8 +218,7 @@ def _load_data(args):
         for path in made:  # leaf first
             os.rmdir(path)
         raise
-    if args.command != "eval":
-        dataset.train = dataset.train.subset(args.limit_train)
+    dataset.train = dataset.train.subset(args.limit_train)
     dataset.test = dataset.test.subset(args.limit_test)
     return dataset, outputs
 

@@ -3,13 +3,11 @@
 Reads the public binary distribution: five training files plus one test
 file, each exactly 10,000 records of 3,073 bytes (1 label byte, then 3,072
 pixel bytes channel-planar R, G, B, row-major within each plane).
-Loading checks every file and reads only the labels. A split reads its
-pixel bytes on first use, and a subset of an unread split reads only the
-records it keeps, so a command holds in memory only the records it uses,
-as those bytes. Files are read in blocks of records, never whole. A
-batch leaves a split in the form the network takes: C-contiguous
-channels-last float32 images in [0, 1] and int64 labels, 1 for vehicle
-and 0 for animal.
+Loading checks every file and reads only the labels. A loaded split
+holds no pixel bytes: each batch reads just its own records, so a
+command holds only the batch it works on. A batch leaves a split in the
+form the network takes: C-contiguous channels-last float32 images in
+[0, 1] and int64 labels, 1 for vehicle and 0 for animal.
 
 The ten original classes collapse to two: airplane, automobile, ship and
 truck become "vehicle" (label 1, a potential transmitter); the six animal
@@ -19,7 +17,7 @@ classes become "animal" (label 0).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator
 
 import numpy as np
@@ -42,26 +40,41 @@ def relabel_binary_array(label10: np.ndarray) -> np.ndarray:
     return np.isin(label10, list(VEHICLE_CLASSES)).astype(np.int64)
 
 
+@dataclass(frozen=True)
+class Records:
+    """The pixels of the first ``n`` records of a split's batch ``files``:
+    ``records[idx]``, by int, slice or index array, reads exactly the
+    records at ``idx`` and gives their bytes as an array of the whole
+    split would, uint8 (..., 32, 32, 3) over channel-planar memory. It
+    holds no bytes and no open file, so threads and forks share it."""
+    files: tuple[str, ...]
+    n: int
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, idx) -> np.ndarray:
+        rows = np.arange(self.n)[idx]
+        flat = rows.reshape(-1)
+        records = np.empty(flat.size, dtype=RECORD)
+        # one read per run of consecutive records in one file
+        starts = np.flatnonzero((np.diff(flat, prepend=-1) != 1)
+                                | (flat % RECORDS_PER_FILE == 0))
+        for lo, hi in zip(starts, np.append(starts[1:], flat.size)):
+            file, first = divmod(int(flat[lo]), RECORDS_PER_FILE)
+            _read_records(self.files[file], first, records[lo:hi])
+        return records["pixels"].transpose(0, 2, 3, 1).reshape(
+            rows.shape + (32, 32, 3))
+
+
 class Split:
-    """One dataset split as parallel arrays: ``label2`` (N,) int64, vehicle=1
-    / animal=0, and ``pixels`` (N, 32, 32, 3) uint8, the raw bytes.
+    """One dataset split: ``label2`` (N,) int64, vehicle=1 / animal=0, and
+    ``pixels`` (N, 32, 32, 3) uint8, the raw bytes, as an array, or as a
+    ``Records`` reader in a split that ``load_cifar10`` builds."""
 
-    A split built from arrays holds them. A split that ``load_cifar10``
-    builds holds its labels and the paths of its batch ``files``, and reads
-    its pixel bytes on first use of ``pixels`` or ``images``. ``subset`` of
-    an unread split reads only the records it keeps."""
-
-    def __init__(self, pixels: np.ndarray | None, label2: np.ndarray,
-                 files: tuple[str, ...] = ()):
-        self._pixels = pixels
+    def __init__(self, pixels: np.ndarray | Records, label2: np.ndarray):
+        self.pixels = pixels
         self.label2 = label2
-        self.files = files
-
-    @property
-    def pixels(self) -> np.ndarray:
-        if self._pixels is None:
-            self._pixels = _read_pixels(self.files, self.n)
-        return self._pixels
 
     @property
     def n(self) -> int:
@@ -75,12 +88,12 @@ class Split:
         return np.divide(self.pixels[idx], 255.0, dtype=np.float32, order="C")
 
     def subset(self, limit: int | None) -> "Split":
-        """The first ``limit`` samples, in memory; the split itself when it
-        has no more."""
+        """The first ``limit`` samples, reading none; the split itself when
+        it has no more."""
         if limit is None or limit >= self.n:
             return self
-        pixels = (_read_pixels(self.files, limit) if self._pixels is None
-                  else self._pixels[:limit])
+        pixels = (replace(self.pixels, n=limit)
+                  if isinstance(self.pixels, Records) else self.pixels[:limit])
         return Split(pixels, self.label2[:limit])
 
 
@@ -90,22 +103,21 @@ class Dataset:
     test: Split
 
 
-def _blocks(path: str, count: int) -> Iterator[np.ndarray]:
-    """The first ``count`` records of a batch file as ``RECORD`` arrays of
-    up to ``BLOCK_RECORDS`` each, read in turn from one open file, so a
-    read holds one block of the file at a time. A file that cannot be
-    read, or ends early, raises CorruptDatasetError."""
+def _read_records(path: str, first: int, out: np.ndarray) -> np.ndarray:
+    """Fill ``out``, a RECORD array, with the records of a batch file from
+    record ``first`` on, in one positional read, and return it. A file
+    that cannot be read, or ends early, raises CorruptDatasetError."""
     try:
-        with open(path, "rb") as fh:
-            for start in range(0, count, BLOCK_RECORDS):
-                k = min(BLOCK_RECORDS, count - start)
-                block = np.fromfile(fh, dtype=RECORD, count=k)
-                if block.size != k:
-                    raise CorruptDatasetError(
-                        f"{path}: truncated since it was loaded")
-                yield block
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            got = os.preadv(fd, [out.view(np.uint8)], first * RECORD_BYTES)
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise CorruptDatasetError(f"{path}: {exc.strerror}") from None
+    if got != out.nbytes:
+        raise CorruptDatasetError(f"{path}: truncated since it was loaded")
+    return out
 
 
 def check_corpus(directory: str):
@@ -122,37 +134,24 @@ def check_corpus(directory: str):
 
 
 def _read_labels(path: str) -> np.ndarray:
-    """The vehicle/animal labels of a batch file, after checking its label bytes."""
-    # a copy: a view of the labels would keep its whole block alive
-    label10 = np.concatenate([block["label"].copy()
-                              for block in _blocks(path, RECORDS_PER_FILE)])
+    """The vehicle/animal labels of a batch file, read a block of records
+    at a time, after checking its label bytes."""
+    label10 = np.empty(RECORDS_PER_FILE, dtype=np.uint8)
+    block = np.empty(BLOCK_RECORDS, dtype=RECORD)
+    for first in range(0, RECORDS_PER_FILE, BLOCK_RECORDS):
+        label10[first:first + BLOCK_RECORDS] = _read_records(path, first, block)["label"]
     if label10.max() > 9:
         raise CorruptDatasetError(f"{path}: label byte > 9")
     return relabel_binary_array(label10)
 
 
-def _read_pixels(files: tuple[str, ...], count: int) -> np.ndarray:
-    """The pixel bytes of the first ``count`` records of ``files``, as
-    (count, 32, 32, 3) over channel-planar memory. Only the files holding
-    those records are read, the last of them only up to its ``count``-th
-    record, so reading peaks at the pixels plus one block. Each fill is a
-    plain copy; ``Split.images`` hands batches out in C order."""
-    planar = np.empty((count, 3, 32, 32), dtype=np.uint8)
-    at = 0
-    for first, path in zip(range(0, count, RECORDS_PER_FILE), files):
-        for block in _blocks(path, min(RECORDS_PER_FILE, count - first)):
-            planar[at:at + block.size] = block["pixels"]
-            at += block.size
-    return planar.transpose(0, 2, 3, 1)
-
-
 def load_cifar10(directory: str) -> Dataset:
     """Check the six binary batch files in ``directory`` and read their
-    labels, preserving the on-disk sample order. Pixels are read when first
-    used (see ``Split``)."""
+    labels, preserving the on-disk sample order; batches read the pixels."""
     def split(names):
         files = tuple(os.path.join(directory, f) for f in names)
-        return Split(None, np.concatenate([_read_labels(f) for f in files]), files)
+        label2 = np.concatenate([_read_labels(f) for f in files])
+        return Split(Records(files, label2.shape[0]), label2)
 
     check_corpus(directory)
     return Dataset(train=split(TRAIN_FILES), test=split([TEST_FILE]))

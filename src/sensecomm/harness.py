@@ -161,14 +161,13 @@ def _train_in_workers(tasks: list[ExperimentConfig], dataset: Dataset):
     The trainings run on a fork-context ``ProcessPoolExecutor`` with one
     worker per CPU in the process's affinity mask (``taskset`` limits
     them). Workers inherit the corpus through the initializer's arguments
-    instead of receiving a pickled copy; its pixels are read here first,
-    so the workers share one copy instead of each reading its own. A
-    task's exception is raised in its turn, and a worker killed by a
-    signal (say by the OOM killer) raises ``BrokenProcessPool`` at once.
+    instead of receiving a pickled copy, and each reads the records of its
+    own batches. A task's exception is raised in its turn, and a worker
+    killed by a signal (say by the OOM killer) raises ``BrokenProcessPool``
+    at once.
     However the sweep ends, its workers are terminated, not waited for,
     before the pool shuts down.
     """
-    dataset.train.pixels, dataset.test.pixels  # read before the fork
     before = set(multiprocessing.active_children())
     pool = ProcessPoolExecutor(min(len(os.sched_getaffinity(0)), len(tasks)),
                                multiprocessing.get_context("fork"),

@@ -316,7 +316,6 @@ def predict_split(pipeline: Pipeline, split: Split, channel_cfg: ChannelConfig,
     rng = Rng(eval_seed)
     workers = (1 if multiprocessing.parent_process() is not None
                else min(len(os.sched_getaffinity(0)), len(batches)))
-    split.pixels  # read before the fan-out, so the threads share one read
 
     def run(idx: np.ndarray) -> np.ndarray:
         return pipeline.predict(split.images(idx), split.label2[idx],

@@ -31,14 +31,17 @@ class Adam:
     def step(self):
         self.t += 1
         g = self.grads
-        if not np.all(np.isfinite(g)):
-            bad = next(p for p in self.params if not np.all(np.isfinite(p.grad)))
-            raise DivergenceError(
-                f"non-finite gradient in {bad.name} at step {self.t}")
+        with np.errstate(over="ignore"):  # an overflow is raised below
+            g2 = g * g
+            if not np.all(np.isfinite(g2)):
+                bad = next(p for p in self.params
+                           if not np.all(np.isfinite(p.grad * p.grad)))
+                raise DivergenceError(
+                    f"non-finite gradient in {bad.name} at step {self.t}")
         self.m *= BETA1
         self.m += (1.0 - BETA1) * g
         self.v *= BETA2
-        self.v += (1.0 - BETA2) * (g * g)
+        self.v += (1.0 - BETA2) * g2
         m_hat = self.m / (1.0 - BETA1 ** self.t)
         v_hat = self.v / (1.0 - BETA2 ** self.t)
         self.values -= LR * m_hat / (np.sqrt(v_hat) + EPS)

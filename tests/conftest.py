@@ -86,20 +86,31 @@ def link_corpus(src, dst):
 
 @pytest.fixture
 def pixel_reads(monkeypatch, tmp_path_factory):
-    """Records every read of pixel bytes, in this process or a forked one,
-    as (pid, file names, record count); call the fixture for the list."""
+    """Records every read of records for their pixels, in this process or
+    a forked one, as (pid, file name, first record, record count); the
+    reads of labels at load are left out. Call the fixture for the list."""
     from sensecomm import dataset
 
     log = tmp_path_factory.mktemp("reads") / "pixel_reads.jsonl"
-    real = dataset._read_pixels
+    real_records, real_labels = dataset._read_records, dataset._read_labels
+    loading = []  # holds a path while its labels are read
 
-    def spy(files, count):
-        with open(log, "a", encoding="utf-8") as fh:
-            names = [os.path.basename(f) for f in files]
-            fh.write(json.dumps([os.getpid(), names, count]) + "\n")
-        return real(files, count)
+    def read_labels(path):
+        loading.append(path)
+        try:
+            return real_labels(path)
+        finally:
+            loading.pop()
 
-    monkeypatch.setattr(dataset, "_read_pixels", spy)
+    def spy(path, first, out):
+        if not loading:
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(json.dumps([os.getpid(), os.path.basename(path),
+                                     first, len(out)]) + "\n")
+        return real_records(path, first, out)
+
+    monkeypatch.setattr(dataset, "_read_labels", read_labels)
+    monkeypatch.setattr(dataset, "_read_records", spy)
     return lambda: ([tuple(json.loads(line)) for line in log.read_text().splitlines()]
                     if log.exists() else [])
 

@@ -37,6 +37,22 @@ class TestNormalizePower:
         out = PowerNormalize().forward(np.zeros((1, 4)))
         assert np.all(np.isfinite(out))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_zero_row_gets_zero_gradient(self, dtype):
+        """An all-zero row carries no signal: its input gradient is zero,
+        and the other rows get the gradients of a batch without it."""
+        rng = Rng(5)
+        x = rng.standard_normal((3, 4)).astype(dtype)
+        x[1] = 0
+        g = rng.standard_normal((3, 4)).astype(dtype)
+        layer = PowerNormalize()
+        layer.forward(x, rng)
+        grad = layer.backward(g)
+        assert grad.dtype == dtype
+        assert np.array_equal(grad[1], np.zeros(4))
+        layer.forward(x[[0, 2]], rng)
+        assert np.array_equal(grad[[0, 2]], layer.backward(g[[0, 2]]))
+
     def test_backward_matches_finite_differences(self):
         rng = Rng(4)
         layer = PowerNormalize()

@@ -159,15 +159,17 @@ class TestTrainEval:
                         "--checkpoint", str(out / "checkpoint.bin"),
                         "--out", str(tmp_path)] + SMOKE)
         assert code == 0
-        assert [files for _, files, _ in pixel_reads()] == [[TEST_FILE]]
+        # --limit-test 128: one batch, one read
+        assert [read[1:] for read in pixel_reads()] == [(TEST_FILE, 0, 128)]
 
-    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("command", ["train", "eval", "sweep-output-size"])
     def test_deferred_read_error_exits_2_with_one_line(
             self, command, train_run, fake_cifar_dir, tmp_path, capsys,
             monkeypatch):
         """A batch file that vanishes after the corpus loads fails the
-        command when its pixels are read: with ``train`` while the limits
-        are applied, with ``eval`` (no --limit-test) in the evaluation."""
+        command at the first batch that reads it, its first evaluation:
+        in the command's own process for ``train`` and ``eval`` (no
+        --limit-test), in a forked worker for a sweep."""
         corpus = tmp_path / "corpus"
         corpus.mkdir()
         link_corpus(fake_cifar_dir, corpus)
@@ -179,8 +181,11 @@ class TestTrainEval:
             return dataset
 
         monkeypatch.setattr(cli, "load_cifar10", load_then_remove)
-        argv = ["train"] + SMOKE if command == "train" else [
-            "eval", "--checkpoint", str(train_run[1] / "checkpoint.bin")]
+        argv = {"train": ["train"] + SMOKE,
+                "eval": ["eval", "--checkpoint",
+                         str(train_run[1] / "checkpoint.bin")],
+                "sweep-output-size": ["sweep-output-size", "--points", "2"]
+                + SMOKE}[command]
         code = exit_code(argv + ["--data-dir", str(corpus),
                                  "--out", str(tmp_path / "out")])
         assert code == 2

@@ -34,7 +34,7 @@ class TestLoader:
         for f in TRAIN_FILES + [TEST_FILE]:
             write_batch_file(tmp_path / f, labels, pixels)
         ds = load_cifar10(tmp_path)
-        assert ds.train.pixels.dtype == np.uint8
+        assert ds.train.pixels[:1].dtype == np.uint8
         images = ds.train.images()
         assert images[0, 0, 0, 0] == 1.0
         assert images[0, 0, 0, 1] == 1.0
@@ -69,13 +69,20 @@ class TestLoader:
         with pytest.raises(CorruptDatasetError, match="label"):
             load_cifar10(tmp_path)
 
-    def test_pixels_read_on_first_use_only(self, fake_cifar_dir, pixel_reads):
+    def test_a_batch_reads_only_its_records(self, fake_cifar_dir, pixel_reads):
+        """Loading and taking a subset read no pixel; a batch reads its
+        records, one read per run of consecutive records in one file."""
         ds = load_cifar10(fake_cifar_dir)
+        train = ds.train.subset(12_345)
+        assert train.n == len(train.pixels) == 12_345
+        assert len(ds.test.pixels) == ds.test.n
         assert pixel_reads() == []
-        ds.test.images(slice(0, 2))
-        ds.test.pixels
-        assert [(files, count) for _, files, count in pixel_reads()] == [
-            ([TEST_FILE], RECORDS_PER_FILE)]
+        train.images(np.array([3, 4, 5, 9_999, 10_000, 10_001, 7, 7]))
+        ds.test.images(slice(256, 512))
+        assert [read[1:] for read in pixel_reads()] == [
+            (TRAIN_FILES[0], 3, 3), (TRAIN_FILES[0], 9_999, 1),
+            (TRAIN_FILES[1], 0, 2), (TRAIN_FILES[0], 7, 1),
+            (TRAIN_FILES[0], 7, 1), (TEST_FILE, 256, 256)]
 
     def test_read_pixels_bitwise_equal_whole_file_read(self, fake_cifar_dir):
         def whole_files(files):
@@ -84,14 +91,20 @@ class TestLoader:
             return raw[:, 1:].reshape(-1, 3, 32, 32).transpose(0, 2, 3, 1)
 
         ds = load_cifar10(fake_cifar_dir)
-        # a prefix across a file boundary, and a whole split
-        for pixels, want in ((ds.train.subset(12_345).pixels,
-                              whole_files(TRAIN_FILES[:2])[:12_345]),
-                             (ds.test.pixels, whole_files([TEST_FILE]))):
+        train = whole_files(TRAIN_FILES[:2])
+        shuffled = Rng(10).permutation(12_345)[:500]
+        # a prefix across a file boundary, shuffled records, one record,
+        # and a whole split
+        for pixels, want in ((ds.train.subset(12_345).pixels[:],
+                              train[:12_345]),
+                             (ds.train.pixels[shuffled], train[shuffled]),
+                             (ds.train.pixels[10_000], train[10_000]),
+                             (ds.test.pixels[:], whole_files([TEST_FILE]))):
             assert pixels.dtype == np.uint8
             assert np.array_equal(pixels, want)
-            # the memory stays channel-planar, as on disk
-            assert pixels.transpose(0, 3, 1, 2).flags["C_CONTIGUOUS"]
+            # each record's memory stays channel-planar, as on disk
+            planes = pixels.reshape(-1, 32, 32, 3)[-1].transpose(2, 0, 1)
+            assert planes.flags["C_CONTIGUOUS"]
 
     def test_prefix_read_needs_only_the_files_holding_it(self, tmp_path,
                                                          fake_cifar_dir):
@@ -102,8 +115,22 @@ class TestLoader:
         first = ds.train.subset(RECORDS_PER_FILE)
         assert first.n == RECORDS_PER_FILE
         assert np.array_equal(first.label2, ds.train.label2[:RECORDS_PER_FILE])
+        assert first.images().shape == (RECORDS_PER_FILE, 32, 32, 3)
+        more = ds.train.subset(RECORDS_PER_FILE + 1)
         with pytest.raises(CorruptDatasetError, match=TRAIN_FILES[1]):
-            ds.train.subset(RECORDS_PER_FILE + 1)
+            more.images()
+
+    def test_file_truncated_after_load_fails_at_the_read(self, tmp_path,
+                                                         fake_cifar_dir):
+        link_corpus(fake_cifar_dir, tmp_path)
+        (tmp_path / TEST_FILE).unlink()
+        blob = (fake_cifar_dir / TEST_FILE).read_bytes()
+        (tmp_path / TEST_FILE).write_bytes(blob)
+        test = load_cifar10(tmp_path).test
+        (tmp_path / TEST_FILE).write_bytes(blob[:-RECORD_BYTES])
+        assert test.images(slice(0, 9_999)).shape == (9_999, 32, 32, 3)
+        with pytest.raises(CorruptDatasetError, match="truncated since it was loaded"):
+            test.images(slice(9_998, None))
 
     def test_load_holds_a_block_of_records_not_a_file(self, fake_cifar_dir):
         """Checking the six files and reading their labels allocates the

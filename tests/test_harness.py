@@ -10,7 +10,13 @@ import numpy as np
 import pytest
 
 from sensecomm import harness, models
-from sensecomm.dataset import Dataset, Split, load_cifar10, synthetic_dataset
+from sensecomm.dataset import (
+    TEST_FILE,
+    TRAIN_FILES,
+    Dataset,
+    load_cifar10,
+    synthetic_dataset,
+)
 from sensecomm.errors import ConfigError
 from sensecomm.harness import (
     SWEEPS,
@@ -167,18 +173,26 @@ class TestRunSweep:
         assert [line for line in logged if line.startswith("previous")] == [
             "previous pipeline alive: False"] * 4
 
-    def test_pixels_read_before_the_fork(self, fake_cifar_dir, pixel_reads,
-                                         monkeypatch):
-        """A sweep over unread splits reads their pixels in its own
-        process, so the forked workers share one copy instead of each
-        reading its own."""
+    def test_workers_read_only_their_batches(self, fake_cifar_dir,
+                                             pixel_reads, monkeypatch):
+        """A sweep over loaded splits reads no pixel in its own process.
+        Each worker reads the records of its own batches: every kept
+        training record once per epoch and every kept test record once
+        per evaluation, the same number of times each, and no other."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         ds = load_cifar10(fake_cifar_dir)
-        unread = Dataset(Split(None, ds.train.label2[:256], ds.train.files),
-                         Split(None, ds.test.label2[:128], ds.test.files))
-        run_sweep("output_size", [4], tiny_experiment(), unread)
-        assert [(pid, count) for pid, _, count in pixel_reads()] == [
-            (os.getpid(), 256), (os.getpid(), 128)]
+        run_sweep("output_size", [4], tiny_experiment(),
+                  Dataset(ds.train.subset(256), ds.test.subset(128)))
+        per_worker: dict[int, dict[str, list[int]]] = {}
+        for pid, name, first, count in pixel_reads():
+            records = per_worker.setdefault(pid, {}).setdefault(name, [])
+            records.extend(range(first, first + count))
+        assert per_worker and os.getpid() not in per_worker
+        for records in per_worker.values():
+            assert records.keys() == {TRAIN_FILES[0], TEST_FILE}
+            for name, kept in ((TRAIN_FILES[0], 256), (TEST_FILE, 128)):
+                times = np.bincount(records[name])
+                assert len(times) == kept and times.min() == times.max(), name
 
     def test_workers_evaluate_serially(self, monkeypatch):
         """A sweep worker's CPUs are taken by its siblings, so it runs

@@ -116,6 +116,16 @@ class TestAdam:
         with pytest.raises(DivergenceError, match="in b at step 1"):
             opt.step()
 
+    def test_gradient_whose_square_overflows_aborts(self):
+        """A float32 gradient of 2e19 is finite, but its square is not: the
+        second moment would turn infinite and the parameter stop moving."""
+        params = [Param(np.zeros(2, np.float32), "a"),
+                  Param(np.zeros(3, np.float32), "b")]
+        opt = Adam(params)
+        params[1].grad[1] = 2e19
+        with pytest.raises(DivergenceError, match="in b at step 1"):
+            opt.step()
+
     def test_params_are_views_of_one_buffer(self):
         params = [Param(np.arange(4.0).reshape(2, 2)), Param(np.array([5.0]))]
         params[1].grad[...] = 7.0

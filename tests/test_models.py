@@ -15,7 +15,10 @@ from sensecomm.channel import (
     SensingConfig,
 )
 from sensecomm.dataset import (
+    RECORD_BYTES,
     SOURCE_DIM,
+    TEST_FILE,
+    Split,
     batch_indices,
     load_cifar10,
     synthetic_dataset,
@@ -356,13 +359,53 @@ class TestPredictSplit:
         for other in labels[1:]:
             assert np.array_equal(labels[0], other)
 
-    def test_lazy_split_read_once_by_two_threads(self, fake_cifar_dir,
-                                                pixel_reads, monkeypatch):
+    def test_two_threads_read_each_record_once(self, fake_cifar_dir,
+                                               pixel_reads, monkeypatch):
+        """Two eval threads over a loaded split read each test record
+        once, one read per batch, and nothing ahead of the batches."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         test = load_cifar10(fake_cifar_dir).test
         predict_split(Pipeline(ModelConfig(4, "joint"), Rng(57)), test, AWGN,
                       SENSING, 58)
-        assert [count for _, _, count in pixel_reads()] == [test.n]
+        assert sorted(read[1:] for read in pixel_reads()) == [
+            (TEST_FILE, first, min(EVAL_BATCH, test.n - first))
+            for first in range(0, test.n, EVAL_BATCH)]
+
+    def test_loaded_split_memory_is_bounded(self, fake_cifar_dir,
+                                            monkeypatch):
+        """Evaluating a loaded 10,000-record split holds one batch of
+        records at a time, not the split's 29 MiB of pixels."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        test = load_cifar10(fake_cifar_dir).test
+        pipe = Pipeline(ModelConfig(20, "joint"), Rng(57))
+        tracemalloc.start()
+        try:
+            predict_split(pipe, test, AWGN, SENSING, 58)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, peak / 2**20
+
+    def test_loaded_split_labels_equal_array_split(self, fake_cifar_dir,
+                                                   monkeypatch):
+        """A loaded split and a split of arrays holding the same bytes give
+        the same labels on one, two and three CPUs."""
+        n = 1000
+        raw = np.fromfile(fake_cifar_dir / TEST_FILE, np.uint8)
+        planar = raw.reshape(-1, RECORD_BYTES)[:n, 1:].reshape(n, 3, 32, 32)
+        loaded = load_cifar10(fake_cifar_dir).test.subset(n)
+        arrays = Split(planar.transpose(0, 2, 3, 1).copy(), loaded.label2)
+        pipe = Pipeline(ModelConfig(4, "joint"), Rng(56))
+        want = predict_split(pipe, arrays, RAYLEIGH, SENSING, 55)
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid, cpus=cpus: set(range(cpus)))
+            got = predict_split(pipe, loaded, RAYLEIGH, SENSING, 55)
+            assert np.array_equal(got, want), cpus
+        # the labels depend on the pixels, so a wrong record would show
+        other = Split(arrays.pixels[::-1], loaded.label2)
+        assert not np.array_equal(
+            predict_split(pipe, other, RAYLEIGH, SENSING, 55), want)
 
 
 def encoder_rows(pipe, monkeypatch):
@@ -528,6 +571,34 @@ class TestTraining:
         train(ds, cfg)
         # one training batch and one eval batch
         assert seen == [(np.dtype(np.float32), np.dtype(np.float64))] * 2
+
+    @pytest.mark.parametrize("mode", ["joint", "sensing_only"])
+    def test_zero_rows_send_no_gradient_spike(self, mode, monkeypatch):
+        """The first batch of this setup meets all-zero echo-encoder rows.
+        They carry no signal, so the first Adam step sees no spike on the
+        bias behind them: 3.5e9 (joint) and 1.0e10 (sensing-only) when
+        their gradient was sqrt(n_c) * g / NORM_EPS, below 0.05 since."""
+        zero_rows, real_norm = [], PowerNormalize.forward
+
+        def norm(self, s, rng=None):
+            zero_rows.append(int((np.abs(s).max(axis=1) == 0).sum()))
+            return real_norm(self, s, rng)
+
+        class FirstStep(Exception):
+            pass
+
+        def step(self):
+            raise FirstStep({p.name: float(np.abs(p.grad).max())
+                             for p in self.params})
+
+        monkeypatch.setattr(PowerNormalize, "forward", norm)
+        monkeypatch.setattr(models.Adam, "step", step)
+        with pytest.raises(FirstStep) as first:
+            train(synthetic_dataset(2000, 800, seed=50),
+                  ExperimentConfig("rayleigh", n_c=4, seed=3, mode=mode))
+        assert sum(zero_rows) > 0  # the setup still meets a zero row
+        grads = first.value.args[0]
+        assert grads["echo_encoder.dense3.b"] < 1e3, grads
 
 
 def test_both_modes_see_the_same_draws(monkeypatch):
