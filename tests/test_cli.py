@@ -12,7 +12,7 @@ import pytest
 from conftest import link_corpus
 from sensecomm import cli, models
 from sensecomm.cli import main, parse_args
-from sensecomm.dataset import TEST_FILE
+from sensecomm.dataset import RECORD_BYTES, TEST_FILE
 from sensecomm.models import (
     ExperimentConfig,
     ModelConfig,
@@ -72,6 +72,7 @@ def saved_with_header(**entries):
 def assert_one_error_line(capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:"), err
+    return err[0]
 
 
 class TestUsageErrors:
@@ -162,14 +163,19 @@ class TestTrainEval:
         # --limit-test 128: one batch, one read
         assert [read[1:] for read in pixel_reads()] == [(TEST_FILE, 0, 128)]
 
-    @pytest.mark.parametrize("command", ["train", "eval", "sweep-output-size"])
+    @pytest.mark.parametrize("command, damage", [
+        pytest.param(command, damage,
+                     id=command if damage == "vanish" else f"{command}-{damage}")
+        for damage in ("vanish", "shrink")
+        for command in ("train", "eval", "sweep-output-size")])
     def test_deferred_read_error_exits_2_with_one_line(
-            self, command, train_run, fake_cifar_dir, tmp_path, capsys,
-            monkeypatch):
-        """A batch file that vanishes after the corpus loads fails the
-        command at the first batch that reads it, its first evaluation:
-        in the command's own process for ``train`` and ``eval`` (no
-        --limit-test), in a forked worker for a sweep."""
+            self, command, damage, train_run, fake_cifar_dir, tmp_path,
+            capsys, monkeypatch):
+        """A batch file that vanishes, or shrinks to 100 records, after
+        the corpus loads fails the command at the first batch that reads
+        it, its first evaluation: in the command's own process for
+        ``train`` and ``eval`` (no --limit-test), in a forked worker for a
+        sweep."""
         corpus = tmp_path / "corpus"
         corpus.mkdir()
         link_corpus(fake_cifar_dir, corpus)
@@ -178,6 +184,9 @@ class TestTrainEval:
         def load_then_remove(path):
             dataset = real(path)
             (corpus / TEST_FILE).unlink()
+            if damage == "shrink":
+                blob = (fake_cifar_dir / TEST_FILE).read_bytes()
+                (corpus / TEST_FILE).write_bytes(blob[:100 * RECORD_BYTES])
             return dataset
 
         monkeypatch.setattr(cli, "load_cifar10", load_then_remove)
@@ -189,7 +198,8 @@ class TestTrainEval:
         code = exit_code(argv + ["--data-dir", str(corpus),
                                  "--out", str(tmp_path / "out")])
         assert code == 2
-        assert_one_error_line(capsys)
+        assert {"vanish": "No such file", "shrink": "truncated since it was loaded"
+                }[damage] in assert_one_error_line(capsys)
         assert not (tmp_path / "out" / "metrics.json").exists()
 
     def test_eval_honours_dtype(self, train_run, fake_cifar_dir, tmp_path,
