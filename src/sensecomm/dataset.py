@@ -108,11 +108,8 @@ def _read_records(path: str, first: int, out: np.ndarray) -> np.ndarray:
     record ``first`` on, in one positional read, and return it. A file
     that cannot be read, or ends early, raises CorruptDatasetError."""
     try:
-        fd = os.open(path, os.O_RDONLY)
-        try:
-            got = os.preadv(fd, [out.view(np.uint8)], first * RECORD_BYTES)
-        finally:
-            os.close(fd)
+        with open(path, "rb", buffering=0) as fh:
+            got = os.preadv(fh.fileno(), [out.view(np.uint8)], first * RECORD_BYTES)
     except OSError as exc:
         raise CorruptDatasetError(f"{path}: {exc.strerror}") from None
     if got != out.nbytes:
