@@ -12,6 +12,7 @@ fixed multipliers during the backward pass.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
 import multiprocessing
@@ -50,6 +51,17 @@ from .rng import EVAL, TRAIN, Rng
 
 MODES = ("joint", "sensing_only")
 DTYPES = ("float32", "float64")
+
+# Pin glibc's heap thresholds. Setting either switches off glibc's dynamic
+# rule, under which whether the heap goes back to the kernel depends on
+# what the process freed before. The mmap threshold is the largest glibc
+# takes on 64-bit, the trim threshold twice it, the ratio the dynamic rule
+# keeps: no batch's temporaries leave the heap between batches, so no
+# forward faults its working set back in.
+_M_TRIM_THRESHOLD = -1  # from <malloc.h>
+_M_MMAP_THRESHOLD = -3  # from <malloc.h>
+ctypes.CDLL(None).mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+ctypes.CDLL(None).mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 
 EVAL_BATCH = 256  # samples per eval task; no draw depends on it
 # The most rows an eval forward runs through the image encoder at once. Its
@@ -276,8 +288,8 @@ class Pipeline:
         convolution its input-gradient pass.
 
         It consumes what the training forward saved, the links' and every
-        layer's but ReLU's, freeing each layer's activations as it passes
-        them, so each backward needs a training forward of its own."""
+        layer's, freeing each layer's activations as it passes them, so
+        each backward needs a training forward of its own."""
         (comm1, sense, comm2), self._saved = self._saved, None
         g_fused = self.decoder.backward(grad_logits)
         n_c = self.cfg.n_c  # comm2's signal is the last n_c in either mode

@@ -10,10 +10,19 @@ keyed by sample: see :meth:`Rng.keyed_normals`.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 from numpy.random import SeedSequence
 
 TRAIN, EVAL = 0, 1
+
+
+@lru_cache
+def _philox_key(entropy: int, domain: int, link: int) -> np.ndarray:
+    """The Philox key of one (seed, domain, link) stream. Every batch of
+    the stream needs it, and a ``SeedSequence`` is slow to derive it."""
+    return SeedSequence([entropy, domain, link]).generate_state(2, np.uint64)
 
 
 class Rng:
@@ -49,8 +58,7 @@ class Rng:
             raise ValueError("keyed normals need a root Rng, not a split child")
         n, w = shape
         k = -(-w // 4) * 4  # words per sample, whole Philox blocks
-        key = SeedSequence([self._seq.entropy, domain, link]).generate_state(2, np.uint64)
-        bits = np.random.Philox(key=key)
+        bits = np.random.Philox(key=_philox_key(self._seq.entropy, domain, link))
         bits.advance(start * k // 4)
         u = np.random.Generator(bits).random((n, k // 2, 2))
         r = np.sqrt(-2.0 * np.log1p(-u[..., 0]))

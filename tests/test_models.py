@@ -2,9 +2,11 @@ import json
 import math
 import os
 import struct
+import subprocess
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -289,12 +291,11 @@ class TestSavedSlot:
     @pytest.mark.parametrize("name", SLOT_NODES)
     def test_backward_consumes_saved(self, name):
         """A backward empties the slot its forward filled, in the node and
-        in every node a pipeline runs. ReLU alone keeps its output, for the
-        reason its docstring gives."""
+        in every node a pipeline runs."""
         node, forward = slot_node(name)
         node.backward(np.ones_like(forward()))
         for n in graph_nodes(node):
-            assert (n._saved is not None) == isinstance(n, ReLU), type(n).__name__
+            assert n._saved is None, type(n).__name__
 
 
 @pytest.fixture(scope="module")
@@ -515,10 +516,10 @@ class TestPipelineBackward:
                                                   (np.float64, 28)])
     def test_training_step_memory_is_bounded(self, dtype, bound_mib):
         """A batch-64 training step holds 11.0 MiB of saved activations
-        after its forward in float32. The backward frees each layer's but
-        ReLU's as it passes it, so the step peaks at 11.4 MiB (23.7 in
-        float64); with every layer's kept until the end, it peaked at 19.1
-        (38.2) during conv2's input gradient."""
+        after its forward in float32. The backward frees each layer's as it
+        passes it, so the step peaks at 11.4 MiB (23.7 in float64); with
+        every layer's kept until the end, it peaked at 19.1 (38.2) during
+        conv2's input gradient."""
         pipe = Pipeline(ModelConfig(20, "joint"), Rng(18), dtype)
         x = Rng(19).uniform(size=(64, 32, 32, 3)).astype(np.float32)
         labels = (Rng(20).uniform(size=64) < 0.5).astype(np.int64)
@@ -532,6 +533,49 @@ class TestPipelineBackward:
         finally:
             tracemalloc.stop()
         assert peak < bound_mib * 2**20, peak / 2**20
+
+
+FAULTS = """
+import os, resource, sys
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from sensecomm.dataset import Dataset, load_cifar10
+from sensecomm.models import ExperimentConfig, Pipeline, predict_split, train
+from sensecomm.rng import Rng
+
+def faults():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+ds = load_cifar10(sys.argv[2])
+cfg = ExperimentConfig(epochs=3)
+marks = []
+if sys.argv[1] == "eval":
+    pipe, test = Pipeline(cfg.model(), Rng(cfg.seed)), ds.test.subset(1024)
+    for _ in range(2):
+        predict_split(pipe, test, cfg.channel(), cfg.sensing(), cfg.eval_seed)
+        marks.append(faults())
+else:
+    train(Dataset(ds.train.subset(640), ds.test.subset(256)), cfg,
+          lambda line: marks.append(faults()))
+print(marks[-1] - marks[-2])
+"""
+
+
+@pytest.mark.parametrize("case", ["eval", "train"])
+def test_repeated_work_faults_no_memory_back_in(case, fake_cifar_dir):
+    """A second evaluation of 1,024 samples, or a training's third epoch
+    (10 steps and a 256-sample evaluation), reuses the heap the one before
+    it freed, so it takes under 1,000 minor page faults, where glibc's
+    dynamic thresholds cost the evaluation ~12,000 and, with every layer
+    releasing its saved state, the epoch ~26,000. It runs in a fresh
+    process, so that memory this one freed earlier sets no threshold, and
+    on one CPU, so that eval runs on the calling thread alone and the count
+    does not depend on which thread ran which batch."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", FAULTS, case, str(fake_cifar_dir)],
+        env=dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src),
+        capture_output=True, text=True, check=True, timeout=120)
+    assert int(proc.stdout) < 1000, proc.stdout
 
 
 class TestTraining:
