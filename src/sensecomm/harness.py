@@ -2,8 +2,8 @@
 
 A sweep retrains a fresh joint model and a fresh sensing-only benchmark at
 every grid point, evaluates both on the identical test set under the same
-evaluation-seed policy, and emits JSON (full config, metrics, history,
-seeds) plus CSV (one row per point) for external plotting.
+evaluation-seed policy, and emits JSON (the base config, and each point's
+metrics and history) plus CSV (one row per point) for external plotting.
 """
 
 from __future__ import annotations
@@ -88,9 +88,9 @@ def run_experiment(cfg: ExperimentConfig, dataset: Dataset, log_fn=None
 class SweepResult:
     param_name: str
     points: list
+    config: dict  # asdict of the base config that each point moves
     joint_accuracy: list[float] = field(default_factory=list)
     sensing_accuracy: list[float] = field(default_factory=list)
-    seeds: list[int] = field(default_factory=list)
     per_point: list[dict] = field(default_factory=list)
 
 
@@ -203,10 +203,10 @@ def run_sweep(name: str, points: list, cfg: ExperimentConfig, dataset: Dataset,
     sweep = SWEEPS[name]
     points = [sweep.point_type(p) for p in points]
     configs = sweep.configs(cfg, points)
-    out = SweepResult(param_name=sweep.param_name, points=points)
+    out = SweepResult(sweep.param_name, points, asdict(cfg))
     with closing(_train_in_workers(configs, dataset)) as trained:
         for value in points:
-            point = {"value": value, "seed": cfg.seed}
+            point = {"value": value}
             for mode in MODES:
                 metrics, history, lines = next(trained)
                 if log_fn is not None:
@@ -216,7 +216,6 @@ def run_sweep(name: str, points: list, cfg: ExperimentConfig, dataset: Dataset,
                 point[mode] = {"metrics": metrics, "history": history}
             out.joint_accuracy.append(point["joint"]["metrics"]["accuracy"])
             out.sensing_accuracy.append(point["sensing_only"]["metrics"]["accuracy"])
-            out.seeds.append(cfg.seed)
             out.per_point.append(point)
     return out
 
@@ -241,9 +240,8 @@ def sweep_csv(sweep: SweepResult) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["param", "joint_acc", "sensing_acc", "seed"])
-    for p, j, s, seed in zip(sweep.points, sweep.joint_accuracy,
-                             sweep.sensing_accuracy, sweep.seeds):
-        writer.writerow([p, repr(j), repr(s), seed])
+    for p, j, s in zip(sweep.points, sweep.joint_accuracy, sweep.sensing_accuracy):
+        writer.writerow([p, repr(j), repr(s), sweep.config["seed"]])
     return buf.getvalue()
 
 

@@ -18,6 +18,7 @@ import math
 import multiprocessing
 import os
 import struct
+import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import zip_longest
@@ -395,14 +396,14 @@ def train(dataset: Dataset, cfg: ExperimentConfig,
 
 # --- checkpoint format ------------------------------------------------------
 #
-# magic "SCM1", u32 header length, UTF-8 JSON header, then each parameter
-# tensor in declaration order, as little-endian floats of the model's dtype.
-# The header carries the model config, tensor names/shapes, the payload's
-# dtype ("<f4" or "<f8") and the training seed. A header without a dtype
-# is "<f4", which every checkpoint held before the key was added. The model
-# config gives the encoder sizes as "n_c1" and "n_c2", which must be equal.
+# magic "SCM2", u32 header length, UTF-8 JSON header, the payload, then a u32
+# CRC-32 (zlib's) of every byte before it; integers are little-endian. The
+# header carries the model config ("n_c" and "mode"), the tensor names and
+# shapes, the payload's dtype ("<f4" or "<f8") and the training seed. The
+# payload is each parameter tensor in declaration order, as little-endian
+# floats of that dtype.
 
-CHECKPOINT_MAGIC = b"SCM1"
+CHECKPOINT_MAGIC = b"SCM2"
 
 
 def write_atomic(path, data: bytes):
@@ -425,47 +426,43 @@ def save_checkpoint(pipeline: Pipeline, path: str, seed: int | None = None):
     dtype = np.dtype(pipeline.dtype).newbyteorder("<").str
     header = {
         "dtype": dtype,
-        "model": {"n_c1": pipeline.cfg.n_c, "n_c2": pipeline.cfg.n_c,
-                  "mode": pipeline.cfg.mode},
+        "model": {"n_c": pipeline.cfg.n_c, "mode": pipeline.cfg.mode},
         "seed": seed,
         "tensors": [{"name": p.name, "shape": list(p.value.shape)} for p in params],
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     payload = np.concatenate([p.value.ravel() for p in params], dtype=dtype)
-    write_atomic(path, b"".join([CHECKPOINT_MAGIC, struct.pack("<I", len(blob)),
-                                 blob, payload.tobytes()]))
+    body = b"".join([CHECKPOINT_MAGIC, struct.pack("<I", len(blob)), blob,
+                     payload.tobytes()])
+    write_atomic(path, body + struct.pack("<I", zlib.crc32(body)))
 
 
 def load_checkpoint(path: str, dtype=np.float32) -> tuple[Pipeline, dict]:
     """Read a checkpoint into a pipeline of ``dtype``, casting the stored
-    payload into it. A file that cannot be opened or does not hold exactly
-    this model raises ConfigError; one whose header names an unknown
-    payload dtype or declares other than the bytes that follow it does so
-    before any pipeline is built."""
+    payload into it. A file that cannot be opened or is not an intact SCM2
+    checkpoint of exactly this model raises ConfigError. The magic, the
+    header (model config, dtype, tensor shapes), the file size those
+    declare and the checksum are checked in that order, all before any
+    pipeline is built; then the tensor list is compared with the model's."""
     try:
         fh = open(path, "rb")
     except OSError as exc:
         raise ConfigError(f"cannot read checkpoint: {exc}") from None
     with fh:
-        magic = fh.read(4)
-        if magic != CHECKPOINT_MAGIC:
-            raise ConfigError(f"{path}: not a checkpoint file")
+        if fh.read(4) != CHECKPOINT_MAGIC:
+            raise ConfigError(f"{path}: not a checkpoint file (expected SCM2)")
         try:
-            (hlen,) = struct.unpack("<I", fh.read(4))
-            header = json.loads(fh.read(hlen).decode("utf-8"))
-            model = header["model"]
-            cfg = ModelConfig(n_c=model["n_c1"], mode=model["mode"])
-            # n_c2 gets n_c1's checks, so that no bool passes as 1 below
-            ModelConfig(n_c=model["n_c2"], mode=model["mode"])
+            size = fh.read(4)
+            (hlen,) = struct.unpack("<I", size)
+            blob = fh.read(hlen)
+            header = json.loads(blob.decode("utf-8"))
+            model, stored = header["model"], header["dtype"]
+            cfg = ModelConfig(n_c=model["n_c"], mode=model["mode"])
             tensors = [(meta["name"], meta["shape"]) for meta in header["tensors"]]
-            stored = header.get("dtype", "<f4")
         except (struct.error, UnicodeDecodeError, json.JSONDecodeError,
                 KeyError, TypeError) as exc:
             raise ConfigError(f"{path}: malformed checkpoint header "
                               f"({type(exc).__name__}: {exc})") from None
-        if model != {"n_c1": cfg.n_c, "n_c2": cfg.n_c, "mode": cfg.mode}:
-            raise ConfigError(f"{path}: model {model} is not two encoders of "
-                              "one size n_c1 = n_c2")
         if stored not in ("<f4", "<f8"):
             raise ConfigError(f"{path}: unknown tensor dtype {stored!r}, "
                               "expected '<f4' or '<f8'")
@@ -477,12 +474,16 @@ def load_checkpoint(path: str, dtype=np.float32) -> tuple[Pipeline, dict]:
         declared = np.dtype(stored).itemsize * sum(
             math.prod(shape) for _, shape in tensors)
         left = os.fstat(fh.fileno()).st_size - fh.tell()
-        if declared > left:
-            raise ConfigError(f"{path}: truncated tensor data ({left} bytes, "
-                              f"the header declares {declared})")
-        if declared < left:
-            raise ConfigError(f"{path}: trailing bytes after the last tensor "
-                              f"({left - declared})")
+        if declared + 4 > left:
+            raise ConfigError(f"{path}: truncated ({left} bytes after the header, "
+                              f"which declares {declared} and a 4-byte checksum)")
+        if declared + 4 < left:
+            raise ConfigError(f"{path}: trailing bytes after the checksum "
+                              f"({left - declared - 4})")
+        payload, trailer = fh.read(declared), fh.read(4)
+        crc = zlib.crc32(payload, zlib.crc32(CHECKPOINT_MAGIC + size + blob))
+        if trailer != struct.pack("<I", crc):
+            raise ConfigError(f"{path}: checksum mismatch")
         pipeline = Pipeline(cfg, Rng(0), dtype)
         params = pipeline.params()
         model_tensors = [(p.name, list(p.value.shape)) for p in params]
@@ -493,5 +494,5 @@ def load_checkpoint(path: str, dtype=np.float32) -> tuple[Pipeline, dict]:
                               f"the model has {len(params)}; the first that "
                               f"differs is {got}, where {want} belongs")
         values, _ = share_buffers(params)
-        values[...] = np.frombuffer(fh.read(declared), dtype=stored)
+        values[...] = np.frombuffer(payload, dtype=stored)
     return pipeline, header

@@ -1,6 +1,5 @@
 import json
 import os
-import struct
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -21,7 +20,7 @@ from sensecomm.models import (
     save_checkpoint,
 )
 from sensecomm.rng import Rng
-from test_models import rewrite_checkpoint
+from test_models import checkpoint_bytes, rewrite_checkpoint
 
 
 def run_cli(argv):
@@ -46,16 +45,17 @@ def corpus_loads(monkeypatch):
     return loads
 
 
-def checkpoint_head(header: bytes) -> bytes:
-    """The magic and length-prefixed ``header`` of a checkpoint file."""
-    return b"SCM1" + struct.pack("<I", len(header)) + header
+def with_model(model: bytes) -> bytes:
+    """A checkpoint with an intact checksum and no payload whose header
+    holds every key, its model entry being the JSON ``model``."""
+    return checkpoint_bytes(b'{"dtype": "<f4", "model": %s, "tensors": []}' % model)
 
 
-def saved_with_model(n_c: int, **model):
-    """A writer of a saved joint ``n_c``-symbol checkpoint whose header's
+def saved_with_model(size: int, **model):
+    """A writer of a saved joint ``size``-symbol checkpoint whose header's
     model entry is updated with ``model``."""
     def write(path):
-        save_checkpoint(Pipeline(ModelConfig(n_c, "joint"), Rng(0)), path)
+        save_checkpoint(Pipeline(ModelConfig(size, "joint"), Rng(0)), path)
         rewrite_checkpoint(path, lambda header: header["model"].update(model))
     return write
 
@@ -218,26 +218,25 @@ class TestTrainEval:
         payload = json.loads((tmp_path / "metrics.json").read_text())
         assert payload["config"]["dtype"] == "float64"
 
-    @pytest.mark.parametrize("content", [
-        b"SCM1\x00",
-        checkpoint_head(b"\xff\xfe"),
-        checkpoint_head(b'{"seed": null}'),
-        None,
-        checkpoint_head(b'{"model": {"n_c1": 4.0, "n_c2": 4, "mode": "joint"}, '
-                        b'"tensors": []}'),
-        checkpoint_head(b'{"model": {"n_c1": 4, "n_c2": 6, "mode": "joint"}, '
-                        b'"tensors": []}'),
-        checkpoint_head(b'{"model": {"n_c1": true, "n_c2": true, "mode": "joint"}, '
-                        b'"tensors": []}'),
-        checkpoint_head(b'{"model": {"n_c1": 1000000000, "n_c2": 1000000000, '
-                        b'"mode": "joint"}, "tensors": []}'),
-        saved_with_model(1, n_c2=True),
-        saved_with_model(4, n_c2=4.0),
-        saved_with_header(dtype="<f2"),
+    # Cases whose ids name n_c1/n_c2 (SCM1's two size keys) set SCM2's one
+    # n_c; "unequal-sizes" holds SCM1's pair, which lacks n_c.
+    @pytest.mark.parametrize("content, error", [
+        (b"SCM2\x00", "malformed checkpoint header"),
+        (checkpoint_bytes(b"\xff\xfe"), "malformed checkpoint header"),
+        (checkpoint_bytes(b'{"seed": null}'), "malformed checkpoint header"),
+        (None, "cannot read checkpoint"),
+        (with_model(b'{"n_c": 4.0, "mode": "joint"}'), "got 4.0"),
+        (with_model(b'{"n_c1": 4, "n_c2": 6, "mode": "joint"}'),
+         "malformed checkpoint header (KeyError: 'n_c')"),
+        (with_model(b'{"n_c": true, "mode": "joint"}'), "got True"),
+        (with_model(b'{"n_c": 1000000000, "mode": "joint"}'), "got 1000000000"),
+        (saved_with_model(1, n_c=True), "got True"),
+        (saved_with_model(4, n_c=4.0), "got 4.0"),
+        (saved_with_header(dtype="<f2"), "unknown tensor dtype '<f2'"),
     ], ids=["five-bytes", "non-utf8-header", "no-model-key", "missing-file",
             "float-n_c1", "unequal-sizes", "bool-sizes", "huge-sizes",
             "bool-n_c2", "float-n_c2", "dtype-f2"])
-    def test_bad_checkpoint_fails_before_load(self, content, fake_cifar_dir,
+    def test_bad_checkpoint_fails_before_load(self, content, error, fake_cifar_dir,
                                               tmp_path, capsys, corpus_loads):
         ckpt = tmp_path / "checkpoint.bin"
         if callable(content):
@@ -251,7 +250,7 @@ class TestTrainEval:
                           "--checkpoint", str(ckpt), "--out", str(out)]
                          + SMOKE[2:])
         assert code == 2
-        assert_one_error_line(capsys)
+        assert error in assert_one_error_line(capsys)
         assert corpus_loads == []
         assert not out.exists()
 
@@ -518,8 +517,13 @@ class TestSweepCommand:
         assert code == 0
         sweep = json.loads((tmp_path / "sweep_size.json").read_text())
         assert sweep["points"] == [4, 6]
+        # the seed is stated once, in the base config the points move
+        assert sweep["config"]["seed"] == 5 and "seeds" not in sweep
+        assert [sorted(p) for p in sweep["per_point"]] == [
+            ["joint", "sensing_only", "value"]] * 2
         csv_lines = (tmp_path / "sweep_size.csv").read_text().strip().splitlines()
         assert len(csv_lines) == 3  # header + one row per point
+        assert [line.rsplit(",", 1)[1] for line in csv_lines[1:]] == ["5", "5"]
 
     def test_bad_points_value(self, fake_cifar_dir, tmp_path, capsys):
         code = run_cli(["sweep-comm-snr", "--data-dir", str(fake_cifar_dir),

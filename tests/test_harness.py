@@ -133,9 +133,9 @@ class TestRunSweep:
         # the pool's threads are gone, so the next sweep forks none
         assert threading.active_count() == threads
 
-        serial, serial_log = SweepResult("n_c", points), []
+        serial, serial_log = SweepResult("n_c", points, asdict(cfg)), []
         for value in points:
-            point = {"value": value, "seed": cfg.seed}
+            point = {"value": value}
             for mode in ("joint", "sensing_only"):
                 serial_log.append(f"[n_c={value}] training {mode}")
                 _, result = run_experiment(replace(cfg, n_c=value, mode=mode),
@@ -145,7 +145,6 @@ class TestRunSweep:
             serial.joint_accuracy.append(point["joint"]["metrics"]["accuracy"])
             serial.sensing_accuracy.append(
                 point["sensing_only"]["metrics"]["accuracy"])
-            serial.seeds.append(cfg.seed)
             serial.per_point.append(point)
 
         assert to_json(sweep) == to_json(serial)
@@ -214,7 +213,7 @@ class TestReports:
         return SweepResult(
             param_name="comm_snr_db", points=[0.0, 3.0],
             joint_accuracy=[0.91, 0.97], sensing_accuracy=[0.80, 0.88],
-            seeds=[4, 4],
+            config=asdict(tiny_experiment()),
             per_point=[{"value": 0.0}, {"value": 3.0}])
 
     def test_sweep_csv_layout(self):
@@ -222,7 +221,7 @@ class TestReports:
         lines = text.strip().split("\n")
         assert lines[0] == "param,joint_acc,sensing_acc,seed"
         assert len(lines) == 3
-        assert lines[1].startswith("0.0,0.91,0.8,")
+        assert lines[1:] == ["0.0,0.91,0.8,4", "3.0,0.97,0.88,4"]
 
     def test_json_is_deterministic_and_sorted(self, tmp_path):
         sweep = self.stub_sweep()
@@ -248,7 +247,8 @@ class TestReports:
         before = path.read_bytes()
         fail_writes_midway()
         with pytest.raises(OSError, match="No space"):
-            emit_report(replace(self.stub_sweep(), seeds=[5, 5]), path, fmt)
+            emit_report(replace(self.stub_sweep(),
+                                config=asdict(tiny_experiment(seed=5))), path, fmt)
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == [path.name]
 

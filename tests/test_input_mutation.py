@@ -1,14 +1,13 @@
 """Mutation test of the files a user hands the program: a checkpoint, cut
-short at a seeded sample of lengths and with single bits flipped across its
-magic, length, header and first payload bytes, and two config files, cut at
-every length and with every bit flipped in turn. A checkpoint mutant either
-loads or raises ConfigError, in either dtype; a config mutant either parses
-or exits 2 with one ``error:`` line. No mutant may end in any other
-exception."""
+short at a seeded sample of lengths and inside its checksum, and with single
+bits flipped across its magic, length, header, payload and checksum; and two
+config files, cut at every length and with every bit flipped in turn. Every
+checkpoint mutant raises ConfigError, in either dtype; a config mutant
+either parses or exits 2 with one ``error:`` line. No mutant may end in any
+other exception."""
 
 import json
 import random
-import struct
 
 import numpy as np
 import pytest
@@ -17,6 +16,7 @@ from sensecomm import cli
 from sensecomm.errors import ConfigError
 from sensecomm.models import ModelConfig, Pipeline, load_checkpoint, save_checkpoint
 from sensecomm.rng import Rng
+from test_models import checkpoint_parts
 
 
 def truncated(blob: bytes, lengths):
@@ -37,16 +37,18 @@ def bits_of(start: int, stop: int) -> range:
 
 
 def checkpoint_mutants(blob: bytes, draw: random.Random):
-    (hlen,) = struct.unpack("<I", blob[4:8])
-    head_end = 8 + hlen
+    head_end = 8 + len(checkpoint_parts(blob)[0])
+    crc_at = len(blob) - 4
     dtype_at = blob.index(b'"dtype"')
     dtype_end = blob.index(b",", dtype_at) + 1
     yield from truncated(blob, [0, 3, 4, 7, 8, 9, head_end - 1, head_end,
-                                head_end + 1, len(blob) - 1]
+                                head_end + 1, *range(crc_at, len(blob))]
                          + draw.sample(range(len(blob)), 40))
     yield from flipped(blob, [*bits_of(0, 8), *bits_of(dtype_at, dtype_end),
                               *draw.sample(bits_of(8, head_end), 400),
-                              *bits_of(head_end, head_end + 16)])
+                              *bits_of(head_end, head_end + 16),
+                              *draw.sample(bits_of(head_end, crc_at), 200),
+                              *bits_of(crc_at, len(blob))])
 
 
 @pytest.fixture(scope="module")
@@ -71,8 +73,8 @@ def test_checkpoint_mutants_load_or_raise_config_error(checkpoint_blob, tmp_path
                             f"{type(exc).__name__}: {exc}")
             else:
                 outcomes["loaded"] += 1
-    # payload flips load; cuts and most header flips are refused
-    assert outcomes["loaded"] > 0 and outcomes["refused"] > 0, outcomes
+    # the checksum covers every byte, so no cut or flip loads
+    assert outcomes["loaded"] == 0, outcomes
 
 
 CONFIGS = {

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -685,17 +686,29 @@ def test_both_modes_see_the_same_draws(monkeypatch):
         assert np.array_equal(a, b)
 
 
+def checkpoint_bytes(head: bytes, payload: bytes = b"") -> bytes:
+    """A checkpoint file around a raw JSON ``head`` and ``payload``: the
+    magic, the header length, both, and the CRC-32 of all of it."""
+    body = b"SCM2" + struct.pack("<I", len(head)) + head + payload
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def checkpoint_parts(blob: bytes) -> tuple[bytes, bytes]:
+    """The raw JSON header and the payload of a checkpoint file's bytes."""
+    (hlen,) = struct.unpack("<I", blob[4:8])
+    return blob[8:8 + hlen], blob[8 + hlen:-4]
+
+
 def rewrite_checkpoint(path, edit_header=None, payload_end=None, extra=b""):
     """Rewrite a saved checkpoint: edit its JSON header in place, cut the
-    payload to ``payload_end`` bytes and append ``extra``."""
-    blob = path.read_bytes()
-    (hlen,) = struct.unpack("<I", blob[4:8])
-    header = json.loads(blob[8:8 + hlen])
+    payload to ``payload_end`` bytes and append ``extra``. The checksum is
+    rewritten to match, so a load reaches the check that the edit aims at."""
+    head, payload = checkpoint_parts(path.read_bytes())
+    header = json.loads(head)
     if edit_header is not None:
         edit_header(header)
     head = json.dumps(header, sort_keys=True).encode("utf-8")
-    payload = blob[8 + hlen:][:payload_end]
-    path.write_bytes(blob[:4] + struct.pack("<I", len(head)) + head + payload + extra)
+    path.write_bytes(checkpoint_bytes(head, payload[:payload_end] + extra))
 
 
 class TestCheckpoint:
@@ -733,15 +746,50 @@ class TestCheckpoint:
             assert b.value.tobytes() == a.value.astype(np.float64).tobytes(), a.name
 
     def test_header_is_pinned(self, tmp_path):
-        """The on-disk header of a 4-symbol float32 joint model: both
-        encoder sizes are written, as in every checkpoint so far, and the
-        payload's dtype."""
+        """The on-disk layout of a 4-symbol float32 joint model: the SCM2
+        magic, a header with one encoder size and the payload's dtype, and
+        the CRC-32 of every byte before the trailer."""
         path = tmp_path / "model.bin"
         save_checkpoint(Pipeline(ModelConfig(4, "joint"), Rng(7)), path, seed=7)
         blob = path.read_bytes()
-        (hlen,) = struct.unpack("<I", blob[4:8])
-        assert blob[:4] == b"SCM1"
-        assert blob[8:8 + hlen].decode() == GOLDEN_HEADER
+        head, payload = checkpoint_parts(blob)
+        assert blob[:4] == b"SCM2"
+        assert head.decode() == GOLDEN_HEADER
+        assert blob == checkpoint_bytes(head, payload)
+
+    def test_scm1_file_rejected(self, saved):
+        """A checkpoint in the SCM1 layout (two encoder sizes, no checksum)
+        is refused by its magic, and the message names the format read."""
+        head, payload = checkpoint_parts(saved.read_bytes())
+        header = json.loads(head)
+        n_c = header["model"].pop("n_c")
+        header["model"].update(n_c1=n_c, n_c2=n_c)
+        head = json.dumps(header, sort_keys=True).encode("utf-8")
+        saved.write_bytes(b"SCM1" + struct.pack("<I", len(head)) + head + payload)
+        with pytest.raises(ConfigError,
+                           match=r"not a checkpoint file \(expected SCM2\)"):
+            load_checkpoint(saved)
+
+    def test_flipped_trailer_rejected(self, saved):
+        blob = bytearray(saved.read_bytes())
+        blob[-1] ^= 0x80
+        saved.write_bytes(blob)
+        with pytest.raises(ConfigError, match="checksum"):
+            load_checkpoint(saved)
+
+    def test_flipped_payload_rejected_before_build(self, saved, monkeypatch):
+        """A payload bit flip is caught by the checksum before any
+        pipeline is built for the file."""
+        blob = bytearray(saved.read_bytes())
+        blob[-100] ^= 0x01
+        saved.write_bytes(blob)
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("a pipeline was built for a corrupt file")
+
+        monkeypatch.setattr(models, "Pipeline", no_build)
+        with pytest.raises(ConfigError, match="checksum"):
+            load_checkpoint(saved)
 
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "bogus.bin"
@@ -789,11 +837,6 @@ class TestCheckpoint:
         with pytest.raises(ConfigError, match="conv9"):
             load_checkpoint(saved)
 
-    def test_unequal_encoder_sizes_rejected(self, saved):
-        rewrite_checkpoint(saved, lambda h: h["model"].update(n_c2=6))
-        with pytest.raises(ConfigError, match="one size"):
-            load_checkpoint(saved)
-
     def test_trailing_bytes_rejected(self, saved):
         rewrite_checkpoint(saved, extra=b"\x00" * 4)
         with pytest.raises(ConfigError, match="trailing"):
@@ -803,7 +846,7 @@ class TestCheckpoint:
         """A header at the largest n_c over no tensor data is refused by
         its byte count, not after building a pipeline of ~85M parameters."""
         rewrite_checkpoint(saved, lambda h: h["model"].update(
-            n_c1=SOURCE_DIM, n_c2=SOURCE_DIM), payload_end=0)
+            n_c=SOURCE_DIM), payload_end=0)
         tracemalloc.start()
         try:
             with pytest.raises(ConfigError, match="truncated"):
@@ -836,26 +879,22 @@ class TestCheckpoint:
         for a, b in zip(pipe.params(), loaded.params()):
             assert b.value.tobytes() == a.value.tobytes(), a.name
 
-    def test_header_without_dtype_reads_float32(self, saved):
-        """A checkpoint written before the header recorded its dtype holds
-        float32 tensors, and loads as it always did."""
-        before = [p.value.copy() for p in load_checkpoint(saved)[0].params()]
-        rewrite_checkpoint(saved, lambda h: h.pop("dtype", None))
-        assert b'"dtype"' not in saved.read_bytes()
-        after = load_checkpoint(saved)[0].params()
-        for a, b in zip(before, after):
-            assert a.tobytes() == b.value.tobytes()
-
-    @pytest.mark.parametrize("dtype", ["<f2", ">f4", "float32", 4, None])
+    @pytest.mark.parametrize("dtype", ["<f2", ">f4", "float32", 4, None,
+                                       pytest.param(..., id="missing")])
     def test_unknown_dtype_rejected(self, saved, dtype):
-        rewrite_checkpoint(saved, lambda h: h.update(dtype=dtype))
+        def edit(header):
+            if dtype is ...:
+                del header["dtype"]
+            else:
+                header["dtype"] = dtype
+        rewrite_checkpoint(saved, edit)
         with pytest.raises(ConfigError, match="dtype"):
             load_checkpoint(saved)
 
 
 GOLDEN_HEADER = (
     '{"dtype": "<f4", '
-    '"model": {"mode": "joint", "n_c1": 4, "n_c2": 4}, "seed": 7, "tensors": ['
+    '"model": {"mode": "joint", "n_c": 4}, "seed": 7, "tensors": ['
     '{"name": "image_encoder.conv1.w", "shape": [3, 3, 3, 8]}, '
     '{"name": "image_encoder.conv1.b", "shape": [8]}, '
     '{"name": "image_encoder.conv2.w", "shape": [3, 3, 8, 4]}, '
