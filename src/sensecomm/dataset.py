@@ -3,11 +3,11 @@
 Reads the public binary distribution: five training files plus one test
 file, each exactly 10,000 records of 3,073 bytes (1 label byte, then 3,072
 pixel bytes channel-planar R, G, B, row-major within each plane).
-Loading checks every file and reads only the labels. A loaded split
-holds no pixel bytes: each batch reads just its own records, so a
-command holds only the batch it works on. A batch leaves a split in the
-form the network takes: C-contiguous channels-last float32 images in
-[0, 1] and int64 labels, 1 for vehicle and 0 for animal.
+Loading checks every file and reads only the labels. A split holds no
+pixel bytes: each batch reads just its own records, so a command holds
+only the batch it works on. A batch leaves a split in the form the
+network takes: C-contiguous channels-last float32 images in [0, 1] and
+int64 labels, 1 for vehicle and 0 for animal.
 
 The ten original classes collapse to two: airplane, automobile, ship and
 truck become "vehicle" (label 1, a potential transmitter); the six animal
@@ -69,10 +69,9 @@ class Records:
 
 class Split:
     """One dataset split: ``label2`` (N,) int64, vehicle=1 / animal=0, and
-    ``pixels`` (N, 32, 32, 3) uint8, the raw bytes, as an array, or as a
-    ``Records`` reader in a split that ``load_cifar10`` builds."""
+    ``pixels``, the ``Records`` reader of its N records' raw bytes."""
 
-    def __init__(self, pixels: np.ndarray | Records, label2: np.ndarray):
+    def __init__(self, pixels: Records, label2: np.ndarray):
         self.pixels = pixels
         self.label2 = label2
 
@@ -81,9 +80,9 @@ class Split:
         return self.label2.shape[0]
 
     def images(self, idx=slice(None)) -> np.ndarray:
-        """The samples at ``idx`` as a C-contiguous float32 batch in [0, 1],
-        whatever the layout of ``pixels``. The division is in float32, so a
-        batch holds bitwise the values that converting the whole corpus with
+        """The samples at ``idx``, read from their records, as a C-contiguous
+        float32 batch in [0, 1]. The division is in float32, so a batch
+        holds bitwise the values that converting the whole corpus with
         ``astype(np.float32) / 255.0`` would give."""
         return np.divide(self.pixels[idx], 255.0, dtype=np.float32, order="C")
 
@@ -92,9 +91,7 @@ class Split:
         it has no more."""
         if limit is None or limit >= self.n:
             return self
-        pixels = (replace(self.pixels, n=limit)
-                  if isinstance(self.pixels, Records) else self.pixels[:limit])
-        return Split(pixels, self.label2[:limit])
+        return Split(replace(self.pixels, n=limit), self.label2[:limit])
 
 
 @dataclass
@@ -164,30 +161,3 @@ def batch_indices(n: int, batch_size: int,
     order = np.arange(n) if rng is None else rng.permutation(n)
     for start in range(0, n, batch_size):
         yield order[start:start + batch_size]
-
-
-def synthetic_dataset(n_train: int, n_test: int, seed: int = 0) -> Dataset:
-    """Procedurally generated stand-in with the real dataset's shape and the
-    same 40/60 vehicle/animal prior.
-
-    Vehicle images are low-pass textures (box-blurred noise), animal images
-    are raw high-frequency noise, so the two classes are separable by a
-    small convolutional encoder. Pixels are rounded to bytes, as on disk.
-    Useful for smoke tests and demos when the real corpus is not on disk;
-    accuracy numbers on it are not comparable to the real dataset.
-    """
-    rng = Rng(seed)
-
-    def make(n):
-        labels2 = (rng.uniform(size=n) < 0.4).astype(np.int64)
-        imgs = rng.uniform(size=(n, 32, 32, 3)).astype(np.float32)
-        kernel = np.ones((5, 5), dtype=np.float32) / 25.0
-        for i in np.nonzero(labels2)[0]:
-            for c in range(3):
-                img = imgs[i, :, :, c]
-                padded = np.pad(img, 2, mode="edge")
-                win = np.lib.stride_tricks.sliding_window_view(padded, (5, 5))
-                imgs[i, :, :, c] = (win * kernel).sum(axis=(2, 3))
-        return Split(pixels=np.rint(imgs * 255).astype(np.uint8), label2=labels2)
-
-    return Dataset(train=make(n_train), test=make(n_test))

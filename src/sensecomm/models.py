@@ -93,6 +93,15 @@ class ModelConfig:
     def decoder_in(self) -> int:
         return 2 * self.n_c if self.mode == "joint" else self.n_c
 
+    @property
+    def n_params(self) -> int:
+        """The model's parameter count, without building it: the image
+        encoder's 19,224 before its last dense layer and 129 per symbol in
+        it, the echo encoder's three n_c-square layers and the decoder's."""
+        n, d = self.n_c, self.decoder_in
+        h = d // 2
+        return 19_224 + 129 * n + 3 * n * (n + 1) + (d + h) * (d + 1) + 2 * h + 2
+
 
 def _flag(flag: str, help: str, choices: tuple | None = None) -> dict:
     return {"flag": flag, "help": help, "choices": choices}
@@ -442,8 +451,9 @@ def load_checkpoint(path: str, dtype=np.float32) -> tuple[Pipeline, dict]:
     payload into it. A file that cannot be opened or is not an intact SCM2
     checkpoint of exactly this model raises ConfigError. The magic, the
     header (model config, dtype, tensor shapes), the file size those
-    declare and the checksum are checked in that order, all before any
-    pipeline is built; then the tensor list is compared with the model's."""
+    declare, the checksum and the model's parameter count are checked in
+    that order, all before any pipeline is built; then the tensor list is
+    compared with the model's."""
     try:
         fh = open(path, "rb")
     except OSError as exc:
@@ -471,8 +481,8 @@ def load_checkpoint(path: str, dtype=np.float32) -> tuple[Pipeline, dict]:
                    for _, shape in tensors):
             raise ConfigError(f"{path}: a tensor shape is not a list of "
                               "positive integers")
-        declared = np.dtype(stored).itemsize * sum(
-            math.prod(shape) for _, shape in tensors)
+        n_values = sum(math.prod(shape) for _, shape in tensors)
+        declared = np.dtype(stored).itemsize * n_values
         left = os.fstat(fh.fileno()).st_size - fh.tell()
         if declared + 4 > left:
             raise ConfigError(f"{path}: truncated ({left} bytes after the header, "
@@ -484,6 +494,9 @@ def load_checkpoint(path: str, dtype=np.float32) -> tuple[Pipeline, dict]:
         crc = zlib.crc32(payload, zlib.crc32(CHECKPOINT_MAGIC + size + blob))
         if trailer != struct.pack("<I", crc):
             raise ConfigError(f"{path}: checksum mismatch")
+        if n_values != cfg.n_params:
+            raise ConfigError(f"{path}: the header's tensors hold {n_values} "
+                              f"values, the model it names has {cfg.n_params}")
         pipeline = Pipeline(cfg, Rng(0), dtype)
         params = pipeline.params()
         model_tensors = [(p.name, list(p.value.shape)) for p in params]

@@ -4,7 +4,15 @@ import os
 import numpy as np
 import pytest
 
-from sensecomm.dataset import RECORD_BYTES, RECORDS_PER_FILE, TEST_FILE, TRAIN_FILES
+from sensecomm.dataset import (
+    RECORD,
+    RECORD_BYTES,
+    RECORDS_PER_FILE,
+    TEST_FILE,
+    TRAIN_FILES,
+    Dataset,
+    load_cifar10,
+)
 from sensecomm.rng import Rng
 
 _ACCEPTANCE_RESULTS: list[tuple[str, str, str]] = []
@@ -75,6 +83,62 @@ def fake_dataset(fake_cifar_dir):
     from sensecomm.dataset import load_cifar10
 
     return load_cifar10(fake_cifar_dir)
+
+
+def synthetic_splits(n_train: int, n_test: int, seed: int = 0):
+    """Procedurally generated stand-in with the real dataset's shape and the
+    same 40/60 vehicle/animal prior, as (pixels, label2) per split.
+
+    Vehicle images are low-pass textures (box-blurred noise), animal images
+    are raw high-frequency noise, so the two classes are separable by a
+    small convolutional encoder. Pixels are rounded to bytes, as on disk.
+    Accuracy numbers on it are not comparable to the real dataset.
+    """
+    rng = Rng(seed)
+
+    def make(n):
+        labels2 = (rng.uniform(size=n) < 0.4).astype(np.int64)
+        imgs = rng.uniform(size=(n, 32, 32, 3)).astype(np.float32)
+        kernel = np.ones((5, 5), dtype=np.float32) / 25.0
+        for i in np.nonzero(labels2)[0]:
+            for c in range(3):
+                img = imgs[i, :, :, c]
+                padded = np.pad(img, 2, mode="edge")
+                win = np.lib.stride_tricks.sliding_window_view(padded, (5, 5))
+                imgs[i, :, :, c] = (win * kernel).sum(axis=(2, 3))
+        return np.rint(imgs * 255).astype(np.uint8), labels2
+
+    return make(n_train), make(n_test)
+
+
+@pytest.fixture(scope="session")
+def synthetic_corpus(tmp_path_factory):
+    """Call the fixture with (n_train, n_test, seed) for the stand-in
+    corpus of ``synthetic_splits`` as ``load_cifar10`` reads it: the
+    records are written once per session into six batch files of full
+    size, vehicles as label byte 0 (airplane) and animals as 2 (bird), the
+    rest of each file left a hole, and each split is cut to its size."""
+    corpora = {}
+
+    def corpus(n_train: int, n_test: int, seed: int = 0) -> Dataset:
+        key = (n_train, n_test, seed)
+        if key not in corpora:
+            root = tmp_path_factory.mktemp("synthetic")
+            for files, (pixels, label2) in zip((TRAIN_FILES, [TEST_FILE]),
+                                               synthetic_splits(*key)):
+                records = np.empty(len(label2), dtype=RECORD)
+                records["label"] = np.where(label2 == 1, 0, 2)
+                records["pixels"] = pixels.transpose(0, 3, 1, 2)
+                for i, name in enumerate(files):
+                    with open(root / name, "wb") as fh:
+                        records[i * RECORDS_PER_FILE:
+                                (i + 1) * RECORDS_PER_FILE].tofile(fh)
+                        fh.truncate(RECORDS_PER_FILE * RECORD_BYTES)
+            ds = load_cifar10(root)
+            corpora[key] = Dataset(ds.train.subset(n_train), ds.test.subset(n_test))
+        return corpora[key]
+
+    return corpus
 
 
 def link_corpus(src, dst):

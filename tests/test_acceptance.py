@@ -14,14 +14,13 @@ import pytest
 
 from conftest import real_data_dir
 from sensecomm.channel import PowerNormalize, sample_realization
-from sensecomm.dataset import load_cifar10, synthetic_dataset
+from sensecomm.dataset import load_cifar10
 from sensecomm.harness import (
     ExperimentConfig,
     metrics_from_predictions,
     run_experiment,
     run_sweep,
     summary_line,
-    sweep_output_size,
     to_json,
 )
 from sensecomm.nn.layers import Conv2D, Dense, MaxPool2D, Param
@@ -73,7 +72,8 @@ def cached_sweep(name: str):
             _cache[name] = run_sweep("sensing_snr", [-9.0, -6.0, -3.0, 0.0], cfg, ds,
                                      log_fn=print)
         else:
-            _cache[name] = sweep_output_size([4, 8, 16, 20], cfg, ds, log_fn=print)
+            _cache[name] = run_sweep("output_size", [4, 8, 16, 20], cfg, ds,
+                                     log_fn=print)
     return _cache[name]
 
 
@@ -210,9 +210,9 @@ def test_c09_oracle_equivalence():
     assert abs(p.value[0] - expected) < 1e-10
 
 
-def test_c10_metrics_json_determinism():
+def test_c10_metrics_json_determinism(synthetic_corpus):
     """criterion 10: identical config and seed give byte-identical JSON"""
-    ds = synthetic_dataset(256, 128, seed=100)
+    ds = synthetic_corpus(256, 128, seed=100)
     cfg = ExperimentConfig(channel_kind="rayleigh", n_c=4, epochs=1,
                            seed=10, eval_seed=EVAL_SEED)
     _, a = run_experiment(cfg, ds)

@@ -230,11 +230,14 @@ class TestTrainEval:
          "malformed checkpoint header (KeyError: 'n_c')"),
         (with_model(b'{"n_c": true, "mode": "joint"}'), "got True"),
         (with_model(b'{"n_c": 1000000000, "mode": "joint"}'), "got 1000000000"),
+        (with_model(b'{"n_c": 3072, "mode": "joint"}'),
+         "the model it names has 85374746"),
         (saved_with_model(1, n_c=True), "got True"),
         (saved_with_model(4, n_c=4.0), "got 4.0"),
         (saved_with_header(dtype="<f2"), "unknown tensor dtype '<f2'"),
     ], ids=["five-bytes", "non-utf8-header", "no-model-key", "missing-file",
             "float-n_c1", "unequal-sizes", "bool-sizes", "huge-sizes",
+            "largest-model-no-tensors",
             "bool-n_c2", "float-n_c2", "dtype-f2"])
     def test_bad_checkpoint_fails_before_load(self, content, error, fake_cifar_dir,
                                               tmp_path, capsys, corpus_loads):

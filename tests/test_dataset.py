@@ -10,11 +10,9 @@ from sensecomm.dataset import (
     TEST_FILE,
     TRAIN_FILES,
     VEHICLE_CLASSES,
-    Split,
     batch_indices,
     load_cifar10,
     relabel_binary_array,
-    synthetic_dataset,
 )
 from sensecomm.errors import CorruptDatasetError
 from sensecomm.rng import Rng
@@ -155,24 +153,39 @@ class TestLoader:
             assert np.array_equal(split.label2, expected)
 
 
+def loaded_test_split(planar, directory, fake_cifar_dir):
+    """The loaded test split of the records ``planar``, (n, 3, 32, 32)
+    uint8 as on disk, written at the start of an otherwise zero test file
+    in ``directory``, beside the training files of ``fake_cifar_dir``."""
+    n = len(planar)
+    link_corpus(fake_cifar_dir, directory)
+    (directory / TEST_FILE).unlink()
+    pixels = np.zeros((RECORDS_PER_FILE, 3072), dtype=np.uint8)
+    pixels[:n] = planar.reshape(n, -1)
+    write_batch_file(directory / TEST_FILE, np.zeros(RECORDS_PER_FILE, np.uint8),
+                     pixels)
+    return load_cifar10(directory).test.subset(n)
+
+
 class TestImages:
-    def test_batches_bitwise_equal_whole_corpus_conversion(self):
+    def test_batches_bitwise_equal_whole_corpus_conversion(self, tmp_path,
+                                                           fake_cifar_dir):
         # one image per byte value, gathered in shuffled batches
-        pixels = np.empty((256, 32, 32, 3), dtype=np.uint8)
-        pixels[:] = np.arange(256, dtype=np.uint8)[:, None, None, None]
-        split = Split(pixels, np.zeros(256, np.int64))
-        whole = pixels.astype(np.float32) / 255.0
+        planar = np.empty((256, 3, 32, 32), dtype=np.uint8)
+        planar[:] = np.arange(256, dtype=np.uint8)[:, None, None, None]
+        split = loaded_test_split(planar, tmp_path, fake_cifar_dir)
+        whole = planar.transpose(0, 2, 3, 1).astype(np.float32) / 255.0
         for idx in batch_indices(256, 64, Rng(8)):
             batch = split.images(idx)
             assert batch.dtype == np.float32
             assert np.array_equal(batch.view(np.uint32), whole[idx].view(np.uint32))
 
-    def test_channel_planar_split_gives_c_contiguous_batches(self):
+    def test_channel_planar_split_gives_c_contiguous_batches(self, tmp_path,
+                                                              fake_cifar_dir):
         # a loaded split keeps the on-disk channel-planar memory order
         planar = Rng(9).uniform(0, 256, size=(100, 3, 32, 32)).astype(np.uint8)
-        pixels = planar.transpose(0, 2, 3, 1)
-        split = Split(pixels, np.zeros(100, np.int64))
-        whole = pixels.astype(np.float32) / 255.0
+        split = loaded_test_split(planar, tmp_path, fake_cifar_dir)
+        whole = planar.transpose(0, 2, 3, 1).astype(np.float32) / 255.0
         for idx in (slice(None), slice(10, 42), np.array([99, 3, 3, 50])):
             batch = split.images(idx)
             assert batch.dtype == np.float32
@@ -224,19 +237,3 @@ class TestBatchIndices:
 
     def test_empty_split(self):
         assert list(batch_indices(0, 64)) == []
-
-
-class TestSynthetic:
-    def test_shapes_and_prior(self):
-        ds = synthetic_dataset(600, 300, seed=1)
-        assert ds.train.pixels.shape == (600, 32, 32, 3)
-        assert ds.test.n == 300
-        assert 0.3 < ds.train.label2.mean() < 0.5
-        assert ds.train.label2.dtype == np.int64
-        assert set(np.unique(ds.train.label2)) == {0, 1}
-
-    def test_deterministic(self):
-        a = synthetic_dataset(50, 20, seed=3)
-        b = synthetic_dataset(50, 20, seed=3)
-        assert np.array_equal(a.train.pixels, b.train.pixels)
-        assert np.array_equal(a.test.label2, b.test.label2)

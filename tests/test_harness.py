@@ -15,7 +15,6 @@ from sensecomm.dataset import (
     TRAIN_FILES,
     Dataset,
     load_cifar10,
-    synthetic_dataset,
 )
 from sensecomm.errors import ConfigError
 from sensecomm.harness import (
@@ -75,8 +74,8 @@ def tiny_experiment(mode="joint", seed=4):
 
 
 @pytest.fixture(scope="module")
-def micro_corpus():
-    return synthetic_dataset(256, 128, seed=60)
+def micro_corpus(synthetic_corpus):
+    return synthetic_corpus(256, 128, seed=60)
 
 
 class TestRunExperiment:
@@ -193,7 +192,7 @@ class TestRunSweep:
                 times = np.bincount(records[name])
                 assert len(times) == kept and times.min() == times.max(), name
 
-    def test_workers_evaluate_serially(self, monkeypatch):
+    def test_workers_evaluate_serially(self, synthetic_corpus, monkeypatch):
         """A sweep worker's CPUs are taken by its siblings, so it runs
         its evaluations' batches on one thread, not one thread per CPU."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
@@ -203,7 +202,7 @@ class TestRunSweep:
 
         monkeypatch.setattr(models, "ThreadPoolExecutor", no_pool)
         # three eval batches: a process of its own would run two chunks
-        corpus = synthetic_dataset(64, 600, seed=61)
+        corpus = synthetic_corpus(64, 600, seed=61)
         sweep = run_sweep("output_size", [4], tiny_experiment(), corpus)
         assert len(sweep.per_point) == 1
 

@@ -21,10 +21,8 @@ from sensecomm.dataset import (
     RECORD_BYTES,
     SOURCE_DIM,
     TEST_FILE,
-    Split,
     batch_indices,
     load_cifar10,
-    synthetic_dataset,
 )
 from sensecomm import models
 from sensecomm.errors import ConfigError
@@ -98,6 +96,13 @@ class TestBuilders:
         # (3*3*3*8+8) + (3*3*8*4+4) + (3*3*4*4+4) + (144*128+128) + (128*20+20)
         params = build_image_encoder(20, Rng(0)).params()
         assert sum(p.value.size for p in params) == 21_804
+
+    @pytest.mark.parametrize("mode", ["joint", "sensing_only"])
+    def test_param_count_in_closed_form(self, mode):
+        for n_c in (2, 3, 4, 7, 20, 33, 64, 100):
+            cfg = ModelConfig(n_c, mode)
+            params = Pipeline(cfg, Rng(0)).params()
+            assert cfg.n_params == sum(p.value.size for p in params), n_c
 
     def test_image_encoder_final_layer_small_output(self):
         net = build_image_encoder(4, Rng(0))
@@ -211,11 +216,11 @@ class TestPipelineForward:
                      dropout=rng if training else None)
         assert rng.uniform_sizes == sizes
 
-    def test_untrained_loss_near_chance_level(self):
+    def test_untrained_loss_near_chance_level(self, synthetic_corpus):
         # an untrained model carries no information: loss sits at or above
         # ln 2, inflated by whatever overconfidence the random logits have
         # (measured spread over init seeds is about 0.7 to 1.6)
-        ds = synthetic_dataset(64, 8, seed=20)
+        ds = synthetic_corpus(64, 8, seed=20)
         losses = []
         for seed in (21, 22, 23):
             pipe = Pipeline(ModelConfig(20, "joint"), Rng(seed))
@@ -300,9 +305,9 @@ class TestSavedSlot:
 
 
 @pytest.fixture(scope="module")
-def eval_split():
+def eval_split(synthetic_corpus):
     """Several eval batches, the last of them partial."""
-    return synthetic_dataset(1, 1000, seed=50).test
+    return synthetic_corpus(1, 1000, seed=50).test
 
 
 class TestPredictSplit:
@@ -390,24 +395,25 @@ class TestPredictSplit:
 
     def test_loaded_split_labels_equal_array_split(self, fake_cifar_dir,
                                                    monkeypatch):
-        """A loaded split and a split of arrays holding the same bytes give
-        the same labels on one, two and three CPUs."""
+        """A loaded split gives, on one, two and three CPUs, the labels of
+        one whole-batch pass over the same records read whole from the
+        file."""
         n = 1000
         raw = np.fromfile(fake_cifar_dir / TEST_FILE, np.uint8)
         planar = raw.reshape(-1, RECORD_BYTES)[:n, 1:].reshape(n, 3, 32, 32)
+        images = np.ascontiguousarray(planar.transpose(0, 2, 3, 1)) / np.float32(255)
         loaded = load_cifar10(fake_cifar_dir).test.subset(n)
-        arrays = Split(planar.transpose(0, 2, 3, 1).copy(), loaded.label2)
         pipe = Pipeline(ModelConfig(4, "joint"), Rng(56))
-        want = predict_split(pipe, arrays, RAYLEIGH, SENSING, 55)
+        want = pipe.predict(images, loaded.label2, RAYLEIGH, SENSING, Rng(55))
         for cpus in (1, 2, 3):
             monkeypatch.setattr(os, "sched_getaffinity",
                                 lambda pid, cpus=cpus: set(range(cpus)))
             got = predict_split(pipe, loaded, RAYLEIGH, SENSING, 55)
             assert np.array_equal(got, want), cpus
         # the labels depend on the pixels, so a wrong record would show
-        other = Split(arrays.pixels[::-1], loaded.label2)
-        assert not np.array_equal(
-            predict_split(pipe, other, RAYLEIGH, SENSING, 55), want)
+        other = pipe.predict(images[::-1].copy(), loaded.label2, RAYLEIGH,
+                             SENSING, Rng(55))
+        assert not np.array_equal(other, want)
 
 
 def encoder_rows(pipe, monkeypatch):
@@ -580,8 +586,8 @@ def test_repeated_work_faults_no_memory_back_in(case, fake_cifar_dir):
 
 
 class TestTraining:
-    def test_bitwise_identical_trajectories(self):
-        ds = synthetic_dataset(192, 64, seed=30)
+    def test_bitwise_identical_trajectories(self, synthetic_corpus):
+        ds = synthetic_corpus(192, 64, seed=30)
         cfg = ExperimentConfig("awgn", 3.0, -3.0, 6.0, n_c=4, epochs=1,
                                batch_size=64, seed=9, eval_seed=99, mode="joint")
         pipe_a, hist_a, preds_a = train(ds, cfg)
@@ -591,8 +597,8 @@ class TestTraining:
         assert hist_a == hist_b
         assert np.array_equal(preds_a, preds_b)
 
-    def test_adam_step_count(self):
-        ds = synthetic_dataset(130, 32, seed=31)  # 3 batches of 64 -> 2+ partial
+    def test_adam_step_count(self, synthetic_corpus):
+        ds = synthetic_corpus(130, 32, seed=31)  # 3 batches of 64 -> 2+ partial
         cfg = ExperimentConfig("awgn", 3.0, -3.0, 6.0, n_c=4, epochs=2,
                                batch_size=64, seed=1, eval_seed=2, mode="joint")
         pipe, hist, _ = train(ds, cfg)
@@ -600,8 +606,9 @@ class TestTraining:
         # epochs * ceil(130/64) batches each
         assert [h["epoch"] for h in hist] == [1, 2]
 
-    def test_float64_pipeline_casts_float32_batches(self, monkeypatch):
-        ds = synthetic_dataset(64, 32, seed=32)
+    def test_float64_pipeline_casts_float32_batches(self, synthetic_corpus,
+                                                    monkeypatch):
+        ds = synthetic_corpus(64, 32, seed=32)
         cfg = ExperimentConfig(n_c=4, epochs=1, seed=1, eval_seed=2,
                                dtype="float64")
         seen = []
@@ -618,7 +625,8 @@ class TestTraining:
         assert seen == [(np.dtype(np.float32), np.dtype(np.float64))] * 2
 
     @pytest.mark.parametrize("mode", ["joint", "sensing_only"])
-    def test_zero_rows_send_no_gradient_spike(self, mode, monkeypatch):
+    def test_zero_rows_send_no_gradient_spike(self, mode, synthetic_corpus,
+                                              monkeypatch):
         """The first batch of this setup meets all-zero echo-encoder rows.
         They carry no signal, so the first Adam step sees no spike on the
         bias behind them: 3.5e9 (joint) and 1.0e10 (sensing-only) when
@@ -639,18 +647,18 @@ class TestTraining:
         monkeypatch.setattr(PowerNormalize, "forward", norm)
         monkeypatch.setattr(models.Adam, "step", step)
         with pytest.raises(FirstStep) as first:
-            train(synthetic_dataset(2000, 800, seed=50),
+            train(synthetic_corpus(2000, 800, seed=50),
                   ExperimentConfig("rayleigh", n_c=4, seed=3, mode=mode))
         assert sum(zero_rows) > 0  # the setup still meets a zero row
         grads = first.value.args[0]
         assert grads["echo_encoder.dense3.b"] < 1e3, grads
 
 
-def test_both_modes_see_the_same_draws(monkeypatch):
+def test_both_modes_see_the_same_draws(synthetic_corpus, monkeypatch):
     """At one seed, joint and sensing-only draw bitwise-equal sensing and
     second-round realizations and dropout masks, in a training step and in
     the evaluation after it; joint mode adds its first-round link."""
-    ds = synthetic_dataset(64, 8, seed=33)
+    ds = synthetic_corpus(64, 8, seed=33)
     real_sample, real_dropout = models.sample_realization, Dropout.forward
 
     def draws(mode):
@@ -855,6 +863,29 @@ class TestCheckpoint:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize("tensors", ["none", "another-model"])
+    def test_header_naming_another_model_fails_before_build(
+            self, saved, tensors, monkeypatch):
+        """A header whose tensors do not hold the values of the model it
+        names is refused before that model is built, even when the file
+        size and the checksum agree with the header: the 84-byte file that
+        names the largest joint model over no tensors, and a 4-symbol
+        model's intact tensors and payload under that name."""
+        if tensors == "none":
+            saved.write_bytes(checkpoint_bytes(
+                b'{"dtype": "<f4", "model": {"n_c": 3072, "mode": "joint"}, '
+                b'"tensors": []}'))
+            assert saved.stat().st_size == 84
+        else:
+            rewrite_checkpoint(saved, lambda h: h["model"].update(n_c=SOURCE_DIM))
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("a pipeline was built for a refused file")
+
+        monkeypatch.setattr(models, "Pipeline", no_build)
+        with pytest.raises(ConfigError, match="the model it names has 85374746"):
+            load_checkpoint(saved)
 
     @pytest.mark.parametrize("shape", [[4.0, 4], [0, 4], -4, [True, 4]])
     def test_bad_tensor_shape_rejected(self, saved, shape):

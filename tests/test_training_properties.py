@@ -1,5 +1,5 @@
 """Reduced-scale structural properties of the trained system, on the
-synthetic corpus. These exercise the mechanisms behind the full-scale
+synthetic corpus that conftest writes to disk. These exercise the mechanisms behind the full-scale
 reproduction runs (which live in test_acceptance.py and need the real
 data on disk): information fusion dominance, SNR trends, class-imbalance
 error asymmetry, and the collapse to the majority prior when sensing
@@ -9,13 +9,7 @@ carries no information.
 import numpy as np
 import pytest
 
-from sensecomm.dataset import synthetic_dataset
-from sensecomm.harness import (
-    ExperimentConfig,
-    metrics_from_predictions,
-    run_sweep,
-    sweep_output_size,
-)
+from sensecomm.harness import ExperimentConfig, metrics_from_predictions, run_sweep
 from sensecomm.models import predict_split, train
 
 pytestmark = pytest.mark.slow
@@ -24,8 +18,8 @@ EVAL_SEED = 555
 
 
 @pytest.fixture(scope="module")
-def corpus():
-    return synthetic_dataset(2000, 800, seed=50)
+def corpus(synthetic_corpus):
+    return synthetic_corpus(2000, 800, seed=50)
 
 
 def run_once(ds, mode, kind="awgn", comm=3.0, veh=-3.0, off=6.0, seed=3,
@@ -89,7 +83,7 @@ class TestSweeps:
     def test_output_size_sweep_under_fading(self, corpus):
         cfg = ExperimentConfig(channel_kind="rayleigh", epochs=2, seed=3,
                                eval_seed=EVAL_SEED)
-        sweep = sweep_output_size([8, 20], cfg, corpus)
+        sweep = run_sweep("output_size", [8, 20], cfg, corpus)
         for j, s in zip(sweep.joint_accuracy, sweep.sensing_accuracy):
             assert j >= s - 0.01
         assert sweep.joint_accuracy[1] >= sweep.joint_accuracy[0] - 0.02
