@@ -21,7 +21,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, fields, replace
 
 from . import harness
@@ -303,7 +302,7 @@ def main(argv=None) -> int:
     except (ConfigError, CorruptDatasetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DivergenceError, BrokenProcessPool) as exc:
+    except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -46,7 +46,7 @@ class Records:
     ``records[idx]``, by int, slice or index array, reads exactly the
     records at ``idx`` and gives their bytes as an array of the whole
     split would, uint8 (..., 32, 32, 3) over channel-planar memory. It
-    holds no bytes and no open file, so threads and forks share it."""
+    holds no bytes and no open file, so threads share it."""
     files: tuple[str, ...]
     n: int
 

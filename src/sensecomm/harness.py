@@ -9,13 +9,11 @@ metrics and history) plus CSV (one row per point) for external plotting.
 from __future__ import annotations
 
 import csv
-import ctypes
 import io
 import json
-import multiprocessing
 import os
-import signal
-from concurrent.futures import ProcessPoolExecutor
+import threading
+from concurrent.futures import Future
 from contextlib import closing
 from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from typing import Any, Callable
@@ -131,63 +129,44 @@ SWEEPS = {
 }
 
 
-_PR_SET_PDEATHSIG = 1  # from <sys/prctl.h>
-_dataset: Dataset | None = None  # set in each sweep worker by _init_worker
-
-
-def _init_worker(dataset: Dataset, parent: int):
-    """Start a sweep worker on the corpus it inherited from the sweep's
-    process by fork. The worker dies with that process: one outliving a
-    killed parent would idle forever on the inherited corpus."""
-    global _dataset
-    ctypes.CDLL(None).prctl(_PR_SET_PDEATHSIG, signal.SIGTERM)
-    if os.getppid() != parent:  # the parent died before prctl took effect
-        os._exit(1)
-    _dataset = dataset
-
-
-def _train(cfg: ExperimentConfig) -> tuple[dict, list, list[str]]:
-    """One sweep training in a worker: its metrics, its history and the
-    lines it would have logged. The pipeline dies with the call, so a
-    worker holds none while it runs its next training."""
-    lines: list[str] = []
-    _, result = run_experiment(cfg, _dataset, log_fn=lines.append)
-    return result["metrics"], result["history"], lines
-
-
-def _train_in_workers(tasks: list[ExperimentConfig], dataset: Dataset):
+def _train_in_threads(tasks: list[ExperimentConfig], dataset: Dataset):
     """Yield every task's (metrics, history, log lines) in task order.
 
-    The trainings run on a fork-context ``ProcessPoolExecutor`` with one
-    worker per CPU in the process's affinity mask (``taskset`` limits
-    them). Workers inherit the corpus through the initializer's arguments
-    instead of receiving a pickled copy, and each reads the records of its
-    own batches. A task's exception is raised in its turn, and a worker
-    killed by a signal (say by the OOM killer) raises ``BrokenProcessPool``
-    at once.
-    However the sweep ends, its workers are terminated, not waited for,
-    before the pool shuts down.
+    The trainings run on one daemon thread per CPU in the process's
+    affinity mask (``taskset`` limits them), which take the tasks in order
+    and share only the read-only corpus. A task's exception is raised in
+    its turn. However the sweep ends, no thread starts another training;
+    one that fails or is interrupted does not wait for the trainings in
+    flight, whose daemon threads end with the process.
     """
-    before = set(multiprocessing.active_children())
-    pool = ProcessPoolExecutor(min(len(os.sched_getaffinity(0)), len(tasks)),
-                               multiprocessing.get_context("fork"),
-                               initializer=_init_worker,
-                               initargs=(dataset, os.getpid()))
-    # Futures rather than pool.map: map cancels the queued ones when a
-    # training raises, and Python 3.11's pool then fails in its own thread
-    # (InvalidStateError) on a cancelled future once its workers die.
-    futures = [pool.submit(_train, cfg) for cfg in tasks]
+    futures = [Future() for _ in tasks]
+    jobs, lock, stop = zip(tasks, futures), threading.Lock(), threading.Event()
+
+    def work():
+        while not stop.is_set():
+            with lock:
+                cfg, future = next(jobs, (None, None))
+            if future is None:
+                return
+            lines: list[str] = []
+            try:  # the pipeline dies here, so none outlives its training
+                result = run_experiment(cfg, dataset, lines.append)[1]
+                future.set_result((result["metrics"], result["history"], lines))
+            except BaseException as exc:
+                future.set_exception(exc)
+
+    threads = [threading.Thread(target=work, daemon=True)
+               for _ in range(min(len(os.sched_getaffinity(0)), len(tasks)))]
+    for thread in threads:
+        thread.start()
     try:
         for future in futures:
             yield future.result()
     finally:
-        # shutdown() alone would wait for the trainings in flight. With the
-        # workers gone, the pool fails its futures and shutdown() joins its
-        # threads, so the next sweep forks from a process without them.
-        for child in set(multiprocessing.active_children()) - before:
-            child.terminate()
-            child.join()
-        pool.shutdown()
+        stop.set()
+        if all(future.done() for future in futures):
+            for thread in threads:  # each is past its last training
+                thread.join()
 
 
 def run_sweep(name: str, points: list, cfg: ExperimentConfig, dataset: Dataset,
@@ -196,15 +175,14 @@ def run_sweep(name: str, points: list, cfg: ExperimentConfig, dataset: Dataset,
     axis; same seed, test set and eval-seed policy everywhere. Every
     training's config is built, and so validated, before the first one.
 
-    The trainings run in parallel on a process pool (see
-    ``_train_in_workers``). Results and log lines come back in the serial
-    order, so nothing the sweep returns or logs depends on the worker
-    count."""
+    The trainings run in parallel on threads (see ``_train_in_threads``).
+    Results and log lines come back in the serial order, so nothing the
+    sweep returns or logs depends on the thread count."""
     sweep = SWEEPS[name]
     points = [sweep.point_type(p) for p in points]
     configs = sweep.configs(cfg, points)
     out = SweepResult(sweep.param_name, points, asdict(cfg))
-    with closing(_train_in_workers(configs, dataset)) as trained:
+    with closing(_train_in_threads(configs, dataset)) as trained:
         for value in points:
             point = {"value": value}
             for mode in MODES:

@@ -15,9 +15,9 @@ from __future__ import annotations
 import ctypes
 import json
 import math
-import multiprocessing
 import os
 import struct
+import threading
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -327,27 +327,42 @@ def predict_split(pipeline: Pipeline, split: Split, channel_cfg: ChannelConfig,
     """Predicted labels for a whole split under a fixed evaluation seed,
     one channel realization per sample, keyed by its index in the split.
 
-    The split runs in ``EVAL_BATCH`` batches, one thread per CPU in the
-    process's affinity mask; a sample's draws do not depend on its batch,
-    so neither do the labels. A process that ``multiprocessing`` started,
-    such as a sweep worker, runs them serially, since its siblings hold
-    the other CPUs. Within a batch, ``Pipeline.predict`` bounds each
-    thread's memory by running the image encoder ``ENCODE_CHUNK`` rows at
-    a time."""
+    The split runs in ``EVAL_BATCH`` batches, batch ``i`` on thread
+    ``i % workers`` of one per CPU in the process's affinity mask; the
+    calling thread is thread 0. A sample's draws do not depend on its
+    batch, so neither do the labels. A batch that raises stops the other
+    threads at their next batch. Off the main thread, as in a sweep's
+    trainings, whose siblings hold the other CPUs, it runs serially. Within
+    a batch, ``Pipeline.predict`` bounds each thread's memory by running
+    the image encoder ``ENCODE_CHUNK`` rows at a time."""
     batches = list(batch_indices(split.n, EVAL_BATCH))
     rng = Rng(eval_seed)
-    workers = (1 if multiprocessing.parent_process() is not None
+    labels: list = [None] * len(batches)
+    failed = threading.Event()
+    workers = (1 if threading.current_thread() is not threading.main_thread()
                else min(len(os.sched_getaffinity(0)), len(batches)))
 
-    def run(idx: np.ndarray) -> np.ndarray:
-        return pipeline.predict(split.images(idx), split.label2[idx],
-                                channel_cfg, sensing_cfg, rng, int(idx[0]))
+    def run(thread: int):
+        for i in range(thread, len(batches), workers):
+            if failed.is_set():
+                return
+            idx = batches[i]
+            try:
+                labels[i] = pipeline.predict(split.images(idx), split.label2[idx],
+                                             channel_cfg, sensing_cfg, rng,
+                                             int(idx[0]))
+            except BaseException:
+                failed.set()
+                raise
 
     if workers <= 1:
-        labels = list(map(run, batches))
+        run(0)
     else:
-        with ThreadPoolExecutor(workers) as pool:
-            labels = list(pool.map(run, batches))
+        with ThreadPoolExecutor(workers - 1) as pool:
+            helpers = [pool.submit(run, t) for t in range(1, workers)]
+            run(0)
+            for helper in helpers:
+                helper.result()
     return np.concatenate(labels)
 
 

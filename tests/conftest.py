@@ -1,5 +1,6 @@
 import json
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -151,8 +152,9 @@ def link_corpus(src, dst):
 @pytest.fixture
 def pixel_reads(monkeypatch, tmp_path_factory):
     """Records every read of records for their pixels, in this process or
-    a forked one, as (pid, file name, first record, record count); the
-    reads of labels at load are left out. Call the fixture for the list."""
+    a child, as (pid, thread id, file name, first record, record count);
+    the reads of labels at load are left out. Call the fixture for the
+    list."""
     from sensecomm import dataset
 
     log = tmp_path_factory.mktemp("reads") / "pixel_reads.jsonl"
@@ -169,8 +171,9 @@ def pixel_reads(monkeypatch, tmp_path_factory):
     def spy(path, first, out):
         if not loading:
             with open(log, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps([os.getpid(), os.path.basename(path),
-                                     first, len(out)]) + "\n")
+                fh.write(json.dumps([os.getpid(), threading.get_ident(),
+                                     os.path.basename(path), first,
+                                     len(out)]) + "\n")
         return real_records(path, first, out)
 
     monkeypatch.setattr(dataset, "_read_labels", read_labels)

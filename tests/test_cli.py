@@ -1,5 +1,6 @@
 import json
 import os
+import signal
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -161,7 +162,7 @@ class TestTrainEval:
                         "--out", str(tmp_path)] + SMOKE)
         assert code == 0
         # --limit-test 128: one batch, one read
-        assert [read[1:] for read in pixel_reads()] == [(TEST_FILE, 0, 128)]
+        assert [read[2:] for read in pixel_reads()] == [(TEST_FILE, 0, 128)]
 
     @pytest.mark.parametrize("command, damage", [
         pytest.param(command, damage,
@@ -174,8 +175,8 @@ class TestTrainEval:
         """A batch file that vanishes, or shrinks to 100 records, after
         the corpus loads fails the command at the first batch that reads
         it, its first evaluation: in the command's own process for
-        ``train`` and ``eval`` (no --limit-test), in a forked worker for a
-        sweep."""
+        ``train`` and ``eval`` (no --limit-test), on a training thread for
+        a sweep."""
         corpus = tmp_path / "corpus"
         corpus.mkdir()
         link_corpus(fake_cifar_dir, corpus)
@@ -387,8 +388,8 @@ class TestTrainEval:
 
 def outputs_at_blas_threads(threads, argv, out, names):
     """Run the CLI in a fresh process at ``threads`` BLAS threads and read
-    back the named output files. The timeout turns a hang, such as a fork
-    taken while BLAS has live worker threads, into a failure."""
+    back the named output files. The timeout turns a hang, such as threads
+    that wait on each other, into a failure."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
     subprocess.run([sys.executable, "-m", "sensecomm", *argv, "--out", str(out)],
@@ -572,8 +573,8 @@ class TestSweepCommand:
 
 @pytest.fixture
 def poisoned_encoder(monkeypatch):
-    """Every image encoder built, here or in a forked worker, starts with
-    a NaN conv1 weight."""
+    """Every image encoder built, on any thread, starts with a NaN conv1
+    weight."""
     real = models.build_image_encoder
 
     def poisoned(*args, **kwargs):
@@ -617,20 +618,11 @@ class TestLimitsAndDivergence:
 
     def test_nan_weight_in_sweep_exits_1_with_one_line(
             self, fake_cifar_dir, tmp_path, capsys, poisoned_encoder):
-        """The error of a training in a pool worker reaches the CLI."""
+        """The error of a training on a sweep thread reaches the CLI."""
         code = exit_code(["sweep-output-size", "--data-dir", str(fake_cifar_dir),
                           "--points", "4,6", "--out", str(tmp_path)] + SMOKE)
         assert code == 1
         assert_one_error_line(capsys)
-
-    def test_killed_sweep_worker_exits_1_with_one_line(self, fake_cifar_dir,
-                                                       tmp_path):
-        """A worker killed by a signal, as the OOM killer would, loses its
-        training; the sweep must fail within seconds instead of waiting for
-        it forever. The timeout turns such a wait into a failure."""
-        assert_faulty_sweep_fails(
-            fake_cifar_dir, tmp_path, "4",
-            joint="os.kill(os.getpid(), signal.SIGKILL)")
 
     def test_failed_sweep_training_stops_the_others(self, fake_cifar_dir,
                                                     tmp_path):
@@ -642,6 +634,18 @@ class TestLimitsAndDivergence:
             fake_cifar_dir, tmp_path, "4,6,8,10,12",
             joint="raise DivergenceError('injected')",
             sensing_only="time.sleep(60)")
+
+    def test_interrupted_sweep_exits_at_once(self, fake_cifar_dir, tmp_path):
+        """SIGINT, as Ctrl-C sends it, ends the sweep while its trainings
+        sleep: the command does not wait for them and writes no report."""
+        sleep = "time.sleep(60)"
+        proc = run_faulty_sweep(
+            fake_cifar_dir, tmp_path, "4",
+            joint="threading.Timer(1, os.kill, (os.getpid(), signal.SIGINT))"
+                  f".start(); {sleep}",
+            sensing_only=sleep)
+        assert proc.returncode == -signal.SIGINT, proc.stderr
+        assert not (tmp_path / "sweep_size.json").exists()
 
     @pytest.mark.parametrize("argv", [
         ["--comm-snr-db", "nan"],
@@ -663,9 +667,9 @@ class TestLimitsAndDivergence:
 
 
 # Runs the CLI with one statement injected at the start of every sweep
-# training in its worker, one for each mode.
+# training on its thread, one for each mode.
 FAULTY_CLI = """
-import os, signal, sys, time
+import os, signal, sys, threading, time
 from sensecomm import cli, harness
 from sensecomm.errors import DivergenceError
 
@@ -683,16 +687,22 @@ sys.exit(cli.main(sys.argv[1:]))
 """
 
 
-def assert_faulty_sweep_fails(data_dir, out, points, joint, sensing_only="pass"):
-    """Run ``sweep-output-size`` over ``points`` with the faults injected;
-    it must exit 1 within seconds with one ``error:`` line and no report."""
+def run_faulty_sweep(data_dir, out, points, joint, sensing_only="pass"):
+    """Run ``sweep-output-size`` over ``points`` with the faults injected.
+    The timeout turns a sweep that waits for its trainings into a failure."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     script = FAULTY_CLI.format(joint=joint, sensing_only=sensing_only)
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", script, "sweep-output-size", "--data-dir",
          str(data_dir), "--points", points, "--out", str(out)] + SMOKE,
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
         timeout=15)
+
+
+def assert_faulty_sweep_fails(data_dir, out, points, joint, sensing_only="pass"):
+    """The sweep with the faults injected must exit 1 within seconds with
+    one ``error:`` line and no report."""
+    proc = run_faulty_sweep(data_dir, out, points, joint, sensing_only)
     assert proc.returncode == 1
     err = proc.stderr.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:"), err

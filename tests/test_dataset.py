@@ -77,7 +77,7 @@ class TestLoader:
         assert pixel_reads() == []
         train.images(np.array([3, 4, 5, 9_999, 10_000, 10_001, 7, 7]))
         ds.test.images(slice(256, 512))
-        assert [read[1:] for read in pixel_reads()] == [
+        assert [read[2:] for read in pixel_reads()] == [
             (TRAIN_FILES[0], 3, 3), (TRAIN_FILES[0], 9_999, 1),
             (TRAIN_FILES[1], 0, 2), (TRAIN_FILES[0], 7, 1),
             (TRAIN_FILES[0], 7, 1), (TEST_FILE, 256, 256)]

@@ -2,6 +2,7 @@ import gc
 import json
 import math
 import os
+import sys
 import threading
 import weakref
 from dataclasses import asdict, replace
@@ -151,8 +152,8 @@ class TestRunSweep:
         assert logged == serial_log
 
     def test_worker_holds_no_finished_pipeline(self, micro_corpus, monkeypatch):
-        """A worker keeps no finished training's pipeline, with its cached
-        eval activations, while it runs its next training."""
+        """A sweep thread keeps no finished training's pipeline, with its
+        cached eval activations, while it runs its next training."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         real, finished = harness.run_experiment, []
 
@@ -173,38 +174,74 @@ class TestRunSweep:
 
     def test_workers_read_only_their_batches(self, fake_cifar_dir,
                                              pixel_reads, monkeypatch):
-        """A sweep over loaded splits reads no pixel in its own process.
-        Each worker reads the records of its own batches: every kept
-        training record once per epoch and every kept test record once
-        per evaluation, the same number of times each, and no other."""
+        """A sweep over loaded splits reads no pixel on the calling thread
+        and starts no process. Each training thread reads the records of
+        its own batches: every kept training record once per epoch and
+        every kept test record once per evaluation, the same number of
+        times each, and no other."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         ds = load_cifar10(fake_cifar_dir)
         run_sweep("output_size", [4], tiny_experiment(),
                   Dataset(ds.train.subset(256), ds.test.subset(128)))
-        per_worker: dict[int, dict[str, list[int]]] = {}
-        for pid, name, first, count in pixel_reads():
-            records = per_worker.setdefault(pid, {}).setdefault(name, [])
+        pids, per_thread = set(), {}
+        for pid, thread, name, first, count in pixel_reads():
+            pids.add(pid)
+            records = per_thread.setdefault(thread, {}).setdefault(name, [])
             records.extend(range(first, first + count))
-        assert per_worker and os.getpid() not in per_worker
-        for records in per_worker.values():
+        assert pids == {os.getpid()}
+        assert per_thread and threading.get_ident() not in per_thread
+        for records in per_thread.values():
             assert records.keys() == {TRAIN_FILES[0], TEST_FILE}
             for name, kept in ((TRAIN_FILES[0], 256), (TEST_FILE, 128)):
                 times = np.bincount(records[name])
                 assert len(times) == kept and times.min() == times.max(), name
 
     def test_workers_evaluate_serially(self, synthetic_corpus, monkeypatch):
-        """A sweep worker's CPUs are taken by its siblings, so it runs
-        its evaluations' batches on one thread, not one thread per CPU."""
+        """A sweep thread's siblings hold the other CPUs, so it runs its
+        evaluations' batches on one thread, not one thread per CPU."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
 
         def no_pool(*args, **kwargs):
-            raise AssertionError("a sweep worker started an eval thread pool")
+            raise AssertionError("a sweep training started an eval thread pool")
 
         monkeypatch.setattr(models, "ThreadPoolExecutor", no_pool)
-        # three eval batches: a process of its own would run two chunks
+        # three eval batches: the main thread would run them on two threads
         corpus = synthetic_corpus(64, 600, seed=61)
         sweep = run_sweep("output_size", [4], tiny_experiment(), corpus)
         assert len(sweep.per_point) == 1
+
+    def test_threads_run_each_training_once_in_order(self, monkeypatch):
+        """More threads than cores, switching as often as the interpreter
+        allows, take every task from the shared queue exactly once, and the
+        results come back in task order."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+        ran = []
+
+        def stub(cfg, dataset, log_fn=None):
+            ran.append(cfg.seed)
+            log_fn(f"seed {cfg.seed}")
+            return None, {"metrics": {"seed": cfg.seed}, "history": []}
+
+        monkeypatch.setattr(harness, "run_experiment", stub)
+        tasks = [tiny_experiment(seed=i) for i in range(300)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = list(harness._train_in_threads(tasks, None))
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(ran) == list(range(300))
+        assert results == [({"seed": i}, [], [f"seed {i}"]) for i in range(300)]
+
+    def test_sweep_starts_no_process(self, micro_corpus, monkeypatch):
+        """The trainings run on threads of the sweep's own process."""
+        def no_fork():
+            raise AssertionError("the sweep forked")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(os, "fork", no_fork)
+        sweep = run_sweep("output_size", [4, 6], tiny_experiment(), micro_corpus)
+        assert len(sweep.per_point) == 2
 
 
 class TestReports:

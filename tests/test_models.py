@@ -5,6 +5,7 @@ import struct
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 import zlib
 from pathlib import Path
@@ -318,9 +319,9 @@ class TestPredictSplit:
                                            eval_split, monkeypatch):
         """The eval batches on one, two and three threads give the same
         labels: each sample's draws are keyed by its index, whichever
-        thread runs it. One CPU runs them on the calling thread, more on a
-        thread per CPU, and the threads switch as often as the interpreter
-        allows."""
+        thread runs it. Batch ``i`` runs on thread ``i % cpus``, the calling
+        thread being thread 0, and the threads switch as often as the
+        interpreter allows."""
         # an init whose labels mix both classes in every mode and kind
         pipe = Pipeline(ModelConfig(4, mode), Rng(56), dtype)
         channel = ChannelConfig(kind, 3.0)
@@ -328,7 +329,9 @@ class TestPredictSplit:
         n_batches = len(list(batch_indices(eval_split.n, EVAL_BATCH)))
 
         def predict(self, *args):
-            on_main.append(threading.current_thread() is threading.main_thread())
+            start = args[-1]  # the batch's first sample
+            main = threading.current_thread() is threading.main_thread()
+            on_main.append((start, main))
             return real(self, *args)
 
         monkeypatch.setattr(Pipeline, "predict", predict)
@@ -341,7 +344,8 @@ class TestPredictSplit:
                 on_main.clear()
                 labels.append(predict_split(pipe, eval_split, channel,
                                             SENSING, 55))
-                assert on_main == [cpus == 1] * n_batches
+                assert [main for _, main in sorted(on_main)] == [
+                    i % cpus == 0 for i in range(n_batches)]
         finally:
             sys.setswitchinterval(interval)
         assert np.array_equal(labels[0], labels[1])
@@ -349,6 +353,26 @@ class TestPredictSplit:
         # the labels depend on the draws, so a sample on wrong draws shows
         other = predict_split(pipe, eval_split, channel, SENSING, 59)
         assert not np.array_equal(labels[0], other)
+
+    def test_failed_batch_stops_the_other_threads(self, eval_split, monkeypatch):
+        """A batch that raises on the calling thread ends the evaluation:
+        the helper finishes the batch it is on and starts no other."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        starts = []
+
+        def predict(self, x, label2, channel_cfg, sensing_cfg, rng, start):
+            starts.append(start)
+            if start == 0:
+                raise RuntimeError("injected")
+            time.sleep(0.2)  # the calling thread raises meanwhile
+            return np.zeros(len(x), dtype=np.int64)
+
+        monkeypatch.setattr(Pipeline, "predict", predict)
+        with pytest.raises(RuntimeError, match="injected"):
+            predict_split(Pipeline(ModelConfig(4, "joint"), Rng(56)),
+                          eval_split, AWGN, SENSING, 55)
+        # four batches: 0 and 2 on the calling thread, 1 and 3 on the helper
+        assert sorted(starts) == [0, EVAL_BATCH]
 
     def test_labels_equal_at_any_eval_batch(self, eval_split, monkeypatch):
         """Eval batches of 64, 256 and 1,000 samples on one, two and three
@@ -374,7 +398,7 @@ class TestPredictSplit:
         test = load_cifar10(fake_cifar_dir).test
         predict_split(Pipeline(ModelConfig(4, "joint"), Rng(57)), test, AWGN,
                       SENSING, 58)
-        assert sorted(read[1:] for read in pixel_reads()) == [
+        assert sorted(read[2:] for read in pixel_reads()) == [
             (TEST_FILE, first, min(EVAL_BATCH, test.n - first))
             for first in range(0, test.n, EVAL_BATCH)]
 
