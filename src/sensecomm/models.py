@@ -19,6 +19,7 @@ import os
 import struct
 import threading
 import zlib
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import zip_longest
@@ -69,6 +70,7 @@ EVAL_BATCH = 256  # samples per eval task; no draw depends on it
 # layers are row-wise, so the pieces give the whole batch's features bit
 # for bit, while a thread holds a quarter of a batch's conv working set.
 ENCODE_CHUNK = 64
+KERNEL = (3, 3)  # every convolution's
 
 
 @dataclass
@@ -92,15 +94,6 @@ class ModelConfig:
     @property
     def decoder_in(self) -> int:
         return 2 * self.n_c if self.mode == "joint" else self.n_c
-
-    @property
-    def n_params(self) -> int:
-        """The model's parameter count, without building it: the image
-        encoder's 19,224 before its last dense layer and 129 per symbol in
-        it, the echo encoder's three n_c-square layers and the decoder's."""
-        n, d = self.n_c, self.decoder_in
-        h = d // 2
-        return 19_224 + 129 * n + 3 * n * (n + 1) + (d + h) * (d + 1) + 2 * h + 2
 
 
 def _flag(flag: str, help: str, choices: tuple | None = None) -> dict:
@@ -170,68 +163,77 @@ class ExperimentConfig:
         return ModelConfig(n_c=self.n_c, mode=self.mode)
 
 
-def build_image_encoder(n_c: int, rng: Rng, dtype=np.float32) -> Sequential:
-    """Convolutional encoder 32x32x3 -> n_c, ending in power normalization.
-
-    ReLU follows each max-pool: max is monotone, so the two orders give the
-    same values, and ReLU then sees a quarter of the elements."""
-    return Sequential([
-        Conv2D(3, 8, (3, 3), rng, dtype, name="image_encoder.conv1"),
-        ReLU(),
-        Conv2D(8, 4, (3, 3), rng, dtype, name="image_encoder.conv2"),
-        MaxPool2D(),
-        ReLU(),
-        Dropout(0.1),
-        Conv2D(4, 4, (3, 3), rng, dtype, name="image_encoder.conv3"),
-        MaxPool2D(),
-        ReLU(),
-        Dropout(0.1),
-        Flatten(),
-        Dense(144, 128, rng, dtype, name="image_encoder.dense1"),
-        ReLU(),
-        Dense(128, n_c, rng, dtype, name="image_encoder.dense2"),
-        PowerNormalize(),
-    ])
+def architecture(cfg: ModelConfig) -> dict[str, list[tuple]]:
+    """Each network's layers, the networks in build order: ("conv", in
+    channels, filters) with a ``KERNEL`` kernel, ("dense", in, out),
+    ("dropout", rate), ("relu",), ("pool",) for 2x2 max-pooling, ("flatten",)
+    and ("norm",), the power normalization that ends each encoder. ReLU
+    follows each max-pool: max is monotone, so the two orders give the same
+    values, and ReLU then sees a quarter of the elements."""
+    n, d = cfg.n_c, cfg.decoder_in
+    return {
+        "image_encoder": [("conv", 3, 8), ("relu",), ("conv", 8, 4), ("pool",),
+                          ("relu",), ("dropout", 0.1), ("conv", 4, 4), ("pool",),
+                          ("relu",), ("dropout", 0.1), ("flatten",),
+                          ("dense", 144, 128), ("relu",), ("dense", 128, n), ("norm",)],
+        "echo_encoder": [("dense", n, n), ("relu",), ("dense", n, n), ("relu",),
+                         ("dense", n, n), ("norm",)],
+        "decoder": [("dense", d, d), ("relu",), ("dense", d, d // 2), ("relu",),
+                    ("dense", d // 2, 2)],
+    }
 
 
-def build_echo_encoder(n_c: int, rng: Rng, dtype=np.float32) -> Sequential:
-    """Dense encoder for the reflected signal: n_c -> n_c, every layer n_c
-    wide, ending in power normalization like the image encoder."""
-    return Sequential([
-        Dense(n_c, n_c, rng, dtype, name="echo_encoder.dense1"),
-        ReLU(),
-        Dense(n_c, n_c, rng, dtype, name="echo_encoder.dense2"),
-        ReLU(),
-        Dense(n_c, n_c, rng, dtype, name="echo_encoder.dense3"),
-        PowerNormalize(),
-    ])
+def _named(net: str, layers: list[tuple]):
+    """Each layer's name, as ``image_encoder.conv2`` for the network's
+    second conv, its kind and its sizes."""
+    seen = Counter()
+    for kind, *sizes in layers:
+        seen[kind] += 1
+        yield f"{net}.{kind}{seen[kind]}", kind, sizes
 
 
-def build_decoder(d_in: int, rng: Rng, dtype=np.float32) -> Sequential:
-    """Receiver-side classifier d_in -> 2 logits (softmax applied by caller)."""
-    return Sequential([
-        Dense(d_in, d_in, rng, dtype, name="decoder.dense1"),
-        ReLU(),
-        Dense(d_in, d_in // 2, rng, dtype, name="decoder.dense2"),
-        ReLU(),
-        Dense(d_in // 2, 2, rng, dtype, name="decoder.dense3"),
-    ])
+def tensor_shapes(cfg: ModelConfig) -> list[tuple[str, list[int]]]:
+    """Every parameter's name and shape, in the order of ``Pipeline.params``,
+    from the table alone: nothing is allocated, whatever the model's size."""
+    shapes = []
+    for net, layers in architecture(cfg).items():
+        for name, kind, sizes in _named(net, layers):
+            if kind in ("conv", "dense"):
+                w = [*KERNEL, *sizes] if kind == "conv" else sizes
+                shapes += [(f"{name}.w", w), (f"{name}.b", [w[-1]])]
+    return shapes
+
+
+def build(net: str, layers: list[tuple], rng: Rng, dtype=np.float32) -> Sequential:
+    """One network from its table, drawing its weights from ``rng`` in
+    layer order."""
+    size_free = {"relu": ReLU, "pool": MaxPool2D, "dropout": Dropout,
+                 "flatten": Flatten, "norm": PowerNormalize}
+    stack = []
+    for name, kind, sizes in _named(net, layers):
+        if kind == "conv":
+            stack.append(Conv2D(*sizes, KERNEL, rng, dtype, name=name))
+        elif kind == "dense":
+            stack.append(Dense(*sizes, rng, dtype, name=name))
+        else:
+            stack.append(size_free[kind](*sizes))
+    return Sequential(stack)
 
 
 class Pipeline:
     """The full transmitter/receiver stack for one mode.
 
-    Networks are built in a fixed order from one seeded stream, so two
-    pipelines built with the same seed share identical encoder weights even
-    when their decoders differ in shape.
+    The networks are built in ``architecture``'s order, image encoder, echo
+    encoder, decoder, from one seeded stream, so two pipelines built with
+    the same seed share identical encoder weights even when their decoders
+    differ in shape.
     """
 
     def __init__(self, cfg: ModelConfig, rng: Rng, dtype=np.float32):
         self.cfg = cfg
         self.dtype = dtype
-        self.image_encoder = build_image_encoder(cfg.n_c, rng, dtype)
-        self.echo_encoder = build_echo_encoder(cfg.n_c, rng, dtype)
-        self.decoder = build_decoder(cfg.decoder_in, rng, dtype)
+        self.image_encoder, self.echo_encoder, self.decoder = (
+            build(net, layers, rng, dtype) for net, layers in architecture(cfg).items())
 
     def params(self) -> list[Param]:
         return (self.image_encoder.params() + self.echo_encoder.params()
@@ -466,9 +468,9 @@ def load_checkpoint(path: str, dtype=np.float32) -> tuple[Pipeline, dict]:
     payload into it. A file that cannot be opened or is not an intact SCM2
     checkpoint of exactly this model raises ConfigError. The magic, the
     header (model config, dtype, tensor shapes), the file size those
-    declare, the checksum and the model's parameter count are checked in
-    that order, all before any pipeline is built; then the tensor list is
-    compared with the model's."""
+    declare, the checksum, and the header's tensor list against the
+    ``tensor_shapes`` of the model it names are checked in that order, all
+    before any pipeline is built."""
     try:
         fh = open(path, "rb")
     except OSError as exc:
@@ -509,18 +511,14 @@ def load_checkpoint(path: str, dtype=np.float32) -> tuple[Pipeline, dict]:
         crc = zlib.crc32(payload, zlib.crc32(CHECKPOINT_MAGIC + size + blob))
         if trailer != struct.pack("<I", crc):
             raise ConfigError(f"{path}: checksum mismatch")
-        if n_values != cfg.n_params:
-            raise ConfigError(f"{path}: the header's tensors hold {n_values} "
-                              f"values, the model it names has {cfg.n_params}")
-        pipeline = Pipeline(cfg, Rng(0), dtype)
-        params = pipeline.params()
-        model_tensors = [(p.name, list(p.value.shape)) for p in params]
+        model_tensors = tensor_shapes(cfg)
         if tensors != model_tensors:
             got, want = next(pair for pair in zip_longest(tensors, model_tensors)
                              if pair[0] != pair[1])
             raise ConfigError(f"{path}: the header lists {len(tensors)} tensors, "
-                              f"the model has {len(params)}; the first that "
-                              f"differs is {got}, where {want} belongs")
-        values, _ = share_buffers(params)
+                              f"the model it names has {len(model_tensors)}; the "
+                              f"first that differs is {got}, where {want} belongs")
+        pipeline = Pipeline(cfg, Rng(0), dtype)
+        values, _ = share_buffers(pipeline.params())
         values[...] = np.frombuffer(payload, dtype=stored)
     return pipeline, header

@@ -12,7 +12,7 @@ import random
 import numpy as np
 import pytest
 
-from sensecomm import cli
+from sensecomm import cli, models
 from sensecomm.errors import ConfigError
 from sensecomm.models import ModelConfig, Pipeline, load_checkpoint, save_checkpoint
 from sensecomm.rng import Rng
@@ -58,7 +58,12 @@ def checkpoint_blob(tmp_path_factory):
     return path.read_bytes()
 
 
-def test_checkpoint_mutants_load_or_raise_config_error(checkpoint_blob, tmp_path):
+def test_checkpoint_mutants_load_or_raise_config_error(checkpoint_blob, tmp_path,
+                                                      monkeypatch):
+    def no_build(*args, **kwargs):  # every mutant is refused before a build
+        raise AssertionError("a pipeline was built for a mutant")
+
+    monkeypatch.setattr(models, "Pipeline", no_build)
     path = tmp_path / "mutant.bin"
     outcomes = {"loaded": 0, "refused": 0}
     for name, mutant in checkpoint_mutants(checkpoint_blob, random.Random(24)):

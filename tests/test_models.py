@@ -33,12 +33,12 @@ from sensecomm.models import (
     ExperimentConfig,
     ModelConfig,
     Pipeline,
-    build_decoder,
-    build_echo_encoder,
-    build_image_encoder,
+    architecture,
+    build,
     load_checkpoint,
     predict_split,
     save_checkpoint,
+    tensor_shapes,
     train,
 )
 from sensecomm.nn.layers import (
@@ -56,6 +56,11 @@ from sensecomm.rng import Rng
 AWGN = ChannelConfig("awgn", 3.0)
 RAYLEIGH = ChannelConfig("rayleigh", 3.0)
 SENSING = SensingConfig(-3.0, 6.0)
+
+
+def network(net, n_c, mode="joint", seed=0):
+    """One network of the ``n_c``-symbol model in ``mode``, from its table."""
+    return build(net, architecture(ModelConfig(n_c, mode))[net], Rng(seed))
 
 
 def layer_sizes(net):
@@ -77,7 +82,7 @@ class CountingRng(Rng):
 
 class TestBuilders:
     def test_image_encoder_activation_shapes(self):
-        net = build_image_encoder(20, Rng(0))
+        net = network("image_encoder", 20)
         x = np.zeros((2, 32, 32, 3), dtype=np.float32)
         shapes = []
         for layer in net.layers:
@@ -95,18 +100,19 @@ class TestBuilders:
 
     def test_image_encoder_param_count(self):
         # (3*3*3*8+8) + (3*3*8*4+4) + (3*3*4*4+4) + (144*128+128) + (128*20+20)
-        params = build_image_encoder(20, Rng(0)).params()
+        params = network("image_encoder", 20).params()
         assert sum(p.value.size for p in params) == 21_804
 
     @pytest.mark.parametrize("mode", ["joint", "sensing_only"])
-    def test_param_count_in_closed_form(self, mode):
+    def test_tensor_shapes_are_the_built_pipelines(self, mode):
         for n_c in (2, 3, 4, 7, 20, 33, 64, 100):
             cfg = ModelConfig(n_c, mode)
             params = Pipeline(cfg, Rng(0)).params()
-            assert cfg.n_params == sum(p.value.size for p in params), n_c
+            assert tensor_shapes(cfg) == [(p.name, list(p.value.shape))
+                                          for p in params], n_c
 
     def test_image_encoder_final_layer_small_output(self):
-        net = build_image_encoder(4, Rng(0))
+        net = network("image_encoder", 4)
         final = net.layers[-2]  # the last is the power normalization
         assert final.w.value.shape == (128, 4)
         assert final.w.value.size + final.b.value.size == 128 * 4 + 4
@@ -119,23 +125,23 @@ class TestBuilders:
         rng = Rng(9) if training else None
         image = Rng(8).uniform(size=(3, 32, 32, 3)).astype(np.float32)
         echo = Rng(10).standard_normal((3, 6)).astype(np.float32)
-        for net, x in ((build_image_encoder(6, Rng(0)), image),
-                       (build_echo_encoder(6, Rng(1)), echo)):
+        for net, x in ((network("image_encoder", 6), image),
+                       (network("echo_encoder", 6, seed=1), echo)):
             out = net.forward(x, rng)
             assert np.allclose((out ** 2).sum(axis=1), 6.0, rtol=1e-5)
 
     def test_echo_encoder_default_widths(self):
-        net = build_echo_encoder(20, Rng(0))
+        net = network("echo_encoder", 20)
         dense = [l for l in net.layers if isinstance(l, Dense)]
         assert [(d.w.value.shape) for d in dense] == [(20, 20), (20, 20), (20, 20)]
 
     def test_decoder_joint_widths(self):
-        net = build_decoder(40, Rng(0))
+        net = network("decoder", 20, "joint")
         dense = [l for l in net.layers if isinstance(l, Dense)]
         assert [d.w.value.shape for d in dense] == [(40, 40), (40, 20), (20, 2)]
 
     def test_decoder_sensing_only_widths(self):
-        net = build_decoder(20, Rng(0))
+        net = network("decoder", 20, "sensing_only")
         dense = [l for l in net.layers if isinstance(l, Dense)]
         assert [d.w.value.shape for d in dense] == [(20, 20), (20, 10), (10, 2)]
 
@@ -809,17 +815,12 @@ class TestCheckpoint:
         with pytest.raises(ConfigError, match="checksum"):
             load_checkpoint(saved)
 
-    def test_flipped_payload_rejected_before_build(self, saved, monkeypatch):
+    def test_flipped_payload_rejected_before_build(self, saved, no_build):
         """A payload bit flip is caught by the checksum before any
         pipeline is built for the file."""
         blob = bytearray(saved.read_bytes())
         blob[-100] ^= 0x01
         saved.write_bytes(blob)
-
-        def no_build(*args, **kwargs):
-            raise AssertionError("a pipeline was built for a corrupt file")
-
-        monkeypatch.setattr(models, "Pipeline", no_build)
         with pytest.raises(ConfigError, match="checksum"):
             load_checkpoint(saved)
 
@@ -844,6 +845,14 @@ class TestCheckpoint:
         save_checkpoint(Pipeline(ModelConfig(4, "joint"), Rng(44)), path)
         return path
 
+    @pytest.fixture
+    def no_build(self, saved, monkeypatch):
+        """Once ``saved`` is written, building a pipeline fails the test."""
+        def no_build(*args, **kwargs):
+            raise AssertionError("a pipeline was built for a refused file")
+
+        monkeypatch.setattr(models, "Pipeline", no_build)
+
     def test_failed_save_keeps_the_old_file(self, saved, fail_writes_midway):
         """A save that fails midway leaves the earlier checkpoint's bytes
         and no temporary file."""
@@ -854,7 +863,7 @@ class TestCheckpoint:
         assert saved.read_bytes() == before
         assert os.listdir(saved.parent) == [saved.name]
 
-    def test_missing_tensor_rejected(self, saved):
+    def test_missing_tensor_rejected(self, saved, no_build):
         # drop the last tensor from both header and payload: everything that
         # is listed reads cleanly, and the last bias would stay at init
         rewrite_checkpoint(saved, lambda h: h["tensors"].pop(),
@@ -862,7 +871,7 @@ class TestCheckpoint:
         with pytest.raises(ConfigError, match="tensors"):
             load_checkpoint(saved)
 
-    def test_renamed_tensor_rejected(self, saved):
+    def test_renamed_tensor_rejected(self, saved, no_build):
         def rename(header):
             header["tensors"][0]["name"] = "image_encoder.conv9.w"
         rewrite_checkpoint(saved, rename)
@@ -890,12 +899,12 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("tensors", ["none", "another-model"])
     def test_header_naming_another_model_fails_before_build(
-            self, saved, tensors, monkeypatch):
-        """A header whose tensors do not hold the values of the model it
-        names is refused before that model is built, even when the file
-        size and the checksum agree with the header: the 84-byte file that
-        names the largest joint model over no tensors, and a 4-symbol
-        model's intact tensors and payload under that name."""
+            self, saved, tensors, no_build):
+        """A header whose tensor list is not that of the model it names is
+        refused before that model is built, even when the file size and the
+        checksum agree with the header: the 84-byte file that names the
+        largest joint model over no tensors, and a 4-symbol model's intact
+        tensors and payload under that name."""
         if tensors == "none":
             saved.write_bytes(checkpoint_bytes(
                 b'{"dtype": "<f4", "model": {"n_c": 3072, "mode": "joint"}, '
@@ -903,15 +912,11 @@ class TestCheckpoint:
             assert saved.stat().st_size == 84
         else:
             rewrite_checkpoint(saved, lambda h: h["model"].update(n_c=SOURCE_DIM))
-
-        def no_build(*args, **kwargs):
-            raise AssertionError("a pipeline was built for a refused file")
-
-        monkeypatch.setattr(models, "Pipeline", no_build)
-        with pytest.raises(ConfigError, match="the model it names has 85374746"):
+        with pytest.raises(ConfigError, match="tensors, the model it names has 22;"):
             load_checkpoint(saved)
 
-    @pytest.mark.parametrize("shape", [[4.0, 4], [0, 4], -4, [True, 4]])
+    @pytest.mark.parametrize("shape", [[4.0, 4], [0, 4], -4, [True, 4],
+                                       [3.0, 3, 3, 8]])
     def test_bad_tensor_shape_rejected(self, saved, shape):
         def reshape(header):
             header["tensors"][0]["shape"] = shape

@@ -25,16 +25,34 @@ def names_in(node: ast.AST) -> Counter:
     return found
 
 
+def definitions(tree: ast.Module):
+    """The module's top-level functions, classes and assigned names, and
+    the methods of its classes, each with the node that defines it."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield item.name, item
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for sub in (sub for t in targets for sub in ast.walk(t)):
+                if isinstance(sub, ast.Name):
+                    yield sub.id, node
+
+
 def test_every_package_definition_is_used_by_the_program():
-    """Each module-level function and class of the package is named in
+    """Each module-level function, class and assigned name of the package,
+    and each method of its classes other than a dunder, is named in
     ``src/`` or ``perfbench/`` outside its own definition: code that only
     tests use belongs with the tests."""
     trees = {path: ast.parse(path.read_text(encoding="utf-8"))
              for directory in PROGRAM for path in sorted(directory.rglob("*.py"))}
     used = sum((names_in(tree) for tree in trees.values()), Counter())
-    unused = [f"{path.relative_to(ROOT)}: {node.name}"
+    unused = [f"{path.relative_to(ROOT)}: {name}"
               for path, tree in trees.items() if path.is_relative_to(PACKAGE)
-              for node in tree.body
-              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-              and used[node.name] <= names_in(node)[node.name]]
+              for name, node in definitions(tree)
+              if not (name.startswith("__") and name.endswith("__"))
+              and used[name] <= names_in(node)[name]]
     assert unused == []
