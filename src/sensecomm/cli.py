@@ -10,8 +10,11 @@ JSON or ``key=value`` lines) sets the same options, keyed by flag name with
 ``_`` for ``-``: its entries are parsed as ``--key=value`` flags ahead of
 the command line's, so flags on the command line win. A flag has one
 spelling; abbreviations are not taken. Bad input exits 2 with one
-``error:`` line before the corpus loads. ``eval`` takes the output size
-and mode from the checkpoint; either flag, when given, must agree with it.
+``error:`` line and leaves no file or directory behind: flags, config
+files, sweep points and checkpoints are checked before the corpus
+loads, and the corpus before ``--out`` is made. ``eval`` takes the output
+size and mode from the checkpoint; either flag, when given, must agree
+with it. Every report is written as JSON and as CSV.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import time
 from dataclasses import asdict, fields, replace
 
 from . import harness
-from .dataset import check_corpus, load_cifar10
+from .dataset import load_cifar10
 from .errors import ConfigError, CorruptDatasetError, DivergenceError
 from .harness import (
     SWEEPS,
@@ -97,17 +100,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="train one model and report metrics")
     p_eval = sub.add_parser("eval", help="evaluate a saved checkpoint")
-    for p, from_checkpoint in ((p_train, ()), (p_eval, ("n_c", "mode"))):
-        _add_common_flags(p, from_checkpoint)
-        # a sweep always writes both report formats
-        p.add_argument("--format", choices=["json", "csv"],
-                       default="json")
+    _add_common_flags(p_train)
+    _add_common_flags(p_eval, from_checkpoint=("n_c", "mode"))
     # the files each command writes in --out, in the order it writes them
     p_train.set_defaults(run=_cmd_train, parser=p_train,
-                         outputs=("checkpoint.bin", "metrics.{format}"))
+                         outputs=("checkpoint.bin", "metrics.json", "metrics.csv"))
     p_eval.add_argument("--checkpoint",
                         help="checkpoint file written by train (required)")
-    p_eval.set_defaults(run=_cmd_eval, parser=p_eval, outputs=("metrics.{format}",))
+    p_eval.set_defaults(run=_cmd_eval, parser=p_eval,
+                        outputs=("metrics.json", "metrics.csv"))
 
     for name, sweep in SWEEPS.items():
         p_sweep = sub.add_parser(f"sweep-{name.replace('_', '-')}",
@@ -186,37 +187,25 @@ def _require(args, name: str):
 
 def _load_data(args):
     """The corpus with the limits applied, and the paths of the command's
-    output files. The corpus files are checked, and ``--out`` made and
-    found writable, before the corpus loads, in that order; a corpus that
-    is missing, or found corrupt as it loads, leaves none of the
-    directories behind that were made for ``--out``. No pixel is read
-    here: each batch reads its own records, and ``eval`` reads no training
-    sample."""
+    output files. The corpus loads, which checks its six files and reads
+    their labels, before ``--out`` is made and found writable, so a
+    corpus that is missing or corrupt leaves no directory behind. No
+    pixel is read here: each batch reads its own records, and ``eval``
+    reads no training sample."""
     _require(args, "data_dir")
     if not os.path.isdir(args.data_dir):
         args.parser.error(f"data directory not found: {args.data_dir}")
-    check_corpus(args.data_dir)
-    outputs = [os.path.join(args.out, name.format(**vars(args)))
-               for name in args.outputs]
+    dataset = load_cifar10(args.data_dir)
+    outputs = [os.path.join(args.out, name) for name in args.outputs]
     for path in outputs:
         if os.path.isdir(path):
             args.parser.error(f"--out: {path} is a directory")
-    made, path = [], os.path.abspath(args.out)
-    while not os.path.exists(path):  # the directories makedirs will make
-        made.append(path)
-        path = os.path.dirname(path)
     try:
         os.makedirs(args.out, exist_ok=True)
     except OSError as exc:
         args.parser.error(f"--out: {exc}")
     if not os.access(args.out, os.W_OK | os.X_OK):
         args.parser.error(f"--out: {args.out} is not writable")
-    try:
-        dataset = load_cifar10(args.data_dir)
-    except CorruptDatasetError:
-        for path in made:  # leaf first
-            os.rmdir(path)
-        raise
     dataset.train = dataset.train.subset(args.limit_train)
     dataset.test = dataset.test.subset(args.limit_test)
     return dataset, outputs
@@ -236,15 +225,14 @@ def _parse_points(raw: str | None, sweep: harness.Sweep) -> list:
 
 def _cmd_train(args) -> int:
     cfg = args.cfg
-    dataset, (ckpt, report) = _load_data(args)
+    dataset, (ckpt, json_report, csv_report) = _load_data(args)
     started = time.monotonic()
     pipeline, result = run_experiment(cfg, dataset, log_fn=print)
     runtime = time.monotonic() - started
     save_checkpoint(pipeline, ckpt, seed=cfg.seed)
-    emit_report(result, report, args.format)
-    metrics = harness.Metrics(**result["metrics"])
-    print(summary_line(metrics, runtime))
-    print(f"wrote {ckpt} and {report}")
+    emit_report(result, json_report, csv_report)
+    print(summary_line(result["metrics"], runtime))
+    print(f"wrote {ckpt}, {json_report} and {csv_report}")
     return 0
 
 
@@ -256,15 +244,15 @@ def _cmd_eval(args) -> int:
         if given is not None and given != saved:
             args.parser.error(f"{flag} {given} differs from the checkpoint's {saved}")
     cfg = replace(args.cfg, n_c=pipeline.cfg.n_c, mode=pipeline.cfg.mode)
-    dataset, (report,) = _load_data(args)
+    dataset, reports = _load_data(args)
     started = time.monotonic()
     metrics = evaluate(pipeline, dataset.test, cfg)
     runtime = time.monotonic() - started
     result = {"config": asdict(cfg), "metrics": asdict(metrics),
               "checkpoint": {"path": args.checkpoint, "seed": header.get("seed")},
               "seeds": {"eval": cfg.eval_seed}}
-    emit_report(result, report, args.format)
-    print(summary_line(metrics, runtime))
+    emit_report(result, *reports)
+    print(summary_line(result["metrics"], runtime))
     return 0
 
 
@@ -276,8 +264,7 @@ def _cmd_sweep(args) -> int:
     started = time.monotonic()
     result = run_sweep(args.sweep, points, args.cfg, dataset, log_fn=print)
     runtime = time.monotonic() - started
-    emit_report(result, json_report, "json")
-    emit_report(result, csv_report, "csv")
+    emit_report(result, json_report, csv_report)
     print(f"{len(points)} points  joint={['%.4f' % a for a in result.joint_accuracy]}  "
           f"sensing={['%.4f' % a for a in result.sensing_accuracy]}  "
           f"runtime={runtime:.1f}s")

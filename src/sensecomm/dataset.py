@@ -17,6 +17,7 @@ classes become "animal" (label 0).
 from __future__ import annotations
 
 import os
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from typing import Iterator
 
@@ -57,12 +58,15 @@ class Records:
         rows = np.arange(self.n)[idx]
         flat = rows.reshape(-1)
         records = np.empty(flat.size, dtype=RECORD)
-        # one read per run of consecutive records in one file
+        # one read per run of consecutive records in one file; one open per file
         starts = np.flatnonzero((np.diff(flat, prepend=-1) != 1)
                                 | (flat % RECORDS_PER_FILE == 0))
-        for lo, hi in zip(starts, np.append(starts[1:], flat.size)):
-            file, first = divmod(int(flat[lo]), RECORDS_PER_FILE)
-            _read_records(self.files[file], first, records[lo:hi])
+        with ExitStack() as stack:
+            opened = {file: stack.enter_context(_open(self.files[file]))
+                      for file in set((flat[starts] // RECORDS_PER_FILE).tolist())}
+            for lo, hi in zip(starts, np.append(starts[1:], flat.size)):
+                file, first = divmod(int(flat[lo]), RECORDS_PER_FILE)
+                _read_records(opened[file], first, records[lo:hi])
         return records["pixels"].transpose(0, 2, 3, 1).reshape(
             rows.shape + (32, 32, 3))
 
@@ -100,17 +104,24 @@ class Dataset:
     test: Split
 
 
-def _read_records(path: str, first: int, out: np.ndarray) -> np.ndarray:
-    """Fill ``out``, a RECORD array, with the records of a batch file from
-    record ``first`` on, in one positional read, and return it. A file
-    that cannot be read, or ends early, raises CorruptDatasetError."""
+def _open(path: str):
+    """``path`` opened for reads; CorruptDatasetError if it cannot be."""
     try:
-        with open(path, "rb", buffering=0) as fh:
-            got = os.preadv(fh.fileno(), [out.view(np.uint8)], first * RECORD_BYTES)
+        return open(path, "rb", buffering=0)
     except OSError as exc:
         raise CorruptDatasetError(f"{path}: {exc.strerror}") from None
+
+
+def _read_records(fh, first: int, out: np.ndarray) -> np.ndarray:
+    """Fill ``out``, a RECORD array, with the records of the open batch
+    file ``fh`` from record ``first`` on, in one positional read, and
+    return it. A read that fails or ends early raises CorruptDatasetError."""
+    try:
+        got = os.preadv(fh.fileno(), [out.view(np.uint8)], first * RECORD_BYTES)
+    except OSError as exc:
+        raise CorruptDatasetError(f"{fh.name}: {exc.strerror}") from None
     if got != out.nbytes:
-        raise CorruptDatasetError(f"{path}: truncated since it was loaded")
+        raise CorruptDatasetError(f"{fh.name}: truncated since it was loaded")
     return out
 
 
@@ -129,11 +140,12 @@ def check_corpus(directory: str):
 
 def _read_labels(path: str) -> np.ndarray:
     """The vehicle/animal labels of a batch file, read a block of records
-    at a time, after checking its label bytes."""
+    at a time from one open of the file, after checking its label bytes."""
     label10 = np.empty(RECORDS_PER_FILE, dtype=np.uint8)
     block = np.empty(BLOCK_RECORDS, dtype=RECORD)
-    for first in range(0, RECORDS_PER_FILE, BLOCK_RECORDS):
-        label10[first:first + BLOCK_RECORDS] = _read_records(path, first, block)["label"]
+    with _open(path) as fh:
+        for first in range(0, RECORDS_PER_FILE, BLOCK_RECORDS):
+            label10[first:first + BLOCK_RECORDS] = _read_records(fh, first, block)["label"]
     if label10.max() > 9:
         raise CorruptDatasetError(f"{path}: label byte > 9")
     return relabel_binary_array(label10)

@@ -4,6 +4,7 @@ A sweep retrains a fresh joint model and a fresh sensing-only benchmark at
 every grid point, evaluates both on the identical test set under the same
 evaluation-seed policy, and emits JSON (the base config, and each point's
 metrics and history) plus CSV (one row per point) for external plotting.
+A single experiment's report is JSON plus a CSV row of its metrics.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from typing import Any, Callable
 import numpy as np
 
 from .dataset import Dataset, SOURCE_DIM, Split
-from .errors import ConfigError
 from .models import (MODES, ExperimentConfig, Pipeline, predict_split, train,
                      write_atomic)
 
@@ -223,28 +223,27 @@ def sweep_csv(sweep: SweepResult) -> str:
     return buf.getvalue()
 
 
-def emit_report(result, path: str, fmt: str = "json"):
-    """Write a result (experiment dict or SweepResult) as JSON or CSV,
-    replacing ``path`` whole (``write_atomic``)."""
-    if fmt == "json":
-        payload = to_json(result)
-    elif fmt == "csv":
-        if isinstance(result, SweepResult):
-            payload = sweep_csv(result)
-        else:
-            metrics = result["metrics"]
-            buf = io.StringIO()
-            writer = csv.writer(buf, lineterminator="\n")
-            keys = sorted(k for k in metrics if k != "confusion")
-            writer.writerow(keys)
-            writer.writerow([repr(metrics[k]) for k in keys])
-            payload = buf.getvalue()
-    else:
-        raise ConfigError(f"unknown report format {fmt!r}")
-    write_atomic(path, payload.encode("utf-8"))
+def experiment_csv(result: dict) -> str:
+    """One row of an experiment's scalar metrics, by name in sorted order."""
+    metrics = result["metrics"]
+    keys = sorted(k for k in metrics if k != "confusion")
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(keys)
+    writer.writerow([repr(metrics[k]) for k in keys])
+    return buf.getvalue()
 
 
-def summary_line(metrics: Metrics, runtime_s: float) -> str:
-    return (f"accuracy={metrics.accuracy:.4f}  "
-            f"compression={metrics.compression_rate_pct:.2f}%  "
+def emit_report(result, json_path: str, csv_path: str):
+    """Write a result (experiment dict or SweepResult) as JSON, then as
+    CSV, each replacing its file whole (``write_atomic``)."""
+    table = (sweep_csv(result) if isinstance(result, SweepResult)
+             else experiment_csv(result))
+    write_atomic(json_path, to_json(result).encode("utf-8"))
+    write_atomic(csv_path, table.encode("utf-8"))
+
+
+def summary_line(metrics: dict, runtime_s: float) -> str:
+    return (f"accuracy={metrics['accuracy']:.4f}  "
+            f"compression={metrics['compression_rate_pct']:.2f}%  "
             f"runtime={runtime_s:.1f}s")

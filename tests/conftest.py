@@ -168,13 +168,13 @@ def pixel_reads(monkeypatch, tmp_path_factory):
         finally:
             loading.pop()
 
-    def spy(path, first, out):
+    def spy(batch_file, first, out):
         if not loading:
             with open(log, "a", encoding="utf-8") as fh:
                 fh.write(json.dumps([os.getpid(), threading.get_ident(),
-                                     os.path.basename(path), first,
+                                     os.path.basename(batch_file.name), first,
                                      len(out)]) + "\n")
-        return real_records(path, first, out)
+        return real_records(batch_file, first, out)
 
     monkeypatch.setattr(dataset, "_read_labels", read_labels)
     monkeypatch.setattr(dataset, "_read_records", spy)
@@ -186,7 +186,8 @@ def pixel_reads(monkeypatch, tmp_path_factory):
 def fail_writes_midway(monkeypatch):
     """Call the fixture to make every later file write of ``models`` and
     ``harness``, where checkpoints and reports are written, put half its
-    bytes on disk, then raise as a full disk would."""
+    bytes on disk, then raise as a full disk would; the first ``intact``
+    files opened after the call are written whole."""
     from sensecomm import harness, models
 
     class HalfWriter:
@@ -204,10 +205,14 @@ def fail_writes_midway(monkeypatch):
             self.fh.flush()
             raise OSError(28, "No space left on device")
 
-    def half_open(*args, **kwargs):
-        return HalfWriter(open(*args, **kwargs))
+    def arm(intact=0):
+        opened = []
 
-    def arm():
+        def half_open(*args, **kwargs):
+            opened.append(args[0])
+            fh = open(*args, **kwargs)
+            return fh if len(opened) <= intact else HalfWriter(fh)
+
         for module in (models, harness):
             monkeypatch.setattr(module, "open", half_open, raising=False)
 

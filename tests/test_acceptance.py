@@ -8,6 +8,7 @@ remaining criteria are self-contained and always run.
 
 import math
 import time
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -136,7 +137,7 @@ def test_c06_compression_rate_report():
     metrics = metrics_from_predictions(np.array([0, 1]), np.array([0, 1]), 20)
     assert f"{metrics.compression_rate_pct:.2f}" == "0.65"
     assert f"compression={metrics.compression_rate_pct:.2f}%" in \
-        summary_line(metrics, 0.0)
+        summary_line(asdict(metrics), 0.0)
     assert metrics.compression_rate_pct == pytest.approx(100 * 20 / 3072)
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import signal
 import subprocess
 import sys
@@ -96,6 +97,24 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             run_cli([])
         assert exc.value.code == 2
+
+
+    @pytest.mark.parametrize("given", ["flag", "config"])
+    @pytest.mark.parametrize("command", ["train", "eval", "sweep-comm-snr",
+                                         "sweep-sensing-snr", "sweep-output-size"])
+    def test_format_flag_rejected(self, command, given, fake_cifar_dir,
+                                  tmp_path, capsys, corpus_loads):
+        """Every command writes both report formats, so none takes
+        ``--format``, by flag or by config key."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("format=json\n")
+        out = tmp_path / "out"
+        argv = [command, "--data-dir", str(fake_cifar_dir), "--out", str(out),
+                *{"flag": ["--format", "json"], "config": ["--config", str(cfg)]}[given]]
+        assert exit_code(argv) == 2
+        assert "--format" in assert_one_error_line(capsys)
+        assert corpus_loads == []
+        assert not out.exists()
 
 
 class TestGradcheckCommand:
@@ -293,7 +312,7 @@ class TestTrainEval:
         out.write_text("kept\n")
         assert exit_code(out_argv(command, fake_cifar_dir, run, out / below)) == 2
         assert_one_error_line(capsys)
-        assert corpus_loads == []
+        assert corpus_loads == [str(fake_cifar_dir)]
         assert out.read_text() == "kept\n"
         assert os.listdir(tmp_path) == ["out"]
 
@@ -305,7 +324,7 @@ class TestTrainEval:
         out = tmp_path / ("x" * 300)
         assert exit_code(out_argv(command, fake_cifar_dir, run, out)) == 2
         assert_one_error_line(capsys)
-        assert corpus_loads == []
+        assert corpus_loads == [str(fake_cifar_dir)]
         assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("command", ["train", "eval", "sweep-output-size"])
@@ -322,15 +341,15 @@ class TestTrainEval:
             os.path.abspath(path) != str(out) and real(path, mode)))
         assert exit_code(out_argv(command, fake_cifar_dir, run, out)) == 2
         assert_one_error_line(capsys)
-        assert corpus_loads == []
+        assert corpus_loads == [str(fake_cifar_dir)]
         assert os.listdir(out) == []
 
     @pytest.mark.parametrize("command", ["train", "eval", "sweep-output-size"])
     def test_missing_corpus_file_leaves_no_out(self, command, train_run,
                                                fake_cifar_dir, tmp_path, capsys,
                                                corpus_loads):
-        """The six files are checked, without reading them, before ``--out``
-        is made, so a corpus without its test file leaves nothing behind."""
+        """The corpus loads, checking its six files, before ``--out`` is
+        made, so a corpus without its test file leaves nothing behind."""
         _, run = train_run
         corpus = tmp_path / "corpus"
         corpus.mkdir()
@@ -340,14 +359,14 @@ class TestTrainEval:
         assert exit_code(out_argv(command, corpus, run, out)) == 2
         assert not out.exists()
         assert_one_error_line(capsys)
-        assert corpus_loads == []
+        assert corpus_loads == [str(corpus)]
 
-    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("command", ["train", "eval", "sweep-output-size"])
     def test_bad_label_byte_leaves_no_out(self, command, train_run,
                                           fake_cifar_dir, tmp_path, capsys):
         """A corpus of the right file sizes is found corrupt only as its
-        labels are read, after ``--out`` is made; the directories made for
-        ``--out`` are removed again."""
+        labels are read, which is before ``--out`` is made, so none of
+        ``--out``'s directories is created."""
         _, run = train_run
         corpus = tmp_path / "corpus"
         corpus.mkdir()
@@ -363,8 +382,8 @@ class TestTrainEval:
         assert os.listdir(tmp_path) == ["corpus"]
 
     @pytest.mark.parametrize("command, name", [
-        ("train", "checkpoint.bin"), ("eval", "metrics.json"),
-        ("sweep-output-size", "sweep_size.csv")])
+        ("train", "checkpoint.bin"), ("train", "metrics.csv"),
+        ("eval", "metrics.json"), ("sweep-output-size", "sweep_size.csv")])
     def test_output_file_that_is_a_directory_fails_before_load(
             self, command, name, train_run, fake_cifar_dir, tmp_path, capsys,
             corpus_loads):
@@ -372,7 +391,7 @@ class TestTrainEval:
         (tmp_path / name).mkdir()
         assert exit_code(out_argv(command, fake_cifar_dir, run, tmp_path)) == 2
         assert_one_error_line(capsys)
-        assert corpus_loads == []
+        assert corpus_loads == [str(fake_cifar_dir)]
         assert os.listdir(tmp_path) == [name]
         assert os.listdir(tmp_path / name) == []
 
@@ -469,7 +488,7 @@ class TestConfigFile:
         assert payload["config"]["n_c"] == 4
 
     @pytest.mark.parametrize("name, text", [
-        ("run.json", '{"format": "xml"}'),
+        ("run.json", '{"channel": "xml"}'),
         ("run.cfg", "epochs=abc\n"),
         ("run.json", '{"epochs": 1.7}'),
         ("run.json", '{"mode": "bogus"}'),
@@ -485,7 +504,7 @@ class TestConfigFile:
         ("run.json", '{"eval_seed": -1}'),
         ("run.json", '{"output_size": 100000000}'),
         ("run.cfg", "output_size=3073\n"),
-    ], ids=["format-xml", "epochs-abc", "epochs-float", "mode-bogus",
+    ], ids=["channel-xml", "epochs-abc", "epochs-float", "mode-bogus",
             "comm-snr-nan", "sensing-snr-inf", "comm-snr-huge-int",
             "epochs-true", "points-list", "prefix-key", "config-key",
             "size-1-sensing-only", "seed-negative", "eval-seed-negative",
@@ -563,12 +582,6 @@ class TestSweepCommand:
         assert_one_error_line(capsys)
         assert corpus_loads == []
         assert not out.exists()
-
-    def test_format_flag_rejected(self):
-        # a sweep always writes both .json and .csv
-        with pytest.raises(SystemExit) as exc:
-            parse_args(["sweep-output-size", "--format", "csv"])
-        assert exc.value.code == 2
 
 
 @pytest.fixture
@@ -740,3 +753,18 @@ class TestConfigDrift:
             flagged = parse_args(base + ["--config", str(path),
                                          flag, str(f.default)])
             assert flagged.cfg == ExperimentConfig()
+
+
+def readme_commands() -> list[str]:
+    """Every ``sensecomm ...`` line of the README's fenced code blocks."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    return [line.strip() for block in text.split("```")[1::2]
+            for line in block.splitlines() if line.strip().startswith("sensecomm ")]
+
+
+@pytest.mark.parametrize("line", readme_commands(),
+                         ids=lambda line: line.split()[1])
+def test_readme_command_parses(line):
+    """A flag that no command takes any more cannot stay in the README's
+    examples; parsing reads no file."""
+    parse_args(shlex.split(line)[1:])

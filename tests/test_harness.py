@@ -64,7 +64,7 @@ class TestMetrics:
         m = Metrics(accuracy=0.97, confusion=[[1, 0], [0, 1]],
                     misdetection_rate=0.0, false_alarm_rate=0.0,
                     compression_rate_pct=100 * 20 / 3072)
-        line = summary_line(m, 12.3)
+        line = summary_line(asdict(m), 12.3)
         assert "accuracy=0.9700" in line
         assert "compression=0.65%" in line
 
@@ -261,45 +261,44 @@ class TestReports:
 
     def test_json_is_deterministic_and_sorted(self, tmp_path):
         sweep = self.stub_sweep()
-        p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-        emit_report(sweep, p1, "json")
-        emit_report(sweep, p2, "json")
-        assert p1.read_bytes() == p2.read_bytes()
-        payload = json.loads(p1.read_text())
+        for name in ("a", "b"):
+            emit_report(sweep, tmp_path / f"{name}.json", tmp_path / f"{name}.csv")
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+        payload = json.loads((tmp_path / "a.json").read_text())
         assert payload["points"] == [0.0, 3.0]
 
     def test_csv_report_file(self, tmp_path):
         path = tmp_path / "sweep.csv"
-        emit_report(self.stub_sweep(), path, "csv")
+        emit_report(self.stub_sweep(), tmp_path / "sweep.json", path)
+        assert path.read_text() == sweep_csv(self.stub_sweep())
         assert path.read_text().count("\n") == 3
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_failed_write_keeps_the_old_report(self, tmp_path, fmt,
                                                fail_writes_midway):
         """A report write that fails midway leaves the earlier report's
-        bytes and no temporary file."""
+        bytes and no temporary file. The JSON is written first, so for
+        ``csv`` the JSON write goes through and the CSV write fails."""
+        paths = tmp_path / "sweep.json", tmp_path / "sweep.csv"
         path = tmp_path / f"sweep.{fmt}"
-        emit_report(self.stub_sweep(), path, fmt)
+        emit_report(self.stub_sweep(), *paths)
         before = path.read_bytes()
-        fail_writes_midway()
+        fail_writes_midway(intact=["json", "csv"].index(fmt))
         with pytest.raises(OSError, match="No space"):
             emit_report(replace(self.stub_sweep(),
-                                config=asdict(tiny_experiment(seed=5))), path, fmt)
+                                config=asdict(tiny_experiment(seed=5))), *paths)
         assert path.read_bytes() == before
-        assert os.listdir(tmp_path) == [path.name]
+        assert sorted(os.listdir(tmp_path)) == ["sweep.csv", "sweep.json"]
 
     def test_unwritable_path_raises(self, tmp_path):
         with pytest.raises(OSError):
-            emit_report(self.stub_sweep(), tmp_path / "no_dir" / "x.json", "json")
-
-    def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(ConfigError):
-            emit_report(self.stub_sweep(), tmp_path / "x.bin", "parquet")
+            emit_report(self.stub_sweep(), tmp_path / "no_dir" / "x.json",
+                        tmp_path / "no_dir" / "x.csv")
 
     def test_experiment_csv_has_metric_columns(self, tmp_path, micro_corpus):
         _, result = run_experiment(tiny_experiment(), micro_corpus)
         path = tmp_path / "metrics.csv"
-        emit_report(result, path, "csv")
+        emit_report(result, tmp_path / "metrics.json", path)
         header = path.read_text().splitlines()[0]
         assert "accuracy" in header and "misdetection_rate" in header
 
