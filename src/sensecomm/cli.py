@@ -24,6 +24,7 @@ import json
 import os
 import sys
 import time
+from contextlib import suppress
 from dataclasses import asdict, fields, replace
 
 from . import harness
@@ -189,9 +190,10 @@ def _load_data(args):
     """The corpus with the limits applied, and the paths of the command's
     output files. The corpus loads, which checks its six files and reads
     their labels, before ``--out`` is made and found writable, so a
-    corpus that is missing or corrupt leaves no directory behind. No
-    pixel is read here: each batch reads its own records, and ``eval``
-    reads no training sample."""
+    corpus that is missing or corrupt leaves no directory behind. Nor does
+    an ``--out`` that cannot be made: the parents made before the failure
+    are removed. No pixel is read here: each batch reads its own records,
+    and ``eval`` reads no training sample."""
     _require(args, "data_dir")
     if not os.path.isdir(args.data_dir):
         args.parser.error(f"data directory not found: {args.data_dir}")
@@ -200,9 +202,16 @@ def _load_data(args):
     for path in outputs:
         if os.path.isdir(path):
             args.parser.error(f"--out: {path} is a directory")
+    missing, head = [], args.out  # --out's absent directories, deepest first
+    while head and not os.path.lexists(head):
+        missing.append(head)
+        head = os.path.dirname(head)
     try:
         os.makedirs(args.out, exist_ok=True)
     except OSError as exc:
+        for path in missing:  # those that makedirs made before it failed
+            with suppress(OSError):
+                os.rmdir(path)
         args.parser.error(f"--out: {exc}")
     if not os.access(args.out, os.W_OK | os.X_OK):
         args.parser.error(f"--out: {args.out} is not writable")

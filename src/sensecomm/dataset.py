@@ -51,9 +51,6 @@ class Records:
     files: tuple[str, ...]
     n: int
 
-    def __len__(self) -> int:
-        return self.n
-
     def __getitem__(self, idx) -> np.ndarray:
         rows = np.arange(self.n)[idx]
         flat = rows.reshape(-1)

@@ -12,9 +12,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
-import threading
-from concurrent.futures import Future
 from contextlib import closing
 from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from typing import Any, Callable
@@ -22,8 +19,8 @@ from typing import Any, Callable
 import numpy as np
 
 from .dataset import Dataset, SOURCE_DIM, Split
-from .models import (MODES, ExperimentConfig, Pipeline, predict_split, train,
-                     write_atomic)
+from .models import (MODES, ExperimentConfig, Pipeline, in_threads, predict_split,
+                     train, write_atomic)
 
 
 @dataclass
@@ -129,60 +126,29 @@ SWEEPS = {
 }
 
 
-def _train_in_threads(tasks: list[ExperimentConfig], dataset: Dataset):
-    """Yield every task's (metrics, history, log lines) in task order.
-
-    The trainings run on one daemon thread per CPU in the process's
-    affinity mask (``taskset`` limits them), which take the tasks in order
-    and share only the read-only corpus. A task's exception is raised in
-    its turn. However the sweep ends, no thread starts another training;
-    one that fails or is interrupted does not wait for the trainings in
-    flight, whose daemon threads end with the process.
-    """
-    futures = [Future() for _ in tasks]
-    jobs, lock, stop = zip(tasks, futures), threading.Lock(), threading.Event()
-
-    def work():
-        while not stop.is_set():
-            with lock:
-                cfg, future = next(jobs, (None, None))
-            if future is None:
-                return
-            lines: list[str] = []
-            try:  # the pipeline dies here, so none outlives its training
-                result = run_experiment(cfg, dataset, lines.append)[1]
-                future.set_result((result["metrics"], result["history"], lines))
-            except BaseException as exc:
-                future.set_exception(exc)
-
-    threads = [threading.Thread(target=work, daemon=True)
-               for _ in range(min(len(os.sched_getaffinity(0)), len(tasks)))]
-    for thread in threads:
-        thread.start()
-    try:
-        for future in futures:
-            yield future.result()
-    finally:
-        stop.set()
-        if all(future.done() for future in futures):
-            for thread in threads:  # each is past its last training
-                thread.join()
-
-
 def run_sweep(name: str, points: list, cfg: ExperimentConfig, dataset: Dataset,
               log_fn=None) -> SweepResult:
     """Train joint and sensing-only models per point of the ``SWEEPS[name]``
     axis; same seed, test set and eval-seed policy everywhere. Every
     training's config is built, and so validated, before the first one.
 
-    The trainings run in parallel on threads (see ``_train_in_threads``).
-    Results and log lines come back in the serial order, so nothing the
-    sweep returns or logs depends on the thread count."""
+    The trainings run in parallel through ``in_threads``, the calling
+    thread taking its share, and each evaluates on its own thread. Each
+    pipeline is dropped as its training ends, so no thread holds one into
+    its next training. Results and log lines come back in the serial
+    order, so nothing the sweep returns or logs depends on the thread
+    count."""
     sweep = SWEEPS[name]
     points = [sweep.point_type(p) for p in points]
     configs = sweep.configs(cfg, points)
     out = SweepResult(sweep.param_name, points, asdict(cfg))
-    with closing(_train_in_threads(configs, dataset)) as trained:
+
+    def _train(task: ExperimentConfig):
+        lines: list[str] = []
+        result = run_experiment(task, dataset, lines.append)[1]
+        return result["metrics"], result["history"], lines
+
+    with closing(in_threads(_train, configs)) as trained:
         for value in points:
             point = {"value": value}
             for mode in MODES:

@@ -20,7 +20,7 @@ import struct
 import threading
 import zlib
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 from itertools import zip_longest
 
@@ -324,48 +324,75 @@ class Pipeline:
         return probs.argmax(axis=1)
 
 
+# Held while a call of ``in_threads`` runs its tasks.
+_FANNING = threading.Lock()
+
+
+def in_threads(fn, tasks: list):
+    """Yield ``fn(task)`` for each task, in task order.
+
+    Task ``i`` runs on thread ``i % workers`` of one per CPU in the
+    process's affinity mask (``taskset`` limits them). The calling thread
+    is thread 0 and runs each of its tasks in that task's turn; the others
+    are daemon threads and share what ``fn`` reads. A task's exception is
+    raised in its turn. However the caller stops, the helper threads start
+    no further task, and they are joined only once every task has
+    finished: a caller that fails or is interrupted does not wait for the
+    tasks in flight, whose threads end with the process. A call made while
+    another call's tasks run, such as a sweep training's evaluation, whose
+    siblings hold the other CPUs, runs its tasks serially on the calling
+    thread."""
+    fanning = _FANNING.acquire(blocking=False)
+    workers = min(len(os.sched_getaffinity(0)), len(tasks)) if fanning else 1
+    futures = {i: Future() for i in range(len(tasks)) if i % workers}
+    stop = threading.Event()
+
+    def work(thread: int):
+        for i in range(thread, len(tasks), workers):
+            if stop.is_set():
+                return
+            try:
+                futures[i].set_result(fn(tasks[i]))
+            except BaseException as exc:
+                stop.set()  # before the caller can see the failure
+                futures[i].set_exception(exc)
+
+    threads = [threading.Thread(target=work, args=(t,), daemon=True)
+               for t in range(1, workers)]
+    try:
+        for thread in threads:
+            thread.start()
+        for i, task in enumerate(tasks):
+            yield futures[i].result() if i % workers else fn(task)
+    finally:
+        stop.set()
+        if all(future.done() for future in futures.values()):
+            for thread in threads:  # each is past its last task
+                thread.join()
+        if fanning:
+            _FANNING.release()
+
+
 def predict_split(pipeline: Pipeline, split: Split, channel_cfg: ChannelConfig,
                   sensing_cfg: SensingConfig, eval_seed: int) -> np.ndarray:
     """Predicted labels for a whole split under a fixed evaluation seed,
     one channel realization per sample, keyed by its index in the split.
 
-    The split runs in ``EVAL_BATCH`` batches, batch ``i`` on thread
-    ``i % workers`` of one per CPU in the process's affinity mask; the
-    calling thread is thread 0. A sample's draws do not depend on its
-    batch, so neither do the labels. A batch that raises stops the other
-    threads at their next batch. Off the main thread, as in a sweep's
-    trainings, whose siblings hold the other CPUs, it runs serially. Within
-    a batch, ``Pipeline.predict`` bounds each thread's memory by running
-    the image encoder ``ENCODE_CHUNK`` rows at a time."""
-    batches = list(batch_indices(split.n, EVAL_BATCH))
+    The split runs in ``EVAL_BATCH`` batches through ``in_threads``: batch
+    ``i`` on thread ``i % workers``, the calling thread being thread 0, or
+    every batch on the calling thread when the call is made inside another
+    call's tasks, as in a sweep's trainings. A sample's draws do not
+    depend on its batch, so neither do the labels. Within a batch,
+    ``Pipeline.predict`` bounds each thread's memory by running the image
+    encoder ``ENCODE_CHUNK`` rows at a time."""
     rng = Rng(eval_seed)
-    labels: list = [None] * len(batches)
-    failed = threading.Event()
-    workers = (1 if threading.current_thread() is not threading.main_thread()
-               else min(len(os.sched_getaffinity(0)), len(batches)))
 
-    def run(thread: int):
-        for i in range(thread, len(batches), workers):
-            if failed.is_set():
-                return
-            idx = batches[i]
-            try:
-                labels[i] = pipeline.predict(split.images(idx), split.label2[idx],
-                                             channel_cfg, sensing_cfg, rng,
-                                             int(idx[0]))
-            except BaseException:
-                failed.set()
-                raise
+    def predict(idx: np.ndarray) -> np.ndarray:
+        return pipeline.predict(split.images(idx), split.label2[idx],
+                                channel_cfg, sensing_cfg, rng, int(idx[0]))
 
-    if workers <= 1:
-        run(0)
-    else:
-        with ThreadPoolExecutor(workers - 1) as pool:
-            helpers = [pool.submit(run, t) for t in range(1, workers)]
-            run(0)
-            for helper in helpers:
-                helper.result()
-    return np.concatenate(labels)
+    batches = list(batch_indices(split.n, EVAL_BATCH))
+    return np.concatenate(list(in_threads(predict, batches)))
 
 
 def accuracy_on(pipeline: Pipeline, split: Split, channel_cfg: ChannelConfig,

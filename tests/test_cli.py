@@ -304,7 +304,7 @@ class TestTrainEval:
 
     @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "below-file"])
     @pytest.mark.parametrize("command", ["train", "eval", "sweep-output-size"])
-    def test_out_naming_a_file_fails_before_load(self, command, below, train_run,
+    def test_out_naming_a_file_creates_nothing(self, command, below, train_run,
                                                  fake_cifar_dir, tmp_path,
                                                  capsys, corpus_loads):
         _, run = train_run
@@ -316,19 +316,24 @@ class TestTrainEval:
         assert out.read_text() == "kept\n"
         assert os.listdir(tmp_path) == ["out"]
 
+    @pytest.mark.parametrize("parent", ["", "missing"],
+                             ids=["leaf", "missing-parent"])
     @pytest.mark.parametrize("command", ["train", "eval", "sweep-output-size"])
-    def test_out_name_too_long_fails_before_load(self, command, train_run,
-                                                 fake_cifar_dir, tmp_path,
-                                                 capsys, corpus_loads):
+    def test_out_name_too_long_creates_nothing(self, command, parent, train_run,
+                                               fake_cifar_dir, tmp_path,
+                                               capsys, corpus_loads):
+        """An ``--out`` whose leaf name is too long, below an existing
+        directory or below a missing one, which makedirs makes before the
+        leaf fails."""
         _, run = train_run
-        out = tmp_path / ("x" * 300)
+        out = tmp_path / parent / ("x" * 300)
         assert exit_code(out_argv(command, fake_cifar_dir, run, out)) == 2
         assert_one_error_line(capsys)
         assert corpus_loads == [str(fake_cifar_dir)]
         assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("command", ["train", "eval", "sweep-output-size"])
-    def test_unwritable_out_fails_before_load(self, command, train_run,
+    def test_unwritable_out_creates_nothing(self, command, train_run,
                                               fake_cifar_dir, tmp_path, capsys,
                                               corpus_loads, monkeypatch):
         """An existing ``--out`` that cannot be written to. Root may write
@@ -384,7 +389,7 @@ class TestTrainEval:
     @pytest.mark.parametrize("command, name", [
         ("train", "checkpoint.bin"), ("train", "metrics.csv"),
         ("eval", "metrics.json"), ("sweep-output-size", "sweep_size.csv")])
-    def test_output_file_that_is_a_directory_fails_before_load(
+    def test_output_file_that_is_a_directory_creates_nothing(
             self, command, name, train_run, fake_cifar_dir, tmp_path, capsys,
             corpus_loads):
         _, run = train_run

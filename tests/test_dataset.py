@@ -72,8 +72,8 @@ class TestLoader:
         records, one read per run of consecutive records in one file."""
         ds = load_cifar10(fake_cifar_dir)
         train = ds.train.subset(12_345)
-        assert train.n == len(train.pixels) == 12_345
-        assert len(ds.test.pixels) == ds.test.n
+        assert train.n == train.pixels.n == 12_345
+        assert ds.test.pixels.n == ds.test.n
         assert pixel_reads() == []
         train.images(np.array([3, 4, 5, 9_999, 10_000, 10_001, 7, 7]))
         ds.test.images(slice(256, 512))

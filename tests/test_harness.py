@@ -174,11 +174,11 @@ class TestRunSweep:
 
     def test_workers_read_only_their_batches(self, fake_cifar_dir,
                                              pixel_reads, monkeypatch):
-        """A sweep over loaded splits reads no pixel on the calling thread
-        and starts no process. Each training thread reads the records of
-        its own batches: every kept training record once per epoch and
-        every kept test record once per evaluation, the same number of
-        times each, and no other."""
+        """A sweep over loaded splits starts no process. Each training
+        thread, the calling one among them, reads the records of its own
+        batches: every kept training record once per epoch and every kept
+        test record once per evaluation, the same number of times each,
+        and no other."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         ds = load_cifar10(fake_cifar_dir)
         run_sweep("output_size", [4], tiny_experiment(),
@@ -189,7 +189,7 @@ class TestRunSweep:
             records = per_thread.setdefault(thread, {}).setdefault(name, [])
             records.extend(range(first, first + count))
         assert pids == {os.getpid()}
-        assert per_thread and threading.get_ident() not in per_thread
+        assert per_thread
         for records in per_thread.values():
             assert records.keys() == {TRAIN_FILES[0], TEST_FILE}
             for name, kept in ((TRAIN_FILES[0], 256), (TEST_FILE, 128)):
@@ -198,40 +198,50 @@ class TestRunSweep:
 
     def test_workers_evaluate_serially(self, synthetic_corpus, monkeypatch):
         """A sweep thread's siblings hold the other CPUs, so it runs its
-        evaluations' batches on one thread, not one thread per CPU."""
+        evaluations' batches on its own thread: no training, the calling
+        thread's included, starts a thread."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        real_train, real_start = harness.run_experiment, threading.Thread.start
+        training = threading.local()
 
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a sweep training started an eval thread pool")
+        def tracked(cfg, dataset, log_fn=None):
+            training.on = True
+            try:
+                return real_train(cfg, dataset, log_fn)
+            finally:
+                training.on = False
 
-        monkeypatch.setattr(models, "ThreadPoolExecutor", no_pool)
-        # three eval batches: the main thread would run them on two threads
+        def start(thread):
+            if getattr(training, "on", False):
+                raise AssertionError("a sweep training started a thread")
+            real_start(thread)
+
+        monkeypatch.setattr(harness, "run_experiment", tracked)
+        monkeypatch.setattr(threading.Thread, "start", start)
+        # three eval batches: outside a sweep they would run on two threads
         corpus = synthetic_corpus(64, 600, seed=61)
         sweep = run_sweep("output_size", [4], tiny_experiment(), corpus)
         assert len(sweep.per_point) == 1
 
     def test_threads_run_each_training_once_in_order(self, monkeypatch):
         """More threads than cores, switching as often as the interpreter
-        allows, take every task from the shared queue exactly once, and the
-        results come back in task order."""
+        allows, run every task exactly once, and the results come back in
+        task order."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
         ran = []
 
-        def stub(cfg, dataset, log_fn=None):
-            ran.append(cfg.seed)
-            log_fn(f"seed {cfg.seed}")
-            return None, {"metrics": {"seed": cfg.seed}, "history": []}
+        def task(seed):
+            ran.append(seed)
+            return {"seed": seed}
 
-        monkeypatch.setattr(harness, "run_experiment", stub)
-        tasks = [tiny_experiment(seed=i) for i in range(300)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            results = list(harness._train_in_threads(tasks, None))
+            results = list(models.in_threads(task, list(range(300))))
         finally:
             sys.setswitchinterval(interval)
         assert sorted(ran) == list(range(300))
-        assert results == [({"seed": i}, [], [f"seed {i}"]) for i in range(300)]
+        assert results == [{"seed": i} for i in range(300)]
 
     def test_sweep_starts_no_process(self, micro_corpus, monkeypatch):
         """The trainings run on threads of the sweep's own process."""

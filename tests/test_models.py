@@ -5,7 +5,6 @@ import struct
 import subprocess
 import sys
 import threading
-import time
 import tracemalloc
 import zlib
 from pathlib import Path
@@ -35,6 +34,7 @@ from sensecomm.models import (
     Pipeline,
     architecture,
     build,
+    in_threads,
     load_checkpoint,
     predict_split,
     save_checkpoint,
@@ -361,22 +361,30 @@ class TestPredictSplit:
         assert not np.array_equal(labels[0], other)
 
     def test_failed_batch_stops_the_other_threads(self, eval_split, monkeypatch):
-        """A batch that raises on the calling thread ends the evaluation:
-        the helper finishes the batch it is on and starts no other."""
+        """A batch that raises on the calling thread ends the evaluation at
+        once, without waiting for the helper's batch in flight; the helper
+        finishes that batch and starts no other."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        starts = []
+        starts, helpers = [], []
+        entered, released = threading.Event(), threading.Event()
 
         def predict(self, x, label2, channel_cfg, sensing_cfg, rng, start):
             starts.append(start)
             if start == 0:
+                assert entered.wait(10)
                 raise RuntimeError("injected")
-            time.sleep(0.2)  # the calling thread raises meanwhile
+            helpers.append(threading.current_thread())
+            entered.set()
+            assert released.wait(10)  # ends after the calling thread raised
             return np.zeros(len(x), dtype=np.int64)
 
         monkeypatch.setattr(Pipeline, "predict", predict)
         with pytest.raises(RuntimeError, match="injected"):
             predict_split(Pipeline(ModelConfig(4, "joint"), Rng(56)),
                           eval_split, AWGN, SENSING, 55)
+        released.set()
+        helpers[0].join(10)
+        assert not helpers[0].is_alive()
         # four batches: 0 and 2 on the calling thread, 1 and 3 on the helper
         assert sorted(starts) == [0, EVAL_BATCH]
 
@@ -444,6 +452,87 @@ class TestPredictSplit:
         other = pipe.predict(images[::-1].copy(), loaded.label2, RAYLEIGH,
                              SENSING, Rng(55))
         assert not np.array_equal(other, want)
+
+
+class TestInThreads:
+    def test_nested_call_runs_on_the_calling_thread(self, monkeypatch):
+        """A call made from inside a task runs its tasks on that task's
+        thread and starts no thread: only the outer call starts threads,
+        one per CPU beyond the calling thread."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        real_start, starters = threading.Thread.start, []
+
+        def start(thread):
+            starters.append(threading.current_thread())
+            real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+
+        def outer(task):
+            inner = in_threads(lambda _: threading.current_thread(), [0, 1, 2, 3])
+            return threading.current_thread(), list(inner)
+
+        results = list(in_threads(outer, [0, 1, 2]))
+        assert starters == [threading.current_thread()] * 2
+        assert len({thread for thread, _ in results}) == 3
+        for thread, inner in results:
+            assert inner == [thread] * 4
+
+    def test_helper_failure_is_raised_in_its_turn(self, monkeypatch):
+        """Task 1 fails on a helper while task 2 runs on the other: the
+        caller gets result 0, then task 1's exception, and no thread starts
+        another task, task 2's helper included once its task ends."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        started, threads = [], {}
+        entered, released = threading.Event(), threading.Event()
+
+        def task(i):
+            started.append(i)
+            threads[i] = threading.current_thread()
+            if i == 1:
+                assert entered.wait(10)
+                raise ValueError("task 1")
+            if i == 2:
+                entered.set()
+                assert released.wait(10)  # ends after the caller has raised
+            return i
+
+        got = []
+        with pytest.raises(ValueError, match="task 1"):
+            for result in in_threads(task, list(range(9))):
+                got.append(result)
+        released.set()
+        for i in (1, 2):
+            threads[i].join(10)
+            assert not threads[i].is_alive()
+        assert got == [0]
+        assert sorted(started) == [0, 1, 2]
+
+    def test_closing_early_stops_the_helpers(self, monkeypatch):
+        """A caller that stops after the first result does not wait for
+        the helper's task in flight; the helper finishes it and starts no
+        other."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        started, helpers = [], []
+        entered, released = threading.Event(), threading.Event()
+
+        def task(i):
+            started.append(i)
+            if i == 0:
+                assert entered.wait(10)
+            else:
+                helpers.append(threading.current_thread())
+                entered.set()
+                assert released.wait(10)  # ends after the caller has closed
+            return i
+
+        results = in_threads(task, list(range(6)))
+        assert next(results) == 0
+        results.close()
+        released.set()
+        helpers[0].join(10)
+        assert not helpers[0].is_alive()
+        assert sorted(started) == [0, 1]
 
 
 def encoder_rows(pipe, monkeypatch):

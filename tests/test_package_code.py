@@ -56,3 +56,20 @@ def test_every_package_definition_is_used_by_the_program():
               if not (name.startswith("__") and name.endswith("__"))
               and used[name] <= names_in(node)[name]]
     assert unused == []
+
+
+def test_only_in_threads_starts_threads():
+    """``models.in_threads`` is the package's one fan-out: no other code
+    of it names a thread, a thread or process pool, or ``fork``."""
+    words = {"Thread", "ThreadPoolExecutor", "ProcessPoolExecutor",
+             "multiprocessing", "fork"}
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        named = names_in(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "in_threads":
+                named -= names_in(node)
+        found += [f"{path.relative_to(ROOT)}: {word}" for word in sorted(words)
+                  if named[word]]
+    assert found == []
