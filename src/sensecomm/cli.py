@@ -190,10 +190,9 @@ def _load_data(args):
     """The corpus with the limits applied, and the paths of the command's
     output files. The corpus loads, which checks its six files and reads
     their labels, before ``--out`` is made and found writable, so a
-    corpus that is missing or corrupt leaves no directory behind. Nor does
-    an ``--out`` that cannot be made: the parents made before the failure
-    are removed. No pixel is read here: each batch reads its own records,
-    and ``eval`` reads no training sample."""
+    corpus that is missing or corrupt leaves no directory behind, nor
+    does an ``--out`` that cannot be made. No pixel is read here: each
+    batch reads its own records, and ``eval`` reads no training sample."""
     _require(args, "data_dir")
     if not os.path.isdir(args.data_dir):
         args.parser.error(f"data directory not found: {args.data_dir}")

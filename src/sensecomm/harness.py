@@ -132,12 +132,10 @@ def run_sweep(name: str, points: list, cfg: ExperimentConfig, dataset: Dataset,
     axis; same seed, test set and eval-seed policy everywhere. Every
     training's config is built, and so validated, before the first one.
 
-    The trainings run in parallel through ``in_threads``, the calling
-    thread taking its share, and each evaluates on its own thread. Each
-    pipeline is dropped as its training ends, so no thread holds one into
-    its next training. Results and log lines come back in the serial
-    order, so nothing the sweep returns or logs depends on the thread
-    count."""
+    The trainings run through ``in_threads``, the calling thread's among
+    them; each evaluates on its own thread and drops its pipeline as it
+    ends. Results and log lines come back in the serial order, so nothing
+    the sweep returns or logs depends on the thread count."""
     sweep = SWEEPS[name]
     points = [sweep.point_type(p) for p in points]
     configs = sweep.configs(cfg, points)

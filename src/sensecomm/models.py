@@ -332,29 +332,31 @@ def in_threads(fn, tasks: list):
     """Yield ``fn(task)`` for each task, in task order.
 
     Task ``i`` runs on thread ``i % workers`` of one per CPU in the
-    process's affinity mask (``taskset`` limits them). The calling thread
-    is thread 0 and runs each of its tasks in that task's turn; the others
-    are daemon threads and share what ``fn`` reads. A task's exception is
-    raised in its turn. However the caller stops, the helper threads start
-    no further task, and they are joined only once every task has
-    finished: a caller that fails or is interrupted does not wait for the
-    tasks in flight, whose threads end with the process. A call made while
-    another call's tasks run, such as a sweep training's evaluation, whose
-    siblings hold the other CPUs, runs its tasks serially on the calling
-    thread."""
+    process's affinity mask (``taskset`` limits them): the calling thread
+    is thread 0, the others are daemon threads. A task's exception is
+    raised in its turn at the latest. No thread starts a task after a
+    failed one, and the calling thread starts none of its own once any
+    has failed: it raises the first failure instead. However the caller
+    stops, the helpers start no further task, and those in flight are not
+    waited for. A call made while another call's tasks run, such as a
+    sweep training's evaluation, whose siblings hold the other CPUs, runs
+    its tasks serially on the calling thread."""
     fanning = _FANNING.acquire(blocking=False)
     workers = min(len(os.sched_getaffinity(0)), len(tasks)) if fanning else 1
     futures = {i: Future() for i in range(len(tasks)) if i % workers}
-    stop = threading.Event()
+    # No task after first[0] starts: the lowest failed index, -1 once the
+    # caller has stopped. All before it run, so no result is awaited in vain.
+    first, guard = [len(tasks)], threading.Lock()
 
     def work(thread: int):
         for i in range(thread, len(tasks), workers):
-            if stop.is_set():
+            if i > first[0]:
                 return
             try:
                 futures[i].set_result(fn(tasks[i]))
             except BaseException as exc:
-                stop.set()  # before the caller can see the failure
+                with guard:  # before the caller can see the failure
+                    first[0] = min(first[0], i)
                 futures[i].set_exception(exc)
 
     threads = [threading.Thread(target=work, args=(t,), daemon=True)
@@ -363,9 +365,12 @@ def in_threads(fn, tasks: list):
         for thread in threads:
             thread.start()
         for i, task in enumerate(tasks):
+            if not i % workers and first[0] < len(tasks):
+                i = first[0]  # a helper's failed task: its result raises
             yield futures[i].result() if i % workers else fn(task)
     finally:
-        stop.set()
+        with guard:
+            first[0] = -1
         if all(future.done() for future in futures.values()):
             for thread in threads:  # each is past its last task
                 thread.join()
@@ -378,13 +383,11 @@ def predict_split(pipeline: Pipeline, split: Split, channel_cfg: ChannelConfig,
     """Predicted labels for a whole split under a fixed evaluation seed,
     one channel realization per sample, keyed by its index in the split.
 
-    The split runs in ``EVAL_BATCH`` batches through ``in_threads``: batch
-    ``i`` on thread ``i % workers``, the calling thread being thread 0, or
-    every batch on the calling thread when the call is made inside another
-    call's tasks, as in a sweep's trainings. A sample's draws do not
-    depend on its batch, so neither do the labels. Within a batch,
-    ``Pipeline.predict`` bounds each thread's memory by running the image
-    encoder ``ENCODE_CHUNK`` rows at a time."""
+    The split runs in ``EVAL_BATCH`` batches through ``in_threads``, so
+    serially inside another call's tasks, as in a sweep's trainings. A
+    sample's draws do not depend on its batch, so neither do the labels.
+    Within a batch, ``Pipeline.predict`` bounds each thread's memory by
+    running the image encoder ``ENCODE_CHUNK`` rows at a time."""
     rng = Rng(eval_seed)
 
     def predict(idx: np.ndarray) -> np.ndarray:

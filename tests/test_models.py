@@ -479,20 +479,24 @@ class TestInThreads:
             assert inner == [thread] * 4
 
     def test_helper_failure_is_raised_in_its_turn(self, monkeypatch):
-        """Task 1 fails on a helper while task 2 runs on the other: the
-        caller gets result 0, then task 1's exception, and no thread starts
-        another task, task 2's helper included once its task ends."""
+        """Task 1 fails on a helper, once the caller has started task 0,
+        while task 2 runs on the other: the caller gets result 0, then task
+        1's exception, and no thread starts another task, task 2's helper
+        included once its task ends."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
         started, threads = [], {}
-        entered, released = threading.Event(), threading.Event()
+        zero, entered, released = (threading.Event() for _ in range(3))
 
         def task(i):
             started.append(i)
             threads[i] = threading.current_thread()
+            if i == 0:
+                zero.set()
             if i == 1:
                 assert entered.wait(10)
                 raise ValueError("task 1")
             if i == 2:
+                assert zero.wait(10)
                 entered.set()
                 assert released.wait(10)  # ends after the caller has raised
             return i
@@ -507,6 +511,77 @@ class TestInThreads:
             assert not threads[i].is_alive()
         assert got == [0]
         assert sorted(started) == [0, 1, 2]
+
+    def test_later_helper_failure_does_not_hang(self, monkeypatch):
+        """Three threads: the calling thread has tasks 0, 3 and 6, the
+        helpers 1, 4, 7 and 2, 5, 8. Task 1's helper is held once it has
+        handed over its result, until task 5 has failed while the caller
+        runs task 3. Task 4 comes before the failure, so it still runs:
+        the call yields 0 to 4, then raises task 5's error, and no thread
+        starts a task after task 5."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        started, threads = [], {}
+        three, five, released = (threading.Event() for _ in range(3))
+
+        class HeldFuture(models.Future):
+            def set_result(self, result):
+                super().set_result(result)
+                if result == 1:
+                    assert released.wait(10)
+
+        monkeypatch.setattr(models, "Future", HeldFuture)
+
+        def task(i):
+            started.append(i)
+            threads[i] = threading.current_thread()
+            if i == 5:
+                five.set()
+                assert three.wait(10)
+                raise ValueError("task 5")
+            if i == 3:
+                three.set()
+                assert five.wait(10)
+                threads[5].join(10)  # past task 5's failure
+                released.set()
+            return i
+
+        got, raised = drain(task, 9)
+        assert [str(exc) for exc in raised] == ["task 5"]
+        assert got == [0, 1, 2, 3, 4]
+        threads[1].join(10)
+        assert not threads[1].is_alive()
+        assert sorted(started) == [0, 1, 2, 3, 4, 5]
+
+    def test_failure_stops_the_callers_own_tasks(self, monkeypatch):
+        """Task 5 fails once the caller has started task 0, and task 1 is
+        held until task 5's thread has ended: the call yields 0, 1 and 2,
+        then raises task 5's error in place of running task 3."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        started, threads = [], {}
+        zero, failing = threading.Event(), threading.Event()
+
+        def task(i):
+            started.append(i)
+            threads[i] = threading.current_thread()
+            if i == 0:
+                zero.set()
+            if i == 2:
+                assert zero.wait(10)
+            if i == 1:
+                assert failing.wait(10)
+                threads[5].join(10)  # past task 5's failure
+            if i == 5:
+                failing.set()
+                raise ValueError("task 5")
+            return i
+
+        got, raised = drain(task, 9)
+        assert [str(exc) for exc in raised] == ["task 5"]
+        assert got == [0, 1, 2]
+        threads[1].join(10)
+        assert not threads[1].is_alive()
+        # task 4 comes before the failure, so its helper may start it
+        assert {0, 1, 2, 5} <= set(started) <= {0, 1, 2, 4, 5}
 
     def test_closing_early_stops_the_helpers(self, monkeypatch):
         """A caller that stops after the first result does not wait for
@@ -533,6 +608,26 @@ class TestInThreads:
         helpers[0].join(10)
         assert not helpers[0].is_alive()
         assert sorted(started) == [0, 1]
+
+
+def drain(task, n):
+    """Run ``in_threads(task, range(n))`` to its end on a thread of its
+    own, so that a call that hangs fails the test after 10 s rather than
+    blocking it. Returns the results yielded and the exception raised."""
+    got, raised = [], []
+
+    def consume():
+        try:
+            for result in in_threads(task, list(range(n))):
+                got.append(result)
+        except Exception as exc:
+            raised.append(exc)
+
+    caller = threading.Thread(target=consume, daemon=True)
+    caller.start()
+    caller.join(10)
+    assert not caller.is_alive(), "in_threads hangs"
+    return got, raised
 
 
 def encoder_rows(pipe, monkeypatch):
