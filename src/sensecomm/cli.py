@@ -154,6 +154,8 @@ def _config_tokens(path: str) -> list[str]:
         if isinstance(value, bool) or not isinstance(value, (str, int, float)):
             raise ConfigError(f"config key {key!r}: {value!r} is not a string "
                               "or number")
+        if "\0" in str(value):  # no path or command-line argument holds one
+            raise ConfigError(f"config key {key!r}: {value!r} holds a NUL byte")
         tokens.append(f"--{key.replace('_', '-')}={value}")
     return tokens
 

@@ -132,10 +132,10 @@ def run_sweep(name: str, points: list, cfg: ExperimentConfig, dataset: Dataset,
     axis; same seed, test set and eval-seed policy everywhere. Every
     training's config is built, and so validated, before the first one.
 
-    The trainings run through ``in_threads``, the calling thread's among
-    them; each evaluates on its own thread and drops its pipeline as it
-    ends. Results and log lines come back in the serial order, so nothing
-    the sweep returns or logs depends on the thread count."""
+    Through ``in_threads``, each thread, the calling one among them,
+    takes the next training in order; a training evaluates on its own
+    thread and drops its pipeline as it ends. Results and log lines come
+    back in the serial order, whatever the thread count."""
     sweep = SWEEPS[name]
     points = [sweep.point_type(p) for p in points]
     configs = sweep.configs(cfg, points)

@@ -19,7 +19,7 @@ import os
 import struct
 import threading
 import zlib
-from collections import Counter
+from collections import Counter, deque
 from concurrent.futures import Future
 from dataclasses import dataclass, field
 from itertools import zip_longest
@@ -331,47 +331,46 @@ _FANNING = threading.Lock()
 def in_threads(fn, tasks: list):
     """Yield ``fn(task)`` for each task, in task order.
 
-    Task ``i`` runs on thread ``i % workers`` of one per CPU in the
-    process's affinity mask (``taskset`` limits them): the calling thread
-    is thread 0, the others are daemon threads. A task's exception is
-    raised in its turn at the latest. No thread starts a task after a
-    failed one, and the calling thread starts none of its own once any
-    has failed: it raises the first failure instead. However the caller
-    stops, the helpers start no further task, and those in flight are not
-    waited for. A call made while another call's tasks run, such as a
-    sweep training's evaluation, whose siblings hold the other CPUs, runs
-    its tasks serially on the calling thread."""
+    The calling thread and a daemon thread per further CPU in the affinity
+    mask each take the next task no thread has taken; the caller takes one
+    whenever the result it must yield next is not done. A helper's error
+    is raised in its task's turn, the caller's own at once. After a
+    failure, or once the caller stops, no thread takes another task, and
+    none in flight is waited for. A call made inside another call's
+    tasks, such as a sweep training's evaluation, runs them serially."""
     fanning = _FANNING.acquire(blocking=False)
     workers = min(len(os.sched_getaffinity(0)), len(tasks)) if fanning else 1
-    futures = {i: Future() for i in range(len(tasks)) if i % workers}
-    # No task after first[0] starts: the lowest failed index, -1 once the
-    # caller has stopped. All before it run, so no result is awaited in vain.
-    first, guard = [len(tasks)], threading.Lock()
+    futures = [Future() for _ in tasks]
+    # Tasks are taken in order, so once a failure empties the queue every
+    # task before it has been taken and ends: no result is awaited in vain.
+    todo, guard = deque(range(len(tasks))), threading.Lock()
 
-    def work(thread: int):
-        for i in range(thread, len(tasks), workers):
-            if i > first[0]:
-                return
+    def take():
+        with guard:
+            return todo.popleft() if todo else None
+
+    def work():
+        while (i := take()) is not None:
             try:
                 futures[i].set_result(fn(tasks[i]))
             except BaseException as exc:
                 with guard:  # before the caller can see the failure
-                    first[0] = min(first[0], i)
+                    todo.clear()
                 futures[i].set_exception(exc)
 
-    threads = [threading.Thread(target=work, args=(t,), daemon=True)
-               for t in range(1, workers)]
+    threads = [threading.Thread(target=work, daemon=True)
+               for _ in range(1, workers)]
     try:
         for thread in threads:
             thread.start()
-        for i, task in enumerate(tasks):
-            if not i % workers and first[0] < len(tasks):
-                i = first[0]  # a helper's failed task: its result raises
-            yield futures[i].result() if i % workers else fn(task)
+        for future in futures:
+            while not future.done() and (i := take()) is not None:
+                futures[i].set_result(fn(tasks[i]))
+            yield future.result()
     finally:
         with guard:
-            first[0] = -1
-        if all(future.done() for future in futures.values()):
+            todo.clear()
+        if all(future.done() for future in futures):
             for thread in threads:  # each is past its last task
                 thread.join()
         if fanning:
@@ -383,11 +382,10 @@ def predict_split(pipeline: Pipeline, split: Split, channel_cfg: ChannelConfig,
     """Predicted labels for a whole split under a fixed evaluation seed,
     one channel realization per sample, keyed by its index in the split.
 
-    The split runs in ``EVAL_BATCH`` batches through ``in_threads``, so
-    serially inside another call's tasks, as in a sweep's trainings. A
-    sample's draws do not depend on its batch, so neither do the labels.
-    Within a batch, ``Pipeline.predict`` bounds each thread's memory by
-    running the image encoder ``ENCODE_CHUNK`` rows at a time."""
+    The split runs in ``EVAL_BATCH`` batches through ``in_threads``. A
+    sample's draws depend on neither its batch nor the thread that takes
+    it, so neither do the labels. ``Pipeline.predict`` bounds each
+    thread's memory by encoding ``ENCODE_CHUNK`` rows at a time."""
     rng = Rng(eval_seed)
 
     def predict(idx: np.ndarray) -> np.ndarray:

@@ -149,6 +149,28 @@ def link_corpus(src, dst):
         os.symlink(src / fname, dst / fname)
 
 
+def bounded(call):
+    """Return ``call()``, made on a thread of its own named "caller", so
+    that a call that hangs fails the test after 10 s instead of blocking
+    the suite. What the call raises is raised again here."""
+    done = []
+
+    def run():
+        try:
+            done.append((call(), None))
+        except BaseException as exc:
+            done.append((None, exc))
+
+    caller = threading.Thread(target=run, name="caller", daemon=True)
+    caller.start()
+    caller.join(10)
+    assert not caller.is_alive(), "the call hangs"
+    result, exc = done[0]
+    if exc is not None:
+        raise exc
+    return result
+
+
 @pytest.fixture
 def pixel_reads(monkeypatch, tmp_path_factory):
     """Records every read of records for their pixels, in this process or

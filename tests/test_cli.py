@@ -527,6 +527,29 @@ class TestConfigFile:
         assert corpus_loads == []
         assert not out.exists()
 
+    @pytest.mark.parametrize("form", ["json", "key-value"])
+    @pytest.mark.parametrize("command, key", [
+        ("train", "out"), ("eval", "checkpoint")])
+    def test_nul_byte_value_fails_before_load(self, command, key, form,
+                                              fake_cifar_dir, tmp_path,
+                                              monkeypatch, capsys,
+                                              corpus_loads):
+        """No path can hold a NUL byte, and no command-line argument can,
+        so a config value holding one is refused by its key before the
+        corpus loads, and nothing is made."""
+        cfg = tmp_path / "run.cfg"
+        value = "bad\0path"
+        cfg.write_text(json.dumps({key: value}) if form == "json"
+                       else f"{key}={value}\n")
+        monkeypatch.chdir(tmp_path)
+        argv = [command, "--data-dir", str(fake_cifar_dir), "--config",
+                str(cfg)] + (["--out", "out"] if key != "out" else [])
+        code = exit_code(argv)
+        assert code == 2
+        assert repr(key) in assert_one_error_line(capsys)
+        assert corpus_loads == []
+        assert os.listdir(tmp_path) == ["run.cfg"]
+
     def test_unknown_config_key(self, fake_cifar_dir, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("wibble=1\n")

@@ -10,6 +10,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
+from conftest import bounded
 from sensecomm import harness, models
 from sensecomm.dataset import (
     TEST_FILE,
@@ -237,7 +238,8 @@ class TestRunSweep:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            results = list(models.in_threads(task, list(range(300))))
+            results = bounded(
+                lambda: list(models.in_threads(task, list(range(300)))))
         finally:
             sys.setswitchinterval(interval)
         assert sorted(ran) == list(range(300))

@@ -7,11 +7,14 @@ import sys
 import threading
 import tracemalloc
 import zlib
+from contextlib import closing
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import bounded
 from sensecomm.channel import (
     ChannelConfig,
     PowerNormalize,
@@ -325,19 +328,16 @@ class TestPredictSplit:
                                            eval_split, monkeypatch):
         """The eval batches on one, two and three threads give the same
         labels: each sample's draws are keyed by its index, whichever
-        thread runs it. Batch ``i`` runs on thread ``i % cpus``, the calling
-        thread being thread 0, and the threads switch as often as the
-        interpreter allows."""
+        thread takes its batch. Each batch runs once, on no more threads
+        than CPUs, and the threads switch as often as the interpreter
+        allows."""
         # an init whose labels mix both classes in every mode and kind
         pipe = Pipeline(ModelConfig(4, mode), Rng(56), dtype)
         channel = ChannelConfig(kind, 3.0)
-        on_main, real = [], Pipeline.predict
-        n_batches = len(list(batch_indices(eval_split.n, EVAL_BATCH)))
+        ran, real = [], Pipeline.predict
 
         def predict(self, *args):
-            start = args[-1]  # the batch's first sample
-            main = threading.current_thread() is threading.main_thread()
-            on_main.append((start, main))
+            ran.append((args[-1], threading.current_thread().name))
             return real(self, *args)
 
         monkeypatch.setattr(Pipeline, "predict", predict)
@@ -347,11 +347,14 @@ class TestPredictSplit:
             for cpus in (1, 2, 3):
                 monkeypatch.setattr(os, "sched_getaffinity",
                                     lambda pid, cpus=cpus: set(range(cpus)))
-                on_main.clear()
-                labels.append(predict_split(pipe, eval_split, channel,
-                                            SENSING, 55))
-                assert [main for _, main in sorted(on_main)] == [
-                    i % cpus == 0 for i in range(n_batches)]
+                ran.clear()
+                labels.append(bounded(lambda: predict_split(
+                    pipe, eval_split, channel, SENSING, 55)))
+                assert sorted(start for start, _ in ran) == list(
+                    range(0, eval_split.n, EVAL_BATCH))
+                threads = {name for _, name in ran}
+                assert len(threads) <= cpus
+                assert cpus > 1 or threads == {"caller"}
         finally:
             sys.setswitchinterval(interval)
         assert np.array_equal(labels[0], labels[1])
@@ -362,15 +365,15 @@ class TestPredictSplit:
 
     def test_failed_batch_stops_the_other_threads(self, eval_split, monkeypatch):
         """A batch that raises on the calling thread ends the evaluation at
-        once, without waiting for the helper's batch in flight; the helper
-        finishes that batch and starts no other."""
+        once, while the helper's batch is still in flight; the helper
+        finishes that batch and takes no other."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         starts, helpers = [], []
         entered, released = threading.Event(), threading.Event()
 
         def predict(self, x, label2, channel_cfg, sensing_cfg, rng, start):
             starts.append(start)
-            if start == 0:
+            if threading.current_thread().name == "caller":
                 assert entered.wait(10)
                 raise RuntimeError("injected")
             helpers.append(threading.current_thread())
@@ -379,13 +382,13 @@ class TestPredictSplit:
             return np.zeros(len(x), dtype=np.int64)
 
         monkeypatch.setattr(Pipeline, "predict", predict)
+        pipe = Pipeline(ModelConfig(4, "joint"), Rng(56))
         with pytest.raises(RuntimeError, match="injected"):
-            predict_split(Pipeline(ModelConfig(4, "joint"), Rng(56)),
-                          eval_split, AWGN, SENSING, 55)
+            bounded(lambda: predict_split(pipe, eval_split, AWGN, SENSING, 55))
         released.set()
         helpers[0].join(10)
         assert not helpers[0].is_alive()
-        # four batches: 0 and 2 on the calling thread, 1 and 3 on the helper
+        # four batches: the first two, one taken by each thread
         assert sorted(starts) == [0, EVAL_BATCH]
 
     def test_labels_equal_at_any_eval_batch(self, eval_split, monkeypatch):
@@ -399,8 +402,8 @@ class TestPredictSplit:
             for cpus in (1, 2, 3):
                 monkeypatch.setattr(os, "sched_getaffinity",
                                     lambda pid, cpus=cpus: set(range(cpus)))
-                labels.append(predict_split(pipe, eval_split, RAYLEIGH,
-                                            SENSING, 55))
+                labels.append(bounded(lambda: predict_split(
+                    pipe, eval_split, RAYLEIGH, SENSING, 55)))
         for other in labels[1:]:
             assert np.array_equal(labels[0], other)
 
@@ -410,8 +413,8 @@ class TestPredictSplit:
         once, one read per batch, and nothing ahead of the batches."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         test = load_cifar10(fake_cifar_dir).test
-        predict_split(Pipeline(ModelConfig(4, "joint"), Rng(57)), test, AWGN,
-                      SENSING, 58)
+        pipe = Pipeline(ModelConfig(4, "joint"), Rng(57))
+        bounded(lambda: predict_split(pipe, test, AWGN, SENSING, 58))
         assert sorted(read[2:] for read in pixel_reads()) == [
             (TEST_FILE, first, min(EVAL_BATCH, test.n - first))
             for first in range(0, test.n, EVAL_BATCH)]
@@ -446,7 +449,8 @@ class TestPredictSplit:
         for cpus in (1, 2, 3):
             monkeypatch.setattr(os, "sched_getaffinity",
                                 lambda pid, cpus=cpus: set(range(cpus)))
-            got = predict_split(pipe, loaded, RAYLEIGH, SENSING, 55)
+            got = bounded(lambda: predict_split(pipe, loaded, RAYLEIGH,
+                                                SENSING, 55))
             assert np.array_equal(got, want), cpus
         # the labels depend on the pixels, so a wrong record would show
         other = pipe.predict(images[::-1].copy(), loaded.label2, RAYLEIGH,
@@ -463,7 +467,8 @@ class TestInThreads:
         real_start, starters = threading.Thread.start, []
 
         def start(thread):
-            starters.append(threading.current_thread())
+            if thread.name != "caller":  # not the test's own thread
+                starters.append(threading.current_thread().name)
             real_start(thread)
 
         monkeypatch.setattr(threading.Thread, "start", start)
@@ -472,161 +477,175 @@ class TestInThreads:
             inner = in_threads(lambda _: threading.current_thread(), [0, 1, 2, 3])
             return threading.current_thread(), list(inner)
 
-        results = list(in_threads(outer, [0, 1, 2]))
-        assert starters == [threading.current_thread()] * 2
-        assert len({thread for thread, _ in results}) == 3
+        results = bounded(lambda: list(in_threads(outer, [0, 1, 2])))
+        assert starters == ["caller"] * 2
+        assert len(results) == 3
         for thread, inner in results:
             assert inner == [thread] * 4
 
-    def test_helper_failure_is_raised_in_its_turn(self, monkeypatch):
-        """Task 1 fails on a helper, once the caller has started task 0,
-        while task 2 runs on the other: the caller gets result 0, then task
-        1's exception, and no thread starts another task, task 2's helper
-        included once its task ends."""
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-        started, threads = [], {}
-        zero, entered, released = (threading.Event() for _ in range(3))
+    def test_caller_takes_the_next_task_while_a_helper_works(self,
+                                                             monkeypatch):
+        """Task 1 ends only once task 2 has started. Whichever thread runs
+        task 1, the other takes task 2 meanwhile, the calling thread
+        included: it does not wait for a helper's result while a task is
+        left to take."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        two = threading.Event()
 
         def task(i):
-            started.append(i)
-            threads[i] = threading.current_thread()
-            if i == 0:
-                zero.set()
-            if i == 1:
-                assert entered.wait(10)
-                raise ValueError("task 1")
             if i == 2:
-                assert zero.wait(10)
-                entered.set()
-                assert released.wait(10)  # ends after the caller has raised
+                two.set()
+            if i == 1:
+                assert two.wait(10)
             return i
 
-        got = []
-        with pytest.raises(ValueError, match="task 1"):
-            for result in in_threads(task, list(range(9))):
-                got.append(result)
-        released.set()
-        for i in (1, 2):
-            threads[i].join(10)
-            assert not threads[i].is_alive()
-        assert got == [0]
-        assert sorted(started) == [0, 1, 2]
+        assert drain(task, 4) == ([0, 1, 2, 3], [])
 
-    def test_later_helper_failure_does_not_hang(self, monkeypatch):
-        """Three threads: the calling thread has tasks 0, 3 and 6, the
-        helpers 1, 4, 7 and 2, 5, 8. Task 1's helper is held once it has
-        handed over its result, until task 5 has failed while the caller
-        runs task 3. Task 4 comes before the failure, so it still runs:
-        the call yields 0 to 4, then raises task 5's error, and no thread
-        starts a task after task 5."""
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-        started, threads = [], {}
-        three, five, released = (threading.Event() for _ in range(3))
-
-        class HeldFuture(models.Future):
-            def set_result(self, result):
-                super().set_result(result)
-                if result == 1:
-                    assert released.wait(10)
-
-        monkeypatch.setattr(models, "Future", HeldFuture)
+    def test_callers_interrupt_is_raised_at_once(self, monkeypatch):
+        """A KeyboardInterrupt from a task that the calling thread took
+        ahead of its turn is raised at once, while the helper's earlier
+        task is still in flight; the helper then finishes it."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        held, holding, released = [], threading.Event(), threading.Event()
 
         def task(i):
-            started.append(i)
-            threads[i] = threading.current_thread()
-            if i == 5:
-                five.set()
-                assert three.wait(10)
-                raise ValueError("task 5")
-            if i == 3:
-                three.set()
-                assert five.wait(10)
-                threads[5].join(10)  # past task 5's failure
-                released.set()
+            if threading.current_thread().name == "caller":
+                if i > 0:
+                    raise KeyboardInterrupt
+                assert holding.wait(10)
+                return i
+            held.append((i, threading.current_thread()))
+            holding.set()
+            assert released.wait(10)  # ends after the call has raised
+            return i
+
+        got, raised = drain(task, 6)
+        (i, helper), = held
+        assert helper.is_alive()  # still in task i
+        assert [type(exc) for exc in raised] == [KeyboardInterrupt]
+        assert got == list(range(i))
+        released.set()
+        helper.join(10)
+        assert not helper.is_alive()
+
+    def test_helper_failure_is_raised_in_its_turn(self, monkeypatch):
+        """A helper's task fails while the calling thread runs another:
+        the call yields every result before the failed task, in order,
+        and then raises its error."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        failed, failing = [], threading.Event()
+
+        def task(i):
+            if threading.current_thread().name != "caller":
+                failed.append((i, threading.current_thread()))
+                failing.set()
+                raise ValueError(f"task {i}")
+            assert failing.wait(10)
+            failed[0][1].join(10)  # past the failure
             return i
 
         got, raised = drain(task, 9)
-        assert [str(exc) for exc in raised] == ["task 5"]
-        assert got == [0, 1, 2, 3, 4]
-        threads[1].join(10)
-        assert not threads[1].is_alive()
-        assert sorted(started) == [0, 1, 2, 3, 4, 5]
+        (i, helper), = failed
+        assert [str(exc) for exc in raised] == [f"task {i}"]
+        assert got == list(range(i))
+        assert not helper.is_alive()
 
     def test_failure_stops_the_callers_own_tasks(self, monkeypatch):
-        """Task 5 fails once the caller has started task 0, and task 1 is
-        held until task 5's thread has ended: the call yields 0, 1 and 2,
-        then raises task 5's error in place of running task 3."""
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-        started, threads = [], {}
-        zero, failing = threading.Event(), threading.Event()
+        """The calling thread's second task is in flight when the helper's
+        task fails: the caller ends it, takes no other task, and raises the
+        failure in its turn."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        mine, failed = [], []
+        second, failing = threading.Event(), threading.Event()
 
         def task(i):
-            started.append(i)
-            threads[i] = threading.current_thread()
-            if i == 0:
-                zero.set()
-            if i == 2:
-                assert zero.wait(10)
-            if i == 1:
-                assert failing.wait(10)
-                threads[5].join(10)  # past task 5's failure
-            if i == 5:
+            if threading.current_thread().name != "caller":
+                failed.append((i, threading.current_thread()))
+                assert second.wait(10)
                 failing.set()
-                raise ValueError("task 5")
+                raise ValueError(f"task {i}")
+            mine.append(i)
+            if len(mine) == 2:
+                second.set()
+                assert failing.wait(10)
+                failed[0][1].join(10)  # past the failure
             return i
 
         got, raised = drain(task, 9)
-        assert [str(exc) for exc in raised] == ["task 5"]
-        assert got == [0, 1, 2]
-        threads[1].join(10)
-        assert not threads[1].is_alive()
-        # task 4 comes before the failure, so its helper may start it
-        assert {0, 1, 2, 5} <= set(started) <= {0, 1, 2, 4, 5}
+        (i, helper), = failed
+        assert [str(exc) for exc in raised] == [f"task {i}"]
+        assert got == list(range(i))
+        assert sorted(mine + [i]) == [0, 1, 2]
+        assert not helper.is_alive()
+
+    def test_later_helper_failure_does_not_hang(self, monkeypatch):
+        """Three threads: task 2 fails while tasks 0 and 1 are still in
+        flight. Both end, and the call yields their results, then raises
+        task 2's error; if the calling thread ran task 2, it raises at
+        once. No thread takes a task after task 2."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        ran, failing = {}, threading.Event()
+
+        def task(i):
+            ran[i] = threading.current_thread()
+            if i == 2:
+                failing.set()
+                raise ValueError("task 2")
+            assert failing.wait(10)
+            ran[2].join(10)  # past task 2's failure
+            return i
+
+        got, raised = drain(task, 9)
+        assert [str(exc) for exc in raised] == ["task 2"]
+        assert got == ([] if ran[2].name == "caller" else [0, 1])
+        for i in (0, 1):
+            ran[i].join(10)
+            assert not ran[i].is_alive()
+        assert sorted(ran) == [0, 1, 2]
 
     def test_closing_early_stops_the_helpers(self, monkeypatch):
         """A caller that stops after the first result does not wait for
-        the helper's task in flight; the helper finishes it and starts no
+        the helper's task in flight; the helper finishes it and takes no
         other."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        started, helpers = [], []
-        entered, released = threading.Event(), threading.Event()
+        ran, held = {}, []
+        holding, released = threading.Event(), threading.Event()
 
         def task(i):
-            started.append(i)
-            if i == 0:
-                assert entered.wait(10)
-            else:
-                helpers.append(threading.current_thread())
-                entered.set()
+            ran[i] = threading.current_thread()
+            if ran[i].name == "caller":
+                assert holding.wait(10)
+            elif i > 0:  # held in task 0, it would hold the first result
+                held.append(ran[i])
+                holding.set()
                 assert released.wait(10)  # ends after the caller has closed
             return i
 
-        results = in_threads(task, list(range(6)))
-        assert next(results) == 0
-        results.close()
+        assert drain(task, 6, take=1) == ([0], [])
+        taken = sorted(ran)
         released.set()
-        helpers[0].join(10)
-        assert not helpers[0].is_alive()
-        assert sorted(started) == [0, 1]
+        helper, = held
+        helper.join(10)
+        assert not helper.is_alive()
+        assert sorted(ran) == taken
 
 
-def drain(task, n):
-    """Run ``in_threads(task, range(n))`` to its end on a thread of its
-    own, so that a call that hangs fails the test after 10 s rather than
-    blocking it. Returns the results yielded and the exception raised."""
+def drain(task, n, take=None):
+    """Run ``in_threads(task, range(n))`` through ``bounded``, so that a
+    call that hangs fails the test, and stop it after ``take`` results
+    (all by default). Returns the results yielded and the exceptions
+    raised, ``KeyboardInterrupt`` included."""
     got, raised = [], []
 
     def consume():
         try:
-            for result in in_threads(task, list(range(n))):
-                got.append(result)
-        except Exception as exc:
+            with closing(in_threads(task, list(range(n)))) as results:
+                for result in islice(results, take):
+                    got.append(result)
+        except BaseException as exc:
             raised.append(exc)
 
-    caller = threading.Thread(target=consume, daemon=True)
-    caller.start()
-    caller.join(10)
-    assert not caller.is_alive(), "in_threads hangs"
+    bounded(consume)
     return got, raised
 
 
