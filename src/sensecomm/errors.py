@@ -14,4 +14,5 @@ class CorruptDatasetError(ValueError):
 
 
 class DivergenceError(RuntimeError):
-    """Training produced a non-finite loss or gradient."""
+    """Training produced a non-finite loss or gradient, or a prediction
+    produced non-finite probabilities."""

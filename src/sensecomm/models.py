@@ -44,7 +44,7 @@ from .nn.layers import (
     Param,
     ReLU,
     Sequential,
-    share_buffers,
+    param_buffers,
     softmax,
 )
 from .nn.losses import cross_entropy, cross_entropy_logit_grad
@@ -193,8 +193,9 @@ def _named(net: str, layers: list[tuple]):
 
 
 def tensor_shapes(cfg: ModelConfig) -> list[tuple[str, list[int]]]:
-    """Every parameter's name and shape, in the order of ``Pipeline.params``,
-    from the table alone: nothing is allocated, whatever the model's size."""
+    """Every parameter's name and shape, in the order of ``Pipeline.params``
+    and of the flat buffers, from the table alone: nothing is allocated,
+    whatever the model's size."""
     shapes = []
     for net, layers in architecture(cfg).items():
         for name, kind, sizes in _named(net, layers):
@@ -204,40 +205,38 @@ def tensor_shapes(cfg: ModelConfig) -> list[tuple[str, list[int]]]:
     return shapes
 
 
-def build(net: str, layers: list[tuple], rng: Rng, dtype=np.float32) -> Sequential:
-    """One network from its table, drawing its weights from ``rng`` in
-    layer order."""
-    size_free = {"relu": ReLU, "pool": MaxPool2D, "dropout": Dropout,
-                 "flatten": Flatten, "norm": PowerNormalize}
-    stack = []
-    for name, kind, sizes in _named(net, layers):
-        if kind == "conv":
-            stack.append(Conv2D(*sizes, KERNEL, rng, dtype, name=name))
-        elif kind == "dense":
-            stack.append(Dense(*sizes, rng, dtype, name=name))
-        else:
-            stack.append(size_free[kind](*sizes))
-    return Sequential(stack)
+def build(layers: list[tuple], params) -> Sequential:
+    """One network from its table, each Dense and Conv2D layer taking the
+    next two of the ``params`` iterator, its weight and its bias."""
+    kinds = {"conv": Conv2D, "dense": Dense, "relu": ReLU, "pool": MaxPool2D,
+             "dropout": Dropout, "flatten": Flatten, "norm": PowerNormalize}
+    return Sequential([kinds[kind](next(params), next(params))
+                       if kind in ("conv", "dense") else kinds[kind](*sizes)
+                       for kind, *sizes in layers])
 
 
 class Pipeline:
     """The full transmitter/receiver stack for one mode.
 
-    The networks are built in ``architecture``'s order, image encoder, echo
-    encoder, decoder, from one seeded stream, so two pipelines built with
-    the same seed share identical encoder weights even when their decoders
-    differ in shape.
+    Its parameters are the ``tensor_shapes`` of its config, each a view of
+    two flat buffers, ``values`` and ``grads`` (see ``param_buffers``). The
+    weights are drawn from ``rng`` in that order, image encoder, echo
+    encoder, decoder, so two pipelines built with the same seed share
+    identical encoder weights even when their decoders differ in shape.
+    Without an rng every value is zero, for a checkpoint to fill.
     """
 
-    def __init__(self, cfg: ModelConfig, rng: Rng, dtype=np.float32):
+    def __init__(self, cfg: ModelConfig, rng: Rng | None, dtype=np.float32):
         self.cfg = cfg
         self.dtype = dtype
+        self.values, self.grads, self._params = param_buffers(
+            tensor_shapes(cfg), rng, dtype)
+        taken = iter(self._params)
         self.image_encoder, self.echo_encoder, self.decoder = (
-            build(net, layers, rng, dtype) for net, layers in architecture(cfg).items())
+            build(layers, taken) for layers in architecture(cfg).values())
 
     def params(self) -> list[Param]:
-        return (self.image_encoder.params() + self.echo_encoder.params()
-                + self.decoder.params())
+        return self._params
 
     def forward(self, x: np.ndarray, label2: np.ndarray,
                 channel_cfg: ChannelConfig, sensing_cfg: SensingConfig,
@@ -319,8 +318,14 @@ class Pipeline:
         labels. It saves nothing, so it is reentrant: threads may run it at
         once on one pipeline and one rng.
         The image features are computed ``ENCODE_CHUNK`` rows at a time;
-        the labels are those of one whole-batch pass, bit for bit."""
+        the labels are those of one whole-batch pass, bit for bit.
+        A sample whose probabilities are not finite has no label: it raises
+        DivergenceError, naming the first such sample."""
         probs = self.forward(x, label2, channel_cfg, sensing_cfg, rng, start)
+        finite = np.isfinite(probs).all(axis=1)
+        if not finite.all():
+            raise DivergenceError(f"non-finite output probabilities for "
+                                  f"sample {start + int(finite.argmin())}")
         return probs.argmax(axis=1)
 
 
@@ -418,7 +423,7 @@ def train(dataset: Dataset, cfg: ExperimentConfig,
     channel_rng, seen = Rng(cfg.seed), 0
     channel_cfg, sensing_cfg = cfg.channel(), cfg.sensing()
     pipeline = Pipeline(cfg.model(), init_rng, cfg.np_dtype)
-    adam = Adam(pipeline.params())
+    adam = Adam(pipeline.values, pipeline.grads, pipeline.params())
 
     history: list[dict] = []
     for epoch in range(1, cfg.epochs + 1):
@@ -476,18 +481,16 @@ def write_atomic(path, data: bytes):
 
 
 def save_checkpoint(pipeline: Pipeline, path: str, seed: int | None = None):
-    params = pipeline.params()
     dtype = np.dtype(pipeline.dtype).newbyteorder("<").str
     header = {
         "dtype": dtype,
         "model": {"n_c": pipeline.cfg.n_c, "mode": pipeline.cfg.mode},
         "seed": seed,
-        "tensors": [{"name": p.name, "shape": list(p.value.shape)} for p in params],
+        "tensors": [{"name": n, "shape": s} for n, s in tensor_shapes(pipeline.cfg)],
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    payload = np.concatenate([p.value.ravel() for p in params], dtype=dtype)
     body = b"".join([CHECKPOINT_MAGIC, struct.pack("<I", len(blob)), blob,
-                     payload.tobytes()])
+                     pipeline.values.astype(dtype).tobytes()])
     write_atomic(path, body + struct.pack("<I", zlib.crc32(body)))
 
 
@@ -496,9 +499,11 @@ def load_checkpoint(path: str, dtype=np.float32) -> tuple[Pipeline, dict]:
     payload into it. A file that cannot be opened or is not an intact SCM2
     checkpoint of exactly this model raises ConfigError. The magic, the
     header (model config, dtype, tensor shapes), the file size those
-    declare, the checksum, and the header's tensor list against the
-    ``tensor_shapes`` of the model it names are checked in that order, all
-    before any pipeline is built."""
+    declare, the checksum, the header's tensor list against the
+    ``tensor_shapes`` of the model it names, and that every stored value is
+    finite are checked in that order, all before any pipeline is built. The
+    pipeline is built without an rng, so the load draws nothing, and its
+    ``values`` buffer takes the payload."""
     try:
         fh = open(path, "rb")
     except OSError as exc:
@@ -546,7 +551,10 @@ def load_checkpoint(path: str, dtype=np.float32) -> tuple[Pipeline, dict]:
             raise ConfigError(f"{path}: the header lists {len(tensors)} tensors, "
                               f"the model it names has {len(model_tensors)}; the "
                               f"first that differs is {got}, where {want} belongs")
-        pipeline = Pipeline(cfg, Rng(0), dtype)
-        values, _ = share_buffers(pipeline.params())
-        values[...] = np.frombuffer(payload, dtype=stored)
+        values = np.frombuffer(payload, dtype=stored)
+        bad = np.count_nonzero(~np.isfinite(values))
+        if bad:
+            raise ConfigError(f"{path}: {bad} stored values are NaN or infinite")
+        pipeline = Pipeline(cfg, None, dtype)
+        pipeline.values[...] = values
     return pipeline, header

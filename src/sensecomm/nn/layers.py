@@ -1,9 +1,10 @@
 """Differentiable layers: forward passes plus exact analytic backward passes.
 
 All layers operate on batched arrays with the sample axis first. Images are
-channels-last ``(N, H, W, C)``. Each layer exposes trainable parameters as
-:class:`Param` objects, and ``backward`` writes into their ``grad``. The
-channel's ``PowerNormalize`` is a layer too, the last of each encoder.
+channels-last ``(N, H, W, C)``. A Dense or Conv2D layer is given its weight
+and bias as :class:`Param` views of a model's two flat buffers, which
+:func:`param_buffers` builds, and ``backward`` writes into their ``grad``.
+The channel's ``PowerNormalize`` is a layer too, the last of each encoder.
 
 An rng given to ``forward`` means training, and that a backward follows: a
 layer that draws at random (:class:`Dropout`) draws from it, and every
@@ -28,57 +29,48 @@ from ..errors import ConfigError, ShapeError
 from ..rng import Rng
 
 
-def compute_fans(shape: tuple[int, ...]) -> tuple[int, int]:
-    """Fan-in/fan-out for a weight shape. Convolution kernels are
-    ``(kh, kw, in_channels, filters)`` so the receptive field multiplies
-    both fans; dense weights are ``(in, out)``."""
-    if len(shape) == 2:
-        return shape[0], shape[1]
-    receptive = int(np.prod(shape[:-2]))
-    return shape[-2] * receptive, shape[-1] * receptive
-
-
-def glorot_uniform(shape, rng: Rng, dtype=np.float32) -> np.ndarray:
-    """Weights drawn uniform on [-L, L] with L = sqrt(6 / (fan_in + fan_out))."""
-    shape = tuple(int(d) for d in shape)
-    if len(shape) < 2 or any(d < 1 for d in shape):
-        raise ShapeError(f"invalid weight shape {shape}")
-    fan_in, fan_out = compute_fans(shape)
-    limit = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape).astype(dtype)
-
-
 class Param:
-    """A trainable array plus the gradient from the latest backward pass.
+    """A named trainable tensor: ``value`` and ``grad`` are views of its
+    slice of the model's two flat buffers, which ``backward`` and ``Adam``
+    write through. Neither may be rebound: write into them, with ``[...] =``
+    or ``out=``."""
 
-    ``grad`` starts as zeros of ``value``'s shape, and ``backward`` writes
-    into it. Once :func:`share_buffers` has made ``value`` and ``grad``
-    views of buffers shared with other params, as ``Adam`` does, neither
-    may be rebound: write into them, with ``[...] =`` or ``out=``."""
-
-    def __init__(self, value: np.ndarray, name: str = ""):
-        self.value = value
-        self.grad = np.zeros_like(value)
-        self.name = name
+    def __init__(self, name: str, value: np.ndarray, grad: np.ndarray):
+        self.name, self.value, self.grad = name, value, grad
 
 
-def share_buffers(params: list[Param]) -> tuple[np.ndarray, np.ndarray]:
-    """Copy the params' values into one flat buffer and their gradients
-    into another, in order, make each ``value`` and ``grad`` a view of its
-    slice, and return the two buffers."""
-    values = np.concatenate([p.value.ravel() for p in params])
-    grads = np.concatenate([p.grad.ravel() for p in params])
-    ends = np.cumsum([p.value.size for p in params])[:-1]
-    for p, v, g in zip(params, np.split(values, ends), np.split(grads, ends)):
-        p.value, p.grad = v.reshape(p.value.shape), g.reshape(p.value.shape)
-    return values, grads
+def param_buffers(shapes, rng: Rng | None, dtype=np.float32
+                  ) -> tuple[np.ndarray, np.ndarray, list[Param]]:
+    """A flat buffer of values, one of gradients, both of ``dtype``, and a
+    :class:`Param` for each ``(name, shape)`` of ``shapes``, whose views are
+    its slices of the two, in order. Gradients and biases (one axis) start
+    at zero. Given an rng, each weight (two or more axes) is drawn from it
+    in order, Glorot-uniform on [-L, L], L = sqrt(6 / (fan_in + fan_out)):
+    a dense weight is (in, out), and a kernel's (kh, kw, in, out) receptive
+    field multiplies both fans. Without one, every value is zero, for a
+    checkpoint to fill."""
+    for name, shape in shapes:
+        if not shape or min(shape) < 1:
+            raise ShapeError(f"invalid shape {shape} of {name}")
+    sizes = [math.prod(shape) for _, shape in shapes]
+    values = np.zeros(sum(sizes), dtype)
+    grads = np.zeros_like(values)
+    ends = np.cumsum(sizes)[:-1]
+    params = [Param(name, v.reshape(shape), g.reshape(shape)) for (name, shape), v, g
+              in zip(shapes, np.split(values, ends), np.split(grads, ends))]
+    for p in params:
+        if rng is not None and p.value.ndim > 1:
+            shape = p.value.shape
+            fans = math.prod(shape[:-2]) * (shape[-2] + shape[-1])
+            limit = math.sqrt(6.0 / fans)
+            p.value[...] = rng.uniform(-limit, limit, size=shape)
+    return values, grads, params
 
 
 class Layer:
     """Base layer. Subclasses override forward/backward, with the rng rule
     of the module docstring: forward with an rng fills ``_saved``, and
-    backward empties it. params() lists trainable parameters in
-    declaration order."""
+    backward empties it."""
 
     _saved = None
 
@@ -88,16 +80,12 @@ class Layer:
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def params(self) -> list[Param]:
-        return []
-
 
 class Dense(Layer):
     """Fully connected layer: y = x @ W + b with W of shape (in, out)."""
 
-    def __init__(self, in_dim: int, out_dim: int, rng: Rng, dtype=np.float32, name: str = "dense"):
-        self.w = Param(glorot_uniform((in_dim, out_dim), rng, dtype), f"{name}.w")
-        self.b = Param(np.zeros(out_dim, dtype=dtype), f"{name}.b")
+    def __init__(self, w: Param, b: Param):
+        self.w, self.b = w, b
 
     def forward(self, x, rng=None):
         if x.ndim != 2 or x.shape[1] != self.w.value.shape[0]:
@@ -112,9 +100,6 @@ class Dense(Layer):
         np.matmul(x.T, grad_out, out=self.w.grad)
         grad_out.sum(axis=0, out=self.b.grad)
         return grad_out @ self.w.value.T if input_grad else None
-
-    def params(self):
-        return [self.w, self.b]
 
 
 def _row_windows(x: np.ndarray, kw: int) -> np.ndarray:
@@ -165,11 +150,8 @@ class Conv2D(Layer):
     most one window buffer of the layer is alive at a time.
     """
 
-    def __init__(self, in_channels: int, filters: int, kernel: tuple[int, int],
-                 rng: Rng, dtype=np.float32, name: str = "conv"):
-        kh, kw = kernel
-        self.w = Param(glorot_uniform((kh, kw, in_channels, filters), rng, dtype), f"{name}.w")
-        self.b = Param(np.zeros(filters, dtype=dtype), f"{name}.b")
+    def __init__(self, w: Param, b: Param):
+        self.w, self.b = w, b
 
     def forward(self, x, rng=None):
         kh, kw, cin, filters = self.w.value.shape
@@ -207,9 +189,6 @@ class Conv2D(Layer):
         del padded
         flipped = self.w.value[::-1, ::-1].transpose(0, 1, 3, 2)
         return _correlate(rows, flipped, h, w_in).reshape(n, h, w_in, cin)
-
-    def params(self):
-        return [self.w, self.b]
 
 
 class MaxPool2D(Layer):
@@ -330,12 +309,6 @@ class Sequential:
         for layer in reversed(rest):
             grad_out = layer.backward(grad_out)
         return first.backward(grad_out, input_grad=input_grad)
-
-    def params(self) -> list[Param]:
-        out = []
-        for layer in self.layers:
-            out.extend(layer.params())
-        return out
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

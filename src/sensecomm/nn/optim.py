@@ -1,11 +1,11 @@
-"""Adam optimizer with bias correction, operating in place on Param arrays."""
+"""Adam optimizer with bias correction, stepping flat parameter buffers in place."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from ..errors import DivergenceError
-from .layers import Param, share_buffers
+from .layers import Param
 
 LR = 0.001
 BETA1 = 0.9
@@ -14,19 +14,19 @@ EPS = 1e-7
 
 
 class Adam:
-    """Standard Adam over the whole model at once: every param's value and
-    gradient become views of one buffer each (:func:`share_buffers`), and
-    the moments are two more buffers like them, in the parameter dtype. The
+    """Standard Adam over the whole model at once: it steps the flat
+    ``values`` buffer from the flat ``grads`` buffer, of which ``params``
+    are the views (see :func:`~.layers.param_buffers`), and keeps its
+    moments in two more buffers like them, in the parameter dtype. The
     update is p -= LR * m_hat / (sqrt(v_hat) + EPS), elementwise, so it is
     bitwise the one a loop over the tensors would make.
     """
 
-    def __init__(self, params: list[Param]):
-        self.params = params
+    def __init__(self, values: np.ndarray, grads: np.ndarray, params: list[Param]):
+        self.values, self.grads, self.params = values, grads, params
         self.t = 0
-        self.values, self.grads = share_buffers(params)
-        self.m = np.zeros_like(self.values)
-        self.v = np.zeros_like(self.values)
+        self.m = np.zeros_like(values)
+        self.v = np.zeros_like(values)
 
     def step(self):
         self.t += 1

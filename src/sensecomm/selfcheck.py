@@ -40,6 +40,7 @@ from .nn.layers import (
     MaxPool2D,
     Param,
     ReLU,
+    param_buffers,
     softmax,
 )
 from .nn.losses import cross_entropy, cross_entropy_logit_grad
@@ -109,16 +110,18 @@ def projection_check(forward: Callable[[np.ndarray], np.ndarray],
     return report
 
 
-def _layer(make, shape: tuple, seed: int) -> GradCheckReport:
-    """A layer built from ``Rng(seed)``, fed the next standard-normal draws
-    of that stream and projected onto draws from ``Rng(seed + 1)``. Its
-    forward is given the stream, so it saves what backward needs."""
+def _layer(make, shape: tuple, seed: int, tensors=()) -> GradCheckReport:
+    """``make`` applied to the float64 Params of ``tensors``, drawn from
+    ``Rng(seed)``, fed the next standard-normal draws of that stream and
+    projected onto draws from ``Rng(seed + 1)``. Its forward is given the
+    stream, so it saves what backward needs."""
     rng = Rng(seed)
-    layer = make(rng)
+    _, _, params = param_buffers(tensors, rng, np.float64)
+    layer = make(*params)
     x = rng.standard_normal(shape)
     proj = Rng(seed + 1).standard_normal(layer.forward(x).shape)
     return projection_check(lambda x: layer.forward(x, rng), layer.backward,
-                            x, proj, layer.params())
+                            x, proj, params)
 
 
 def _same_shape(forward, backward, shape: tuple, seed: int) -> GradCheckReport:
@@ -179,13 +182,13 @@ def run_gradient_checks() -> list[tuple[str, GradCheckReport]]:
                       for kind in ("awgn", "rayleigh"))
     return [
         ("dense_4_to_3",
-         _layer(lambda rng: Dense(4, 3, rng, dtype=np.float64), (2, 4), 11)),
+         _layer(Dense, (2, 4), 11, [("dense.w", (4, 3)), ("dense.b", (3,))])),
         ("conv2d_6x6x2",
-         _layer(lambda rng: Conv2D(2, 3, (3, 3), rng, dtype=np.float64),
-                (2, 6, 6, 2), 12)),
-        ("maxpool_2x2", _layer(lambda rng: MaxPool2D(), (2, 4, 4, 2), 13)),
-        ("relu", _layer(lambda rng: ReLU(), (2, 12), 14)),
-        ("flatten", _layer(lambda rng: Flatten(), (2, 3, 4, 2), 15)),
+         _layer(Conv2D, (2, 6, 6, 2), 12,
+                [("conv.w", (3, 3, 2, 3)), ("conv.b", (3,))])),
+        ("maxpool_2x2", _layer(MaxPool2D, (2, 4, 4, 2), 13)),
+        ("relu", _layer(ReLU, (2, 12), 14)),
+        ("flatten", _layer(Flatten, (2, 3, 4, 2), 15)),
         ("dropout_frozen_mask",
          _same_shape(lambda x: dropout.forward(x, Rng(99)),
                      dropout.backward, (2, 20), 16)),

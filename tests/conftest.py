@@ -14,6 +14,7 @@ from sensecomm.dataset import (
     Dataset,
     load_cifar10,
 )
+from sensecomm.nn.layers import Conv2D, Dense, param_buffers
 from sensecomm.rng import Rng
 
 _ACCEPTANCE_RESULTS: list[tuple[str, str, str]] = []
@@ -54,6 +55,20 @@ def real_data_dir() -> str | None:
     if all(os.path.isfile(os.path.join(path, f)) for f in TRAIN_FILES + [TEST_FILE]):
         return path
     return None
+
+
+def dense(n_in: int, n_out: int, rng, dtype=np.float32) -> Dense:
+    """A Dense layer over the ``param_buffers`` of its two tensors."""
+    _, _, params = param_buffers(
+        [("dense.w", (n_in, n_out)), ("dense.b", (n_out,))], rng, dtype)
+    return Dense(*params)
+
+
+def conv(in_channels: int, filters: int, kernel, rng, dtype=np.float32) -> Conv2D:
+    """A Conv2D layer over the ``param_buffers`` of its two tensors."""
+    _, _, params = param_buffers([("conv.w", (*kernel, in_channels, filters)),
+                                  ("conv.b", (filters,))], rng, dtype)
+    return Conv2D(*params)
 
 
 def write_batch_file(path, labels: np.ndarray, pixels: np.ndarray):

@@ -13,7 +13,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from conftest import real_data_dir
+from conftest import conv, dense, real_data_dir
 from sensecomm.channel import PowerNormalize, sample_realization
 from sensecomm.dataset import load_cifar10
 from sensecomm.harness import (
@@ -24,12 +24,12 @@ from sensecomm.harness import (
     summary_line,
     to_json,
 )
-from sensecomm.nn.layers import Conv2D, Dense, MaxPool2D, Param
+from sensecomm.nn.layers import MaxPool2D
 from sensecomm.nn.optim import Adam
 from sensecomm.rng import Rng
 from sensecomm.selfcheck import run_gradient_checks
 from test_layers import conv_oracle, dense_oracle, maxpool_oracle
-from test_losses_optim import hand_adam_step
+from test_losses_optim import buffers, hand_adam_step
 
 pytestmark = pytest.mark.acceptance
 
@@ -179,7 +179,7 @@ def test_c09_oracle_equivalence():
     # sizes come from a numpy generator; weights and inputs from the Rng
     for i in range(20):
         rng, sizes = Rng(900 + i), np.random.default_rng(900 + i)
-        layer = Dense(int(sizes.integers(2, 24)), int(sizes.integers(2, 16)), rng,
+        layer = dense(int(sizes.integers(2, 24)), int(sizes.integers(2, 16)), rng,
                       np.float64)
         x = rng.standard_normal((3, layer.w.value.shape[0]))
         diff = layer.forward(x) - dense_oracle(x, layer.w.value, layer.b.value)
@@ -189,7 +189,7 @@ def test_c09_oracle_equivalence():
         rng, sizes = Rng(950 + i), np.random.default_rng(950 + i)
         cin, f = int(sizes.integers(1, 4)), int(sizes.integers(1, 4))
         h = int(sizes.integers(3, 7))
-        layer = Conv2D(cin, f, (3, 3), rng, np.float64)
+        layer = conv(cin, f, (3, 3), rng, np.float64)
         x = rng.standard_normal((2, h, h, cin))
         diff = layer.forward(x) - conv_oracle(x, layer.w.value, layer.b.value)
         assert np.max(np.abs(diff)) < 1e-12
@@ -204,9 +204,9 @@ def test_c09_oracle_equivalence():
         assert np.array_equal(layer.forward(x, rng), out)
         assert np.array_equal(layer.backward(g), gx)
 
-    p = Param(np.array([1.0]))
-    p.grad = np.array([1.0])
-    Adam([p]).step()
+    values, grads, (p,) = buffers([1.0])
+    p.grad[...] = 1.0
+    Adam(values, grads, [p]).step()
     expected, _, _ = hand_adam_step(1.0, 1.0)
     assert abs(p.value[0] - expected) < 1e-10
 

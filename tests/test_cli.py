@@ -22,7 +22,7 @@ from sensecomm.models import (
     save_checkpoint,
 )
 from sensecomm.rng import Rng
-from test_models import checkpoint_bytes, rewrite_checkpoint
+from test_models import checkpoint_bytes, rewrite_checkpoint, save_non_finite
 
 
 def run_cli(argv):
@@ -255,10 +255,11 @@ class TestTrainEval:
         (saved_with_model(1, n_c=True), "got True"),
         (saved_with_model(4, n_c=4.0), "got 4.0"),
         (saved_with_header(dtype="<f2"), "unknown tensor dtype '<f2'"),
+        (save_non_finite, "1601 stored values are NaN or infinite"),
     ], ids=["five-bytes", "non-utf8-header", "no-model-key", "missing-file",
             "float-n_c1", "unequal-sizes", "bool-sizes", "huge-sizes",
             "largest-model-no-tensors",
-            "bool-n_c2", "float-n_c2", "dtype-f2"])
+            "bool-n_c2", "float-n_c2", "dtype-f2", "non-finite-values"])
     def test_bad_checkpoint_fails_before_load(self, content, error, fake_cifar_dir,
                                               tmp_path, capsys, corpus_loads):
         ckpt = tmp_path / "checkpoint.bin"
@@ -614,17 +615,17 @@ class TestSweepCommand:
 
 @pytest.fixture
 def poisoned_encoder(monkeypatch):
-    """Every image encoder built, on any thread, starts with a NaN conv1
-    weight."""
-    real = models.build
+    """Every pipeline built, on any thread, starts with a NaN image-encoder
+    conv1 weight."""
+    real = models.param_buffers
 
-    def poisoned(net, *args, **kwargs):
-        stack = real(net, *args, **kwargs)
-        if net == "image_encoder":
-            stack.layers[0].w.value[0, 0, 0, 0] = np.nan
-        return stack
+    def poisoned(shapes, *args):
+        values, grads, params = real(shapes, *args)
+        assert params[0].name == "image_encoder.conv1.w"
+        params[0].value[0, 0, 0, 0] = np.nan
+        return values, grads, params
 
-    monkeypatch.setattr(models, "build", poisoned)
+    monkeypatch.setattr(models, "param_buffers", poisoned)
 
 
 class TestLimitsAndDivergence:
@@ -657,6 +658,25 @@ class TestLimitsAndDivergence:
                           "--out", str(tmp_path)] + SMOKE)
         assert code == 1
         assert_one_error_line(capsys)
+
+    def test_non_finite_eval_output_exits_1(self, train_run, fake_cifar_dir,
+                                            tmp_path):
+        """Animals 1e6 dB below the vehicles meet infinite sensing noise:
+        eval turns the NaN probabilities into no label and no report. It
+        runs in a process of its own, as numpy's overflow warnings, which
+        come first on stderr, are errors under pytest."""
+        out = tmp_path / "out"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        done = subprocess.run(
+            [sys.executable, "-m", "sensecomm", "eval", "--data-dir",
+             str(fake_cifar_dir), "--checkpoint", str(train_run[1] / "checkpoint.bin"),
+             "--out", str(out), "--offset-db", "1e6"] + SMOKE,
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+            timeout=300)
+        assert done.returncode == 1
+        last = done.stderr.strip().splitlines()[-1]
+        assert last.startswith("error: non-finite output probabilities"), last
+        assert not (out / "metrics.json").exists()
 
     def test_nan_weight_in_sweep_exits_1_with_one_line(
             self, fake_cifar_dir, tmp_path, capsys, poisoned_encoder):

@@ -5,14 +5,13 @@ import pytest
 
 import sensecomm.nn
 from sensecomm.errors import ConfigError, ShapeError
+from conftest import conv, dense
 from sensecomm.nn.layers import (
-    Conv2D,
-    Dense,
     Dropout,
     Flatten,
     MaxPool2D,
     ReLU,
-    glorot_uniform,
+    param_buffers,
     softmax,
 )
 from sensecomm.rng import Rng
@@ -108,64 +107,70 @@ def tie_pattern_batch(dtype):
     return x
 
 
+def glorot(shape, rng):
+    """One float64 weight of ``shape`` as ``param_buffers`` draws it."""
+    (_, _, (w,)) = param_buffers([("w", shape)], rng, np.float64)
+    return w.value
+
+
 class TestGlorot:
     def test_1x1_bound(self):
-        vals = [glorot_uniform((1, 1), Rng(s), np.float64)[0, 0] for s in range(50)]
+        vals = [glorot((1, 1), Rng(s))[0, 0] for s in range(50)]
         assert all(abs(v) <= math.sqrt(3.0) for v in vals)
 
     def test_20x2_bound(self):
-        w = glorot_uniform((20, 2), Rng(1), np.float64)
+        w = glorot((20, 2), Rng(1))
         limit = math.sqrt(6.0 / 22.0)
         assert np.all(np.abs(w) <= limit)
         # draws should actually use the range, not collapse near zero
         assert np.abs(w).max() > 0.5 * limit
 
     def test_conv_fans(self):
-        w = glorot_uniform((3, 3, 8, 4), Rng(2), np.float64)
+        w = glorot((3, 3, 8, 4), Rng(2))
         limit = math.sqrt(6.0 / (9 * 8 + 9 * 4))
         assert np.all(np.abs(w) <= limit)
+        assert np.abs(w).max() > 0.5 * limit
 
     def test_bias_zero_convention(self):
-        layer = Dense(5, 8, Rng(0))
+        layer = dense(5, 8, Rng(0))
         assert np.all(layer.b.value == 0.0)
         assert layer.b.value.shape == (8,)
 
     @pytest.mark.parametrize("shape", [(0, 3), (3, -1), ()])
     def test_invalid_shape(self, shape):
         with pytest.raises(ShapeError):
-            glorot_uniform(shape, Rng(0))
+            param_buffers([("w", shape)], Rng(0))
 
     def test_same_seed_same_draw(self):
-        a = glorot_uniform((6, 6), Rng(9), np.float64)
-        b = glorot_uniform((6, 6), Rng(9), np.float64)
+        a = glorot((6, 6), Rng(9))
+        b = glorot((6, 6), Rng(9))
         assert np.array_equal(a, b)
 
 
 class TestDense:
     def test_unit_vector_selects_row(self):
-        layer = Dense(2, 2, Rng(0), np.float64)
-        layer.w.value = np.array([[2.0, 3.0], [4.0, 5.0]])
-        layer.b.value = np.zeros(2)
+        layer = dense(2, 2, Rng(0), np.float64)
+        layer.w.value[...] = [[2.0, 3.0], [4.0, 5.0]]
         out = layer.forward(np.array([[1.0, 0.0]]))
         assert np.allclose(out, [[2.0, 3.0]])
 
     def test_sum_case(self):
-        layer = Dense(2, 2, Rng(0), np.float64)
-        layer.w.value = np.ones((2, 2))
-        layer.b.value = np.ones(2)
+        layer = dense(2, 2, Rng(0), np.float64)
+        layer.w.value[...] = 1.0
+        layer.b.value[...] = 1.0
         out = layer.forward(np.array([[1.0, 1.0]]))
         assert np.allclose(out, [[3.0, 3.0]])
 
     def test_matches_loop_oracle(self):
         rng = Rng(3)
-        layer = Dense(20, 10, rng, np.float64)
+        layer = dense(20, 10, rng, np.float64)
         x = rng.standard_normal((4, 20))
         expected = dense_oracle(x, layer.w.value, layer.b.value)
         assert np.max(np.abs(layer.forward(x) - expected)) < 1e-12
 
     def test_backward_analytic_identities(self):
         rng = Rng(4)
-        layer = Dense(6, 3, rng, np.float64)
+        layer = dense(6, 3, rng, np.float64)
         x = rng.standard_normal((5, 6))
         layer.forward(x, rng)
         g = rng.standard_normal((5, 3))
@@ -175,7 +180,7 @@ class TestDense:
         assert np.allclose(gx, g @ layer.w.value.T)
 
     def test_dimension_mismatch(self):
-        layer = Dense(4, 2, Rng(0))
+        layer = dense(4, 2, Rng(0))
         with pytest.raises(ShapeError):
             layer.forward(np.zeros((1, 5), dtype=np.float32))
 
@@ -200,14 +205,14 @@ def conv_input(rng, shape, layout):
 
 class TestConv2D:
     def test_output_shape_32x32(self):
-        layer = Conv2D(3, 8, (3, 3), Rng(0))
+        layer = conv(3, 8, (3, 3), Rng(0))
         out = layer.forward(np.zeros((2, 32, 32, 3), dtype=np.float32))
         assert out.shape == (2, 30, 30, 8)
 
     def test_zero_input_gives_bias(self):
         rng = Rng(1)
-        layer = Conv2D(2, 3, (3, 3), rng, np.float64)
-        layer.b.value = np.array([0.5, -1.0, 2.0])
+        layer = conv(2, 3, (3, 3), rng, np.float64)
+        layer.b.value[...] = [0.5, -1.0, 2.0]
         out = layer.forward(np.zeros((1, 6, 6, 2)))
         for k, bval in enumerate(layer.b.value):
             assert np.all(out[..., k] == bval)
@@ -216,7 +221,7 @@ class TestConv2D:
     @pytest.mark.parametrize("shape, kernel", CONV_CASES, ids=CONV_CASE_IDS)
     def test_matches_loop_oracle(self, shape, kernel, layout):
         rng = Rng(5)
-        layer = Conv2D(shape[3], 3, kernel, rng, np.float64)
+        layer = conv(shape[3], 3, kernel, rng, np.float64)
         x = conv_input(rng, shape, layout)
         expected = conv_oracle(x, layer.w.value, layer.b.value)
         assert np.max(np.abs(layer.forward(x) - expected)) < 1e-12
@@ -227,7 +232,7 @@ class TestConv2D:
         # in_channels != filters, so a swapped axis or an unflipped kernel
         # cannot cancel out
         rng = Rng(6)
-        layer = Conv2D(shape[3], 3, kernel, rng, np.float64)
+        layer = conv(shape[3], 3, kernel, rng, np.float64)
         x = conv_input(rng, shape, layout)
         g = rng.standard_normal(layer.forward(x, rng).shape)
         gx, gw, gb = conv_backward_oracle(x, layer.w.value, g)
@@ -237,7 +242,7 @@ class TestConv2D:
 
     def test_backward_without_input_grad(self):
         rng = Rng(7)
-        layer = Conv2D(2, 3, (3, 3), rng, np.float64)
+        layer = conv(2, 3, (3, 3), rng, np.float64)
         x = rng.standard_normal((2, 6, 5, 2))
         g = rng.standard_normal(layer.forward(x, rng).shape)
         layer.backward(g)
@@ -248,12 +253,12 @@ class TestConv2D:
         assert np.array_equal(layer.b.grad, b_grad)
 
     def test_kernel_larger_than_input(self):
-        layer = Conv2D(1, 1, (3, 3), Rng(0))
+        layer = conv(1, 1, (3, 3), Rng(0))
         with pytest.raises(ShapeError):
             layer.forward(np.zeros((1, 2, 4, 1), dtype=np.float32))
 
     def test_channel_mismatch(self):
-        layer = Conv2D(3, 2, (3, 3), Rng(0))
+        layer = conv(3, 2, (3, 3), Rng(0))
         with pytest.raises(ShapeError):
             layer.forward(np.zeros((1, 6, 6, 2), dtype=np.float32))
 
@@ -346,7 +351,7 @@ class TestActivations:
     @pytest.mark.parametrize("make_layer", [
         pytest.param(lambda dtype: ReLU(), id="ReLU"),
         pytest.param(lambda dtype: MaxPool2D(), id="MaxPool2D"),
-        pytest.param(lambda dtype: Conv2D(3, 2, (3, 3), Rng(0), dtype), id="Conv2D"),
+        pytest.param(lambda dtype: conv(3, 2, (3, 3), Rng(0), dtype), id="Conv2D"),
     ])
     def test_forward_and_backward_keep_dtype(self, make_layer, dtype):
         x = Rng(3).standard_normal((2, 5, 6, 3)).astype(dtype)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -14,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import bounded
+from conftest import bounded, conv, dense
 from sensecomm.channel import (
     ChannelConfig,
     PowerNormalize,
@@ -28,7 +29,7 @@ from sensecomm.dataset import (
     load_cifar10,
 )
 from sensecomm import models
-from sensecomm.errors import ConfigError
+from sensecomm.errors import ConfigError, DivergenceError
 from sensecomm.models import (
     ENCODE_CHUNK,
     EVAL_BATCH,
@@ -52,6 +53,7 @@ from sensecomm.nn.layers import (
     Layer,
     MaxPool2D,
     ReLU,
+    param_buffers,
 )
 from sensecomm.nn.losses import cross_entropy, cross_entropy_logit_grad
 from sensecomm.rng import Rng
@@ -62,12 +64,19 @@ SENSING = SensingConfig(-3.0, 6.0)
 
 
 def network(net, n_c, mode="joint", seed=0):
-    """One network of the ``n_c``-symbol model in ``mode``, from its table."""
-    return build(net, architecture(ModelConfig(n_c, mode))[net], Rng(seed))
+    """One network of the ``n_c``-symbol model in ``mode``, from its table,
+    its weights drawn from ``Rng(seed)``."""
+    cfg = ModelConfig(n_c, mode)
+    shapes = [t for t in tensor_shapes(cfg) if t[0].startswith(f"{net}.")]
+    _, _, params = param_buffers(shapes, Rng(seed))
+    return build(architecture(cfg)[net], iter(params))
 
 
-def layer_sizes(net):
-    return [(p.name, p.value.size) for p in net.params()]
+def layer_params(*nets):
+    """The weight and bias of every Dense and Conv2D layer of ``nets``, in
+    order."""
+    return [p for net in nets for layer in net.layers
+            if isinstance(layer, (Dense, Conv2D)) for p in (layer.w, layer.b)]
 
 
 class CountingRng(Rng):
@@ -103,16 +112,49 @@ class TestBuilders:
 
     def test_image_encoder_param_count(self):
         # (3*3*3*8+8) + (3*3*8*4+4) + (3*3*4*4+4) + (144*128+128) + (128*20+20)
-        params = network("image_encoder", 20).params()
+        params = layer_params(network("image_encoder", 20))
         assert sum(p.value.size for p in params) == 21_804
 
     @pytest.mark.parametrize("mode", ["joint", "sensing_only"])
     def test_tensor_shapes_are_the_built_pipelines(self, mode):
+        """The layers hold the pipeline's Params, in the table's order."""
         for n_c in (2, 3, 4, 7, 20, 33, 64, 100):
             cfg = ModelConfig(n_c, mode)
-            params = Pipeline(cfg, Rng(0)).params()
+            pipe = Pipeline(cfg, Rng(0))
+            params = layer_params(pipe.image_encoder, pipe.echo_encoder,
+                                  pipe.decoder)
             assert tensor_shapes(cfg) == [(p.name, list(p.value.shape))
                                           for p in params], n_c
+            assert all(a is b for a, b in zip(params, pipe.params(), strict=True))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("mode", ["joint", "sensing_only"])
+    def test_params_are_views_of_the_pipeline_buffers(self, mode, dtype):
+        """Right after construction, before any Adam exists, each Param's
+        value and gradient are its slice of ``values`` and ``grads``, in
+        order, and the two buffers hold nothing else."""
+        pipe = Pipeline(ModelConfig(6, mode), Rng(3), dtype)
+        assert pipe.values.dtype == pipe.grads.dtype == dtype
+        pipe.values[...] = np.arange(pipe.values.size)
+        pipe.grads[...] = -np.arange(pipe.grads.size)
+        start = 0
+        for p in pipe.params():
+            end = start + p.value.size
+            assert np.array_equal(p.value.ravel(), np.arange(start, end)), p.name
+            assert np.array_equal(p.grad.ravel(), -np.arange(start, end)), p.name
+            start = end
+        assert start == pipe.values.size == pipe.grads.size
+
+    @pytest.mark.parametrize("mode, dtype, digest", [
+        ("joint", np.float32, "51d8de704d4d2c81"),
+        ("joint", np.float64, "29b2d47d235dd583"),
+        ("sensing_only", np.float32, "056cd98076d6d7cc"),
+        ("sensing_only", np.float64, "f8aa52eb86e8442b")])
+    def test_fresh_init_is_pinned(self, mode, dtype, digest):
+        """The sha256 of every initial value, at n_c 20 from ``Rng(0)``:
+        Glorot-uniform weights drawn in table order, zero biases."""
+        values = Pipeline(ModelConfig(20, mode), Rng(0), dtype).values
+        assert hashlib.sha256(values.tobytes()).hexdigest()[:16] == digest
 
     def test_image_encoder_final_layer_small_output(self):
         net = network("image_encoder", 4)
@@ -196,9 +238,9 @@ class TestPipelineForward:
     def test_same_seed_shares_image_encoder_init(self):
         joint = Pipeline(ModelConfig(20, "joint"), Rng(11))
         sensing = Pipeline(ModelConfig(20, "sensing_only"), Rng(11))
-        for pj, ps in zip(joint.image_encoder.params(), sensing.image_encoder.params()):
-            assert np.array_equal(pj.value, ps.value)
-        for pj, ps in zip(joint.echo_encoder.params(), sensing.echo_encoder.params()):
+        for pj, ps in zip(layer_params(joint.image_encoder, joint.echo_encoder),
+                          layer_params(sensing.image_encoder, sensing.echo_encoder),
+                          strict=True):
             assert np.array_equal(pj.value, ps.value)
 
     def test_predict_contract(self):
@@ -211,6 +253,16 @@ class TestPipelineForward:
         assert np.array_equal(hat, hat2)
         assert np.array_equal(hat, probs.argmax(axis=1))
         assert np.all((probs >= 0) & (probs <= 1))
+
+    def test_predict_refuses_non_finite_output(self):
+        """A sample whose probabilities are NaN gets no label: argmax would
+        call it class 0, animal. The error names its index in the split."""
+        pipe = Pipeline(ModelConfig(6, "joint"), Rng(12))
+        x = Rng(13).uniform(size=(4, 32, 32, 3)).astype(np.float32)
+        x[2, 5, 5, 1] = np.nan
+        labels = np.array([0, 1, 1, 0])
+        with pytest.raises(DivergenceError, match="for sample 12$"):
+            pipe.predict(x, labels, AWGN, SENSING, Rng(14), start=10)
 
     @pytest.mark.parametrize("mode", ["joint", "sensing_only"])
     @pytest.mark.parametrize("training, sizes", [
@@ -263,8 +315,8 @@ def slot_node(name, training=True):
     if name == "PowerNormalize":
         norm = PowerNormalize()
         return norm, lambda: norm.forward(x2, rng)
-    layer, x = {"Dense": (Dense(4, 3, Rng(0), np.float64), x2),
-                "Conv2D": (Conv2D(3, 2, (3, 3), Rng(0), np.float64), x4),
+    layer, x = {"Dense": (dense(4, 3, Rng(0), np.float64), x2),
+                "Conv2D": (conv(3, 2, (3, 3), Rng(0), np.float64), x4),
                 "MaxPool2D": (MaxPool2D(), x4),
                 "ReLU": (ReLU(), x4),
                 "Dropout": (Dropout(0.5), x4),
@@ -940,6 +992,17 @@ def checkpoint_parts(blob: bytes) -> tuple[bytes, bytes]:
     return blob[8:8 + hlen], blob[8 + hlen:-4]
 
 
+def save_non_finite(path):
+    """Save a joint 20-symbol pipeline, its checksum intact, with a NaN
+    image-encoder conv1 weight and an infinite decoder dense1 weight: 1,601
+    values that are not finite."""
+    pipe = Pipeline(ModelConfig(20, "joint"), Rng(0))
+    params = {p.name: p for p in pipe.params()}
+    params["image_encoder.conv1.w"].value[0, 0, 0, 0] = np.nan
+    params["decoder.dense1.w"].value[...] = np.inf
+    save_checkpoint(pipe, path)
+
+
 def rewrite_checkpoint(path, edit_header=None, payload_end=None, extra=b""):
     """Rewrite a saved checkpoint: edit its JSON header in place, cut the
     payload to ``payload_end`` bytes and append ``extra``. The checksum is
@@ -1026,6 +1089,28 @@ class TestCheckpoint:
         saved.write_bytes(blob)
         with pytest.raises(ConfigError, match="checksum"):
             load_checkpoint(saved)
+
+    def test_non_finite_payload_rejected_before_build(self, tmp_path,
+                                                      monkeypatch):
+        """A payload holding a NaN or an infinity, under a valid checksum,
+        is refused before a pipeline is built for it."""
+        path = tmp_path / "model.bin"
+        save_non_finite(path)
+        monkeypatch.setattr(models, "Pipeline", None)
+        with pytest.raises(ConfigError, match="1601 stored values are NaN or infinite"):
+            load_checkpoint(path)
+
+    def test_load_draws_nothing(self, saved, monkeypatch):
+        """The loaded pipeline starts from zeros, not from Glorot draws
+        that the payload then overwrites."""
+        draws = []
+        real = Rng.uniform
+        monkeypatch.setattr(Rng, "uniform", lambda self, *args, **kwargs: (
+            draws.append(args) or real(self, *args, **kwargs)))
+        loaded, _ = load_checkpoint(saved)
+        assert draws == []
+        with open(saved, "rb") as fh:
+            assert loaded.values.tobytes() in fh.read()
 
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "bogus.bin"
