@@ -31,6 +31,7 @@ from .channel import (
     ChannelConfig,
     PowerNormalize,
     SensingConfig,
+    noise_std,
     sample_realization,
 )
 from .dataset import SOURCE_DIM, Dataset, Split, batch_indices
@@ -66,9 +67,9 @@ ctypes.CDLL(None).mallopt(_M_MMAP_THRESHOLD, 32 << 20)
 ctypes.CDLL(None).mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 
 EVAL_BATCH = 256  # samples per eval task; no draw depends on it
-# The most rows an eval forward runs through the image encoder at once. Its
-# layers are row-wise, so the pieces give the whole batch's features bit
-# for bit, while a thread holds a quarter of a batch's conv working set.
+# The most rows an eval forward runs through the image encoder at once. A
+# row's features depend on that row alone, so slicing changes no bit, while
+# a thread holds a quarter of a batch's conv working set.
 ENCODE_CHUNK = 64
 KERNEL = (3, 3)  # every convolution's
 
@@ -140,10 +141,17 @@ class ExperimentConfig:
         for name in ("seed", "eval_seed"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
-        # an infinite SNR would train without noise, a NaN one diverge
-        for name in ("comm_snr_db", "vehicle_sensing_snr_db", "animal_offset_db"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        # a zero noise scale would train without noise, an infinite or NaN
+        # one diverge; each link's scale is taken in the run's dtype
+        vehicle = self.vehicle_sensing_snr_db
+        with np.errstate(over="ignore", invalid="ignore"):
+            for link, snr in (("communication", self.comm_snr_db),
+                              ("vehicle sensing", vehicle),
+                              ("animal sensing", vehicle - self.animal_offset_db)):
+                scale = self.np_dtype(noise_std(snr))
+                if not 0 < scale < math.inf:
+                    raise ConfigError(f"{link} SNR {snr} dB gives noise scale "
+                                      f"{scale}; it must be finite and above 0")
         # the channel kind, mode and n_c are checked where they are used
         self.channel()
         self.model()
@@ -257,11 +265,9 @@ class Pipeline:
         ``backward`` needs. Without it the links are drawn in the ``EVAL``
         domain, no attribute is written, and no ``backward`` may follow.
 
-        Without ``dropout`` the image encoder runs over balanced pieces of
-        at most ``ENCODE_CHUNK`` rows, to bound the memory it holds; the
-        links, the echo encoder and the decoder see the whole batch. A
-        larger batch is never cut into a 1-row piece, whose products
-        numpy computes another way, with other rounding."""
+        Without ``dropout`` the image encoder runs ``ENCODE_CHUNK`` rows at
+        a time, to bound its memory; the rest sees the whole batch. Each
+        row's probabilities are the same bits in any batch (see ``Dense``)."""
         x = np.asarray(x, dtype=self.dtype)
         joint = self.cfg.mode == "joint"
         training = dropout is not None
@@ -269,8 +275,8 @@ class Pipeline:
         if training:
             s1 = self.image_encoder.forward(x, dropout)
         else:
-            pieces = np.array_split(x, math.ceil(len(x) / ENCODE_CHUNK))
-            s1 = np.concatenate([self.image_encoder.forward(p) for p in pieces])
+            s1 = np.concatenate([self.image_encoder.forward(x[i:i + ENCODE_CHUNK])
+                                 for i in range(0, len(x), ENCODE_CHUNK)])
         n, n_c = s1.shape
 
         def link(index, snr_db):
@@ -315,18 +321,12 @@ class Pipeline:
                 rng: Rng, start: int = 0) -> np.ndarray:
         """Inference pass: dropout disabled, the evaluation-domain
         realizations of samples ``start`` onwards. Returns the predicted
-        labels. It saves nothing, so it is reentrant: threads may run it at
-        once on one pipeline and one rng.
-        The image features are computed ``ENCODE_CHUNK`` rows at a time;
-        the labels are those of one whole-batch pass, bit for bit.
-        A sample whose probabilities are not finite has no label: it raises
-        DivergenceError, naming the first such sample."""
+        labels, each that of its sample alone, whatever the batch. It saves
+        nothing, so it is reentrant: threads may run it at once on one
+        pipeline and one rng. A sample whose probabilities are not finite
+        has no label: it gets -1, where argmax would call it class 0."""
         probs = self.forward(x, label2, channel_cfg, sensing_cfg, rng, start)
-        finite = np.isfinite(probs).all(axis=1)
-        if not finite.all():
-            raise DivergenceError(f"non-finite output probabilities for "
-                                  f"sample {start + int(finite.argmin())}")
-        return probs.argmax(axis=1)
+        return np.where(np.isfinite(probs).all(axis=1), probs.argmax(axis=1), -1)
 
 
 # Held while a call of ``in_threads`` runs its tasks.
@@ -390,7 +390,9 @@ def predict_split(pipeline: Pipeline, split: Split, channel_cfg: ChannelConfig,
     The split runs in ``EVAL_BATCH`` batches through ``in_threads``. A
     sample's draws depend on neither its batch nor the thread that takes
     it, so neither do the labels. ``Pipeline.predict`` bounds each
-    thread's memory by encoding ``ENCODE_CHUNK`` rows at a time."""
+    thread's memory by encoding ``ENCODE_CHUNK`` rows at a time. Once
+    every batch is in, a sample with no label raises DivergenceError,
+    naming the first such sample of the split on any number of CPUs."""
     rng = Rng(eval_seed)
 
     def predict(idx: np.ndarray) -> np.ndarray:
@@ -398,7 +400,11 @@ def predict_split(pipeline: Pipeline, split: Split, channel_cfg: ChannelConfig,
                                 channel_cfg, sensing_cfg, rng, int(idx[0]))
 
     batches = list(batch_indices(split.n, EVAL_BATCH))
-    return np.concatenate(list(in_threads(predict, batches)))
+    preds = np.concatenate(list(in_threads(predict, batches)))
+    if (preds < 0).any():
+        raise DivergenceError(f"non-finite output probabilities for "
+                              f"sample {int(np.argmin(preds >= 0))}")
+    return preds
 
 
 def accuracy_on(pipeline: Pipeline, split: Split, channel_cfg: ChannelConfig,
@@ -501,9 +507,9 @@ def load_checkpoint(path: str, dtype=np.float32) -> tuple[Pipeline, dict]:
     header (model config, dtype, tensor shapes), the file size those
     declare, the checksum, the header's tensor list against the
     ``tensor_shapes`` of the model it names, and that every stored value is
-    finite are checked in that order, all before any pipeline is built. The
-    pipeline is built without an rng, so the load draws nothing, and its
-    ``values`` buffer takes the payload."""
+    finite once cast to ``dtype`` are checked in that order, all before any
+    pipeline is built. The pipeline is built without an rng, so the load
+    draws nothing, and its ``values`` buffer takes the cast payload."""
     try:
         fh = open(path, "rb")
     except OSError as exc:
@@ -551,10 +557,12 @@ def load_checkpoint(path: str, dtype=np.float32) -> tuple[Pipeline, dict]:
             raise ConfigError(f"{path}: the header lists {len(tensors)} tensors, "
                               f"the model it names has {len(model_tensors)}; the "
                               f"first that differs is {got}, where {want} belongs")
-        values = np.frombuffer(payload, dtype=stored)
+        with np.errstate(over="ignore"):  # a float64 above float32's range
+            values = np.frombuffer(payload, dtype=stored).astype(dtype)
         bad = np.count_nonzero(~np.isfinite(values))
         if bad:
-            raise ConfigError(f"{path}: {bad} stored values are NaN or infinite")
+            raise ConfigError(f"{path}: {bad} stored values are NaN or infinite "
+                              f"as {np.dtype(dtype).name}")
         pipeline = Pipeline(cfg, None, dtype)
         pipeline.values[...] = values
     return pipeline, header

@@ -22,7 +22,12 @@ from sensecomm.models import (
     save_checkpoint,
 )
 from sensecomm.rng import Rng
-from test_models import checkpoint_bytes, rewrite_checkpoint, save_non_finite
+from test_models import (
+    checkpoint_bytes,
+    rewrite_checkpoint,
+    save_beyond_float32,
+    save_non_finite,
+)
 
 
 def run_cli(argv):
@@ -256,10 +261,12 @@ class TestTrainEval:
         (saved_with_model(4, n_c=4.0), "got 4.0"),
         (saved_with_header(dtype="<f2"), "unknown tensor dtype '<f2'"),
         (save_non_finite, "1601 stored values are NaN or infinite"),
+        (save_beyond_float32, "1 stored values are NaN or infinite as float32"),
     ], ids=["five-bytes", "non-utf8-header", "no-model-key", "missing-file",
             "float-n_c1", "unequal-sizes", "bool-sizes", "huge-sizes",
             "largest-model-no-tensors",
-            "bool-n_c2", "float-n_c2", "dtype-f2", "non-finite-values"])
+            "bool-n_c2", "float-n_c2", "dtype-f2", "non-finite-values",
+            "beyond-float32"])
     def test_bad_checkpoint_fails_before_load(self, content, error, fake_cifar_dir,
                                               tmp_path, capsys, corpus_loads):
         ckpt = tmp_path / "checkpoint.bin"
@@ -661,16 +668,21 @@ class TestLimitsAndDivergence:
 
     def test_non_finite_eval_output_exits_1(self, train_run, fake_cifar_dir,
                                             tmp_path):
-        """Animals 1e6 dB below the vehicles meet infinite sensing noise:
-        eval turns the NaN probabilities into no label and no report. It
-        runs in a process of its own, as numpy's overflow warnings, which
-        come first on stderr, are errors under pytest."""
+        """Image-encoder dense2 weights of 3e38, finite in float32, overflow
+        its products to infinity, which the power normalization turns into
+        NaN: eval turns the NaN probabilities into no label and no report.
+        It runs in a process of its own, as numpy's warnings, which come
+        first on stderr, are errors under pytest."""
+        pipe, _ = load_checkpoint(train_run[1] / "checkpoint.bin")
+        {p.name: p for p in pipe.params()}["image_encoder.dense2.w"].value[...] = 3e38
+        ckpt = tmp_path / "checkpoint.bin"
+        save_checkpoint(pipe, ckpt)
         out = tmp_path / "out"
         src = str(Path(__file__).resolve().parents[1] / "src")
         done = subprocess.run(
             [sys.executable, "-m", "sensecomm", "eval", "--data-dir",
-             str(fake_cifar_dir), "--checkpoint", str(train_run[1] / "checkpoint.bin"),
-             "--out", str(out), "--offset-db", "1e6"] + SMOKE,
+             str(fake_cifar_dir), "--checkpoint", str(ckpt),
+             "--out", str(out)] + SMOKE,
             env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
             timeout=300)
         assert done.returncode == 1
@@ -726,6 +738,47 @@ class TestLimitsAndDivergence:
         assert_one_error_line(capsys)
         assert corpus_loads == []
         assert not out.exists()
+
+    # Every SNR, offset, size and seed flag at the extremes of its type. An
+    # SNR of +-7,000 dB (after the animals' offset) gives a noise scale
+    # that underflows to 0 or overflows. --epochs is left out: a large
+    # value is a long run, not bad input.
+    EXTREMES = [(flag, value) for flag in ("--comm-snr-db", "--sensing-snr-db",
+                                           "--offset-db")
+                for value in (1e308, -1e308, 7000.0, -7000.0)] + [
+        (flag, 2**63 - 1) for flag in ("--output-size", "--batch-size",
+                                       "--limit-train", "--limit-test",
+                                       "--seed", "--eval-seed")]
+
+    @pytest.mark.parametrize("given", ["flag", "config"])
+    @pytest.mark.parametrize("flag, value", EXTREMES)
+    def test_extreme_value_runs_or_exits_2(self, flag, value, given, train_run,
+                                          fake_cifar_dir, tmp_path, capsys,
+                                          corpus_loads):
+        """Each value, as a flag or as a config key, either runs or exits 2
+        with one line, before the corpus loads and making nothing; it never
+        fails at run time. The largest --limit-train would train on the
+        whole corpus, a long run, so its case runs ``eval``, which applies
+        the limit but trains nothing."""
+        smoke = {"--output-size": "4", "--epochs": "1", "--limit-train": "256",
+                 "--limit-test": "128", "--seed": "5"}
+        smoke.pop(flag, None)  # a config key is overridden by a flag
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({flag[2:].replace("-", "_"): value}))
+        out = tmp_path / "out"
+        command = (["eval", "--checkpoint", str(train_run[1] / "checkpoint.bin")]
+                   if flag == "--limit-train" else ["train"])
+        argv = [*command, "--data-dir", str(fake_cifar_dir), "--out", str(out),
+                *(f"{k}={v}" for k, v in smoke.items()),
+                {"flag": f"{flag}={value}", "config": f"--config={cfg}"}[given]]
+        code = exit_code(argv)
+        if code == 0:
+            assert (out / "metrics.json").exists()
+        else:
+            assert code == 2
+            assert_one_error_line(capsys)
+            assert corpus_loads == []
+            assert not out.exists()
 
 
 # Runs the CLI with one statement injected at the start of every sweep

@@ -339,6 +339,11 @@ class TestExperimentConfig:
         {"n_c": 0}, {"epochs": 0}, {"batch_size": 0},
         {"comm_snr_db": math.nan}, {"vehicle_sensing_snr_db": -math.inf},
         {"animal_offset_db": math.inf},
+        # noise scales of 0, of infinity for animals, and beyond float32
+        pytest.param({"comm_snr_db": 7000.0}, id="comm-noise-scale-0"),
+        pytest.param({"animal_offset_db": 1e6}, id="animal-noise-scale-inf"),
+        pytest.param({"vehicle_sensing_snr_db": -800.0},
+                     id="vehicle-noise-scale-beyond-float32"),
     ], ids=lambda bad: next(iter(bad)))
     def test_rejects_bad_values(self, bad):
         with pytest.raises(ConfigError):

@@ -254,15 +254,19 @@ class TestPipelineForward:
         assert np.array_equal(hat, probs.argmax(axis=1))
         assert np.all((probs >= 0) & (probs <= 1))
 
-    def test_predict_refuses_non_finite_output(self):
+    def test_predict_refuses_non_finite_output(self, eval_split, monkeypatch):
         """A sample whose probabilities are NaN gets no label: argmax would
-        call it class 0, animal. The error names its index in the split."""
+        call it class 0, animal. ``predict`` gives it -1, and the split's
+        evaluation fails, naming its index in the split."""
         pipe = Pipeline(ModelConfig(6, "joint"), Rng(12))
         x = Rng(13).uniform(size=(4, 32, 32, 3)).astype(np.float32)
         x[2, 5, 5, 1] = np.nan
         labels = np.array([0, 1, 1, 0])
+        hat = pipe.predict(x, labels, AWGN, SENSING, Rng(14), start=10)
+        assert hat[2] == -1 and np.all(hat[[0, 1, 3]] >= 0), hat
+        split = with_nan_samples(eval_split.subset(300), [12], monkeypatch)
         with pytest.raises(DivergenceError, match="for sample 12$"):
-            pipe.predict(x, labels, AWGN, SENSING, Rng(14), start=10)
+            bounded(lambda: predict_split(pipe, split, AWGN, SENSING, 14))
 
     @pytest.mark.parametrize("mode", ["joint", "sensing_only"])
     @pytest.mark.parametrize("training, sizes", [
@@ -372,6 +376,19 @@ def eval_split(synthetic_corpus):
     return synthetic_corpus(1, 1000, seed=50).test
 
 
+def with_nan_samples(split, samples, monkeypatch):
+    """``split``, whose images of the given samples hold a NaN pixel."""
+    real = split.images
+
+    def images(idx):
+        x = real(idx)
+        x[np.isin(idx, samples), 5, 5, 1] = np.nan
+        return x
+
+    monkeypatch.setattr(split, "images", images)
+    return split
+
+
 class TestPredictSplit:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("mode", ["joint", "sensing_only"])
@@ -442,6 +459,28 @@ class TestPredictSplit:
         assert not helpers[0].is_alive()
         # four batches: the first two, one taken by each thread
         assert sorted(starts) == [0, EVAL_BATCH]
+
+    def test_failure_names_the_same_sample_at_any_cpu_count(self, eval_split,
+                                                            monkeypatch):
+        """Samples 3, 300, 600 and 900, one in each eval batch, have NaN
+        probabilities. On one, two and three CPUs, whichever thread reaches
+        a bad batch first, the evaluation names sample 3."""
+        pipe = Pipeline(ModelConfig(4, "joint"), Rng(56))
+        split = with_nan_samples(eval_split.subset(1000), [3, 300, 600, 900],
+                                 monkeypatch)
+        named, interval = [], sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as it can
+        try:
+            for cpus in (1, 2, 3) * 3:
+                monkeypatch.setattr(os, "sched_getaffinity",
+                                    lambda pid, cpus=cpus: set(range(cpus)))
+                with pytest.raises(DivergenceError) as exc:
+                    bounded(lambda: predict_split(pipe, split, AWGN, SENSING, 55))
+                named.append((cpus, str(exc.value)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert {text for _, text in named} == {
+            "non-finite output probabilities for sample 3"}, named
 
     def test_labels_equal_at_any_eval_batch(self, eval_split, monkeypatch):
         """Eval batches of 64, 256 and 1,000 samples on one, two and three
@@ -741,8 +780,6 @@ class TestEncodeChunks:
             rows.clear()
             chunked = outputs(n)
             assert sum(rows) == 2 * n and max(rows) <= ENCODE_CHUNK, (n, rows)
-            # a 1-row piece would take numpy's GEMV path, with other rounding
-            assert n == 1 or min(rows) > 1, (n, rows)
             rows.clear()
             with monkeypatch.context() as whole:
                 whole.setattr(models, "ENCODE_CHUNK", max(self.SIZES))
@@ -782,6 +819,64 @@ class TestEncodeChunks:
         finally:
             tracemalloc.stop()
         assert peak < bound_mib * 2**20, peak / 2**20
+
+
+# (dtype, mode) of every model whose eval probabilities are checked against
+# the batch size, and those sizes: 1; 7; 65, whose last image encoder slice
+# is one row; and 256, whose batches put a sample at every offset.
+ROW_CASES = [(d, m) for d in ("float32", "float64")
+             for m in ("joint", "sensing_only")]
+ROW_BATCHES = (1, 7, 65, 256)
+
+
+def rows_differing(dtype: str, mode: str) -> dict[int, int]:
+    """For each of ``ROW_BATCHES``, how many of 1,000 samples get eval
+    probabilities that differ in any bit from one 1,000-row pass."""
+    n = 1000
+    pipe = Pipeline(ModelConfig(20, mode), Rng(80), np.dtype(dtype).type)
+    x = Rng(81).uniform(size=(n, 32, 32, 3)).astype(np.float32)
+    labels = (Rng(82).uniform(size=n) < 0.4).astype(np.int64)
+
+    def probs(batch):
+        return np.concatenate([
+            pipe.forward(x[i:i + batch], labels[i:i + batch], RAYLEIGH, SENSING,
+                         Rng(83), start=i) for i in range(0, n, batch)])
+
+    whole = probs(n)
+    return {batch: int((probs(batch) != whole).any(axis=1).sum())
+            for batch in ROW_BATCHES}
+
+
+def has_avx2() -> bool:
+    """Whether the CPU has AVX2, as numpy's dispatch sees it."""
+    from numpy._core._multiarray_umath import __cpu_features__
+    return bool(__cpu_features__.get("AVX2"))
+
+
+class TestRowIndependence:
+    """A sample's eval probabilities are the same bits whatever batch it
+    is in, as the paper's receiver decides one sample at a time as often
+    as a batch of them."""
+
+    @pytest.mark.parametrize("dtype, mode", ROW_CASES)
+    def test_probabilities_equal_at_any_batch(self, dtype, mode):
+        assert rows_differing(dtype, mode) == dict.fromkeys(ROW_BATCHES, 0)
+
+    @pytest.mark.skipif(not has_avx2(), reason="the CPU lacks AVX2")
+    def test_probabilities_equal_at_any_batch_on_haswell_kernels(self):
+        """The same under OpenBLAS's Haswell (AVX2) kernels, compared within
+        that kernel, in a process of its own: the kernel is picked at
+        start."""
+        tests = Path(__file__).resolve().parent
+        path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+        done = subprocess.run(
+            [sys.executable, "-c", "import json, test_models as t; print(json.dumps("
+             "[t.rows_differing(*case) for case in t.ROW_CASES]))"],
+            env=dict(os.environ, OPENBLAS_CORETYPE="Haswell", PYTHONPATH=path),
+            capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == [
+            {str(batch): 0 for batch in ROW_BATCHES}] * len(ROW_CASES)
 
 
 class TestPipelineBackward:
@@ -1003,6 +1098,14 @@ def save_non_finite(path):
     save_checkpoint(pipe, path)
 
 
+def save_beyond_float32(path):
+    """Save a float64 joint 20-symbol pipeline with one image-encoder conv1
+    weight of 1e39: finite as stored, infinite as float32."""
+    pipe = Pipeline(ModelConfig(20, "joint"), Rng(0), np.float64)
+    pipe.params()[0].value[0, 0, 0, 0] = 1e39
+    save_checkpoint(pipe, path)
+
+
 def rewrite_checkpoint(path, edit_header=None, payload_end=None, extra=b""):
     """Rewrite a saved checkpoint: edit its JSON header in place, cut the
     payload to ``payload_end`` bytes and append ``extra``. The checksum is
@@ -1099,6 +1202,19 @@ class TestCheckpoint:
         monkeypatch.setattr(models, "Pipeline", None)
         with pytest.raises(ConfigError, match="1601 stored values are NaN or infinite"):
             load_checkpoint(path)
+
+    def test_value_beyond_the_target_dtype_rejected_before_build(
+            self, tmp_path, monkeypatch):
+        """A float64 value above float32's range loads as float64, and is
+        refused as float32 before a pipeline is built for it."""
+        path = tmp_path / "model.bin"
+        save_beyond_float32(path)
+        wide, _ = load_checkpoint(path, np.float64)
+        assert wide.params()[0].value[0, 0, 0, 0] == 1e39
+        monkeypatch.setattr(models, "Pipeline", None)
+        with pytest.raises(ConfigError, match="1 stored values are NaN or "
+                                              "infinite as float32"):
+            load_checkpoint(path, np.float32)
 
     def test_load_draws_nothing(self, saved, monkeypatch):
         """The loaded pipeline starts from zeros, not from Glorot draws
